@@ -62,6 +62,20 @@ echo "=== [6/12] bench/trace JSON artifacts validate ==="
 ./build/tools/komodo-benchjson build/bench/BENCH_*.json \
   build/bench/METRICS_fig5_notary.json
 ./build/tools/komodo-benchjson --schema chrome build/bench/TRACE_fig5_notary.json
+# Two artifacts are also held to their committed copies. Table 3's simulated
+# cycles are the modelled machine and must not move at all; Table 2's src/core
+# row is the monitor (the TCB), which must not grow.
+python3 - <<'EOF'
+import json, sys
+def rows(path, metric):
+    return {r["name"]: r["value"] for r in json.load(open(path))["results"] if r["metric"] == metric}
+if rows("build/bench/BENCH_table3.json", "sim_cycles") != rows("BENCH_table3.json", "sim_cycles"):
+    sys.exit("BENCH_table3.json: sim_cycles differ from the committed artifact")
+core = rows("build/bench/BENCH_table2.json", "code_lines")["src/core"]
+limit = rows("BENCH_table2.json", "code_lines")["src/core"]
+if core > limit:
+    sys.exit(f"src/core grew to {core:.0f} code lines (committed BENCH_table2.json: {limit:.0f})")
+EOF
 
 echo "=== [7/12] komodo-serve: daemon smoke (batching, eviction, line protocol) ==="
 # The scripted demo exercises batched submission, a typed timeout and an

@@ -113,6 +113,14 @@ class PhysMemory {
   // Pages written since EnableDirtyTracking / the last ResetTo, as global
   // page indices (the PageIndexOf/PageGenAt space).
   const std::vector<uint32_t>& dirty_pages() const { return dirty_list_; }
+  // Adds pages (in the same index space) to the dirty set without writing
+  // them, so the next ResetTo restores them too.
+  void MarkPagesDirty(const std::vector<uint32_t>& pages) {
+    assert(track_dirty_);
+    for (const uint32_t page_index : pages) {
+      MarkDirty(page_index);
+    }
+  }
 
   // Restores this memory to `snapshot` (a copy taken when the dirty set was
   // last empty, i.e. at EnableDirtyTracking or right after a ResetTo) by

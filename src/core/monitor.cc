@@ -184,10 +184,7 @@ KomErr Monitor::InstallL2Table(PageNr as_page, PageNr l2pt_page, word l1index) {
     }
   }
   // Zero the new table page, then install the four descriptors.
-  for (word i = 0; i < arm::kWordsPerPage; ++i) {
-    ops_.ChargeLoopIteration();
-    ops_.StorePhys(PagePaddr(l2pt_page) + i * arm::kWordSize, 0);
-  }
+  ops_.ZeroPage(PagePaddr(l2pt_page));
   for (word k = 0; k < arm::kL2TablesPerPage; ++k) {
     ops_.StorePhys(l1pt + (l1index * arm::kL2TablesPerPage + k) * arm::kWordSize,
                    arm::MakeL1PageTableDesc(PagePaddr(l2pt_page) + k * arm::kL2TableBytes));
@@ -263,10 +260,7 @@ Monitor::CallResult Monitor::SmcInitAddrspace(PageNr as_page, PageNr l1pt_page) 
   }
 
   // Zero the L1 table (all fault descriptors) and the address-space header.
-  for (word i = 0; i < arm::kWordsPerPage; ++i) {
-    ops_.ChargeLoopIteration();
-    ops_.StorePhys(PagePaddr(l1pt_page) + i * arm::kWordSize, 0);
-  }
+  ops_.ZeroPage(PagePaddr(l1pt_page));
   db_.SetType(as_page, PageType::kAddrspace);
   db_.SetOwner(as_page, as_page);
   db_.SetType(l1pt_page, PageType::kL1PTable);
@@ -352,11 +346,7 @@ Monitor::CallResult Monitor::SmcMapSecure(PageNr as_page, PageNr data_page, word
   }
 
   // Copy the initial contents into the secure page.
-  for (word i = 0; i < arm::kWordsPerPage; ++i) {
-    ops_.ChargeLoopIteration();
-    ops_.StorePhys(PagePaddr(data_page) + i * arm::kWordSize,
-                   ops_.LoadPhys(src + i * arm::kWordSize));
-  }
+  ops_.CopyPage(PagePaddr(data_page), src);
   InstallMapping(as_page, mapping, PagePaddr(data_page), /*ns=*/false);
   db_.SetType(data_page, PageType::kDataPage);
   db_.SetOwner(data_page, as_page);
@@ -442,10 +432,7 @@ Monitor::CallResult Monitor::SmcRemove(PageNr page) {
     db_.SetAsRefcount(owner, db_.AsRefcount(owner) - 1);
   }
   // Scrub contents before the page can be reallocated.
-  for (word i = 0; i < arm::kWordsPerPage; ++i) {
-    ops_.ChargeLoopIteration();
-    ops_.StorePhys(PagePaddr(page) + i * arm::kWordSize, 0);
-  }
+  ops_.ZeroPage(PagePaddr(page));
   db_.SetType(page, PageType::kFree);
   db_.SetOwner(page, kInvalidPage);
   return {KomErr::kSuccess, 0};

@@ -458,10 +458,7 @@ Monitor::SvcResult Monitor::SvcMapData(PageNr as_page, PageNr spare_page, word m
   }
   // Dynamic data pages are zero-filled (§4): their contents are not part of
   // the measurement, so they must not carry stale state.
-  for (word i = 0; i < arm::kWordsPerPage; ++i) {
-    ops_.ChargeLoopIteration();
-    ops_.StorePhys(PagePaddr(spare_page) + i * arm::kWordSize, 0);
-  }
+  ops_.ZeroPage(PagePaddr(spare_page));
   InstallMapping(as_page, mapping, PagePaddr(spare_page), /*ns=*/false);
   db_.SetType(spare_page, PageType::kDataPage);
   return {KomErr::kSuccess, 0, false, 0};

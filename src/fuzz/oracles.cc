@@ -1,5 +1,6 @@
 #include "src/fuzz/oracles.h"
 
+#include <functional>
 #include <optional>
 #include <sstream>
 
@@ -79,11 +80,11 @@ std::string OpLabel(const Trace& t, size_t i) {
   return out.str();
 }
 
-// Replays one poke. Page numbers are clamped into insecure RAM so shrinker
 // The oracles compare and hash the raw ABI words of Enter/Resume, so the
 // typed EnterResult is flattened back to the r0/r1 pair at these sites.
 os::SmcRet AbiWords(const os::EnterResult& r) { return {ToWord(r.err), r.payload}; }
 
+// Replays one poke. Page numbers are clamped into insecure RAM so shrinker
 // arg-simplification cannot wander out of bounds (WriteInsecure is raw).
 void ApplyPoke(os::World& w, const TraceOp& op) {
   const word npages = arm::kInsecureSize / arm::kPageSize;
@@ -139,14 +140,23 @@ bool BuildVictim(os::World& w, const std::string& name, os::EnclaveHandle* out,
 // Reifies the abstract state mid-replay. An undecodable representation
 // (possible only when a fault injection corrupted the monitor's structures)
 // is an oracle failure with a replayable verdict, not a harness abort — the
-// corpus pins traces whose whole point is reproducing exactly that.
-std::optional<Verdict> ExtractInto(const os::World& w, const Trace& t, size_t i,
-                                   spec::PageDb* out) {
+// corpus pins traces whose whole point is reproducing exactly that. Returns
+// nullopt with `*why` set then.
+std::optional<spec::PageDb> Extract(const os::World& w, std::string* why) {
   spec::ExtractError xerr;
   std::optional<spec::PageDb> got = spec::TryExtractPageDb(w.machine, &xerr);
   if (!got.has_value()) {
-    return Fail(static_cast<int>(i), OpLabel(t, i) + ": spec extraction failed at page " +
-                                         std::to_string(xerr.page) + ": " + xerr.detail);
+    *why = "spec extraction failed at page " + std::to_string(xerr.page) + ": " + xerr.detail;
+  }
+  return got;
+}
+
+std::optional<Verdict> ExtractInto(const os::World& w, const Trace& t, size_t i,
+                                   spec::PageDb* out) {
+  std::string why;
+  std::optional<spec::PageDb> got = Extract(w, &why);
+  if (!got.has_value()) {
+    return Fail(static_cast<int>(i), OpLabel(t, i) + ": " + why);
   }
   *out = std::move(*got);
   return std::nullopt;
@@ -172,8 +182,10 @@ std::vector<word> DriverProgram() {
 
 // --- refinement / invariants ---------------------------------------------------
 
-// One replay loop serves both spec-backed oracles: with `with_spec` it is the
-// full bisimulation, without it only the PageDB invariants are checked.
+// One replay loop serves both spec-backed oracles: with `with_spec` every
+// call is related to its spec by spec::CheckRefinement, without it only the
+// PageDB invariants are checked. Either way `d` is the extraction after the
+// previous op, which refinement has just shown to be the spec's state.
 Verdict RunSpecBacked(const Trace& t, bool with_spec, WorldPool& pool, CoverageMap* cover) {
   WorldPool::Lease lease = pool.Acquire(t.pages);
   os::World& w = lease.world();
@@ -193,9 +205,11 @@ Verdict RunSpecBacked(const Trace& t, bool with_spec, WorldPool& pool, CoverageM
     driver = *std::move(built);
   }
 
+  const spec::ExtractPost extract = [&w](std::string* why) { return Extract(w, why); };
   spec::PageDb d = spec::ExtractPageDb(w.machine);
   for (size_t i = 0; i < t.ops.size(); ++i) {
     const TraceOp& op = t.ops[i];
+    spec::RefinementStep step;
     switch (op.kind) {
       case OpKind::kPoke:
         ApplyPoke(w, op);  // insecure RAM is outside the PageDb
@@ -205,51 +219,17 @@ Verdict RunSpecBacked(const Trace& t, bool with_spec, WorldPool& pool, CoverageM
         break;  // no victim in spec-backed traces
       case OpKind::kSmc: {
         const std::array<word, 4> args{op.a[1], op.a[2], op.a[3], op.a[4]};
-        const bool enterish = op.a[0] == kSmcEnter || op.a[0] == kSmcResume;
-        spec::Result expected{};
-        if (with_spec) {
-          expected = spec::ApplySmc(d, w.machine, op.a[0], args);
-        }
-        const os::SmcRet got = w.os.Smc(op.a[0], args[0], args[1], args[2], args[3]);
         if (!with_spec) {
+          w.os.Smc(op.a[0], args[0], args[1], args[2], args[3]);
           break;
         }
-        if (enterish && expected.err == kErrSuccess) {
-          // The guard passed; user-mode execution is havoc in the spec, so
-          // accept any legitimate outcome and resynchronize.
-          if (got.err != kErrSuccess && got.err != kErrInterrupted && got.err != kErrFault) {
-            return Fail(static_cast<int>(i),
-                        OpLabel(t, i) + ": enter/resume guard passed in spec but impl says " +
-                            KomErrName(got.err));
-          }
-          if (auto bad = ExtractInto(w, t, i, &d)) {
-            return *bad;
-          }
-        } else {
-          if (got.err != expected.err) {
-            return Fail(static_cast<int>(i),
-                        OpLabel(t, i) + ": smc " + std::to_string(op.a[0]) + " impl=" +
-                            KomErrName(got.err) + " spec=" + KomErrName(expected.err));
-          }
-          d = expected.db;
-          spec::PageDb got_db(0);
-          if (auto bad = ExtractInto(w, t, i, &got_db)) {
-            return *bad;
-          }
-          if (!(got_db == d)) {
-            return Fail(static_cast<int>(i),
-                        OpLabel(t, i) + ": smc " + std::to_string(op.a[0]) +
-                            " pagedb diverges from spec");
-          }
-        }
+        spec::Result expected = spec::ApplySmc(d, w.machine, op.a[0], args);
+        const os::SmcRet got = w.os.Smc(op.a[0], args[0], args[1], args[2], args[3]);
+        step = spec::CheckRefinement(d, /*is_svc=*/false, op.a[0], std::move(expected), got.err,
+                                     extract);
         break;
       }
       case OpKind::kSvc: {
-        if (!with_spec) {
-          if (auto bad = ExtractInto(w, t, i, &d)) {
-            return *bad;
-          }
-        }
         // Staging the SVC arguments writes the driver's data page directly —
         // the same deus-ex channel the noninterference victims use for their
         // secrets. That is only sound while the page still *is* the driver's
@@ -276,69 +256,34 @@ Verdict RunSpecBacked(const Trace& t, bool with_spec, WorldPool& pool, CoverageM
           w.os.Enter(driver.thread);
           break;
         }
-        // Check the Enter guard first; only when the intact driver actually
-        // runs is the SVC itself comparable against the spec.
-        const spec::Result guard = spec::ApplySmc(d, w.machine, kSmcEnter,
-                                                  {driver.thread, 0, 0, 0});
+        // Only when the intact driver ran to its exit is the SVC itself
+        // comparable against the spec. Otherwise the Enter is: its guard
+        // failed, some other enclave's code ran, or the driver faulted or was
+        // interrupted mid-program (user-execution havoc).
+        spec::Result guard = spec::ApplySmc(d, w.machine, kSmcEnter, {driver.thread, 0, 0, 0});
         const os::SmcRet got = AbiWords(w.os.Enter(driver.thread));
-        if (guard.err != kErrSuccess) {
-          if (got.err != guard.err) {
-            return Fail(static_cast<int>(i),
-                        OpLabel(t, i) + ": driver enter impl=" + KomErrName(got.err) +
-                            " spec=" + KomErrName(guard.err));
-          }
-          break;
-        }
-        if (!intact || got.err != kErrSuccess) {
-          // Some other enclave's code ran, or the driver faulted or was
-          // interrupted mid-program: user-execution havoc either way.
-          if (got.err != kErrSuccess && got.err != kErrInterrupted && got.err != kErrFault) {
-            return Fail(static_cast<int>(i),
-                        OpLabel(t, i) + ": enter guard passed in spec but impl says " +
-                            KomErrName(got.err));
-          }
-          if (auto bad = ExtractInto(w, t, i, &d)) {
-            return *bad;
-          }
-          break;
-        }
-        const spec::Result expected =
-            spec::ApplySvc(d, driver.addrspace, op.a[0], {op.a[1], op.a[2], op.a[3]});
-        // Attest/Verify write through user VAs (havoc territory); Exit's
-        // result is its argument. Everything else must report the spec's
-        // error word and land on the spec's PageDb.
-        const bool modelled =
-            op.a[0] != kSvcExit && op.a[0] != kSvcAttest && op.a[0] != kSvcVerify;
-        if (modelled && got.val != expected.err) {
-          return Fail(static_cast<int>(i),
-                      OpLabel(t, i) + ": svc " + std::to_string(op.a[0]) + " impl result=" +
-                          KomErrName(got.val) + " spec=" + KomErrName(expected.err));
-        }
-        if (modelled) {
-          spec::PageDb got_db(0);
-          if (auto bad = ExtractInto(w, t, i, &got_db)) {
-            return *bad;
-          }
-          if (!(got_db == expected.db)) {
-            return Fail(static_cast<int>(i),
-                        OpLabel(t, i) + ": svc " + std::to_string(op.a[0]) +
-                            " pagedb diverges from spec");
-          }
-          d = expected.db;
-        } else if (auto bad = ExtractInto(w, t, i, &d)) {
-          return *bad;
+        if (intact && guard.err == kErrSuccess && got.err == kErrSuccess) {
+          step = spec::CheckRefinement(
+              d, /*is_svc=*/true, op.a[0],
+              spec::ApplySvc(d, driver.addrspace, op.a[0], {op.a[1], op.a[2], op.a[3]}),
+              got.val, extract);
+        } else {
+          step = spec::CheckRefinement(d, /*is_svc=*/false, kSmcEnter, std::move(guard), got.err,
+                                       extract);
         }
         break;
       }
     }
-    spec::PageDb cur(0);
-    if (auto bad = ExtractInto(w, t, i, &cur)) {
+    if (!step.failure.empty()) {
+      return Fail(static_cast<int>(i), OpLabel(t, i) + ": " + step.failure);
+    }
+    if (auto bad = ExtractInto(w, t, i, &d)) {
       return *bad;
     }
     if (cover != nullptr) {
-      HarvestPageDbCoverage(cur, cover);
+      HarvestPageDbCoverage(d, cover);
     }
-    const auto violations = spec::PageDbViolations(cur);
+    const auto violations = spec::PageDbViolations(d);
     if (!violations.empty()) {
       return Fail(static_cast<int>(i), OpLabel(t, i) + ": invariant: " + violations.front());
     }
@@ -346,171 +291,179 @@ Verdict RunSpecBacked(const Trace& t, bool with_spec, WorldPool& pool, CoverageM
   return {};
 }
 
-// --- noninterference -----------------------------------------------------------
+// --- lockstep: noninterference and interp -----------------------------------------
+//
+// N pooled worlds ("lanes") replay one trace in lockstep: each op is applied
+// to every lane in lease order, then the oracle's check compares the lanes
+// and its failure detail is reported against that op.
 
-Verdict RunNoninterference(const Trace& t, WorldPool& pool, CoverageMap* cover) {
-  if (t.victim.empty()) {
-    return Fail(-1, "harness: noninterference trace needs a victim");
-  }
-  WorldPool::Lease lease1 = pool.Acquire(t.pages);
-  WorldPool::Lease lease2 = pool.Acquire(t.pages);
-  os::World& w1 = lease1.world();
-  os::World& w2 = lease2.world();
-  CoverageScope coverage(w1, cover);
-  os::EnclaveHandle v1, v2;
-  std::string why;
-  if (!BuildVictim(w1, t.victim, &v1, &why) || !BuildVictim(w2, t.victim, &v2, &why)) {
-    return Fail(-1, "harness: " + why);
-  }
-  // Plant differing secrets in the victim's private page (a secret arriving
-  // over a secure channel after launch; initial contents are OS-visible).
-  const PageNr s1 = v1.data_pages.size() > 1 ? v1.data_pages[1] : v1.data_pages[0];
-  const PageNr s2 = v2.data_pages.size() > 1 ? v2.data_pages[1] : v2.data_pages[0];
-  w1.machine.mem.Write(PagePaddr(s1), t.secrets[0]);
-  w2.machine.mem.Write(PagePaddr(s2), t.secrets[1]);
+struct Lane {
+  os::World* world = nullptr;
+  os::EnclaveHandle victim;
+  os::SmcRet result{kErrSuccess, 0};  // ABI words of the current op
+};
 
+// Applies one op to a lane. Enter/Resume drive the lane's victim and are
+// no-ops without one; SVCs are not generated for lockstep traces.
+os::SmcRet ApplyOp(const Trace& t, Lane& lane, const TraceOp& op) {
+  os::World& w = *lane.world;
+  switch (op.kind) {
+    case OpKind::kPoke:
+      ApplyPoke(w, op);
+      break;
+    case OpKind::kSmc:
+      return w.os.Smc(op.a[0], op.a[1], op.a[2], op.a[3], op.a[4]);
+    case OpKind::kSvc:
+      break;
+    case OpKind::kEnter:
+      if (!t.victim.empty()) {
+        return AbiWords(w.os.Enter(lane.victim.thread, op.a[1], op.a[2], op.a[3]));
+      }
+      break;
+    case OpKind::kResume:
+      if (!t.victim.empty()) {
+        return AbiWords(w.os.Resume(lane.victim.thread));
+      }
+      break;
+  }
+  return {kErrSuccess, 0};
+}
+
+struct Lockstep {
+  size_t lanes = 2;
+  // Lanes whose decode-cache/JIT residency is coverage (see CoverageScope).
+  std::vector<size_t> machine_coverage;
+  // Runs on each lane once its victim (if any) is built.
+  std::function<void(size_t lane, Lane&)> setup;
+  // Runs after every op: the failure detail, or "" while the lanes agree.
+  std::function<std::string(const std::vector<Lane>&)> check;
+};
+
+Verdict RunLockstep(const Trace& t, WorldPool& pool, CoverageMap* cover, const Lockstep& cfg) {
+  // Leases go back to the pool last-first, as separately declared locals
+  // would, so the pool hands each world out again in the same role.
+  struct Leases {
+    std::vector<WorldPool::Lease> held;
+    ~Leases() {
+      while (!held.empty()) {
+        held.pop_back();
+      }
+    }
+  } leases;
+  std::vector<Lane> lanes(cfg.lanes);
+  for (Lane& lane : lanes) {
+    leases.held.push_back(pool.Acquire(t.pages));
+    lane.world = &leases.held.back().world();
+  }
+  std::vector<const os::World*> machine_worlds;
+  for (const size_t k : cfg.machine_coverage) {
+    machine_worlds.push_back(lanes[k].world);
+  }
+  CoverageScope coverage(*lanes[0].world, cover, std::move(machine_worlds));
+  for (size_t k = 0; k < lanes.size(); ++k) {
+    std::string why;
+    if (!t.victim.empty() && !BuildVictim(*lanes[k].world, t.victim, &lanes[k].victim, &why)) {
+      return Fail(-1, "harness: " + why);
+    }
+    cfg.setup(k, lanes[k]);
+  }
   for (size_t i = 0; i < t.ops.size(); ++i) {
-    const TraceOp& op = t.ops[i];
-    os::SmcRet r1{kErrSuccess, 0};
-    os::SmcRet r2{kErrSuccess, 0};
-    switch (op.kind) {
-      case OpKind::kPoke:
-        ApplyPoke(w1, op);
-        ApplyPoke(w2, op);
-        break;
-      case OpKind::kSmc:
-        r1 = w1.os.Smc(op.a[0], op.a[1], op.a[2], op.a[3], op.a[4]);
-        r2 = w2.os.Smc(op.a[0], op.a[1], op.a[2], op.a[3], op.a[4]);
-        break;
-      case OpKind::kSvc:
-        break;  // not generated for paired traces
-      case OpKind::kEnter:
-        r1 = AbiWords(w1.os.Enter(v1.thread, op.a[1], op.a[2], op.a[3]));
-        r2 = AbiWords(w2.os.Enter(v2.thread, op.a[1], op.a[2], op.a[3]));
-        break;
-      case OpKind::kResume:
-        r1 = AbiWords(w1.os.Resume(v1.thread));
-        r2 = AbiWords(w2.os.Resume(v2.thread));
-        break;
+    for (Lane& lane : lanes) {
+      lane.result = ApplyOp(t, lane, t.ops[i]);
     }
-    if (r1.err != r2.err || r1.val != r2.val) {
-      std::ostringstream out;
-      out << OpLabel(t, i) << ": result differs: (" << KomErrName(r1.err) << ", " << r1.val
-          << ") vs (" << KomErrName(r2.err) << ", " << r2.val << ")";
-      return Fail(static_cast<int>(i), out.str());
-    }
-    spec::PageDb d1(0);
-    spec::PageDb d2(0);
-    if (auto bad = ExtractInto(w1, t, i, &d1)) {
-      return *bad;
-    }
-    if (auto bad = ExtractInto(w2, t, i, &d2)) {
-      return *bad;
-    }
-    if (cover != nullptr) {
-      HarvestPageDbCoverage(d1, cover);
-    }
-    const auto violations =
-        spec::AdvEquivViolations(w1.machine, d1, w2.machine, d2, kInvalidPage);
-    if (!violations.empty()) {
-      return Fail(static_cast<int>(i), OpLabel(t, i) + ": ~adv broken: " + violations.front());
+    if (const std::string detail = cfg.check(lanes); !detail.empty()) {
+      return Fail(static_cast<int>(i), OpLabel(t, i) + ": " + detail);
     }
   }
   return {};
 }
 
-// --- interp (cached vs uncached vs JIT) -----------------------------------------
-//
-// Three-way bisimulation. The cached/uncached pair is the original oracle and
-// is compared first so its canonical failure details stay stable (the
-// committed regression corpus records them). The third world runs the block
-// JIT on top of the caches; any architectural divergence from the cached
-// world is a translator bug. On hosts without JIT support the third world
-// degenerates into a second cached interpreter, which trivially agrees.
+// "result differs: <a>(err, val) vs <b>(err, val)", or "" when they agree.
+std::string ResultDiff(const char* a_name, os::SmcRet a, const char* b_name, os::SmcRet b) {
+  if (a.err == b.err && a.val == b.val) {
+    return {};
+  }
+  std::ostringstream out;
+  out << "result differs: " << a_name << "(" << KomErrName(a.err) << ", " << a.val << ") vs "
+      << b_name << "(" << KomErrName(b.err) << ", " << b.val << ")";
+  return out.str();
+}
 
+// Two worlds differing only in the secret planted in the victim's private
+// page (a secret arriving over a secure channel after launch; initial
+// contents are OS-visible): every result pair and ≈adv must stay equal.
+Verdict RunNoninterference(const Trace& t, WorldPool& pool, CoverageMap* cover) {
+  if (t.victim.empty()) {
+    return Fail(-1, "harness: noninterference trace needs a victim");
+  }
+  Lockstep cfg;
+  cfg.setup = [&t](size_t k, Lane& lane) {
+    const std::vector<PageNr>& pages = lane.victim.data_pages;
+    lane.world->machine.mem.Write(PagePaddr(pages.size() > 1 ? pages[1] : pages[0]),
+                                  t.secrets[k]);
+  };
+  cfg.check = [cover](const std::vector<Lane>& l) {
+    std::string detail = ResultDiff("", l[0].result, "", l[1].result);
+    if (!detail.empty()) {
+      return detail;
+    }
+    const std::optional<spec::PageDb> d1 = Extract(*l[0].world, &detail);
+    if (!d1.has_value()) {
+      return detail;
+    }
+    const std::optional<spec::PageDb> d2 = Extract(*l[1].world, &detail);
+    if (!d2.has_value()) {
+      return detail;
+    }
+    if (cover != nullptr) {
+      HarvestPageDbCoverage(*d1, cover);
+    }
+    const auto violations =
+        spec::AdvEquivViolations(l[0].world->machine, *d1, l[1].world->machine, *d2,
+                                 kInvalidPage);
+    return violations.empty() ? std::string() : "~adv broken: " + violations.front();
+  };
+  return RunLockstep(t, pool, cover, cfg);
+}
+
+// Three-way bisimulation: cached, uncached and JIT. The cached/uncached pair
+// is the original oracle and is compared first so its canonical failure
+// details stay stable (the committed regression corpus records them). The
+// third world runs the block JIT on top of the caches; any architectural
+// divergence from the cached world is a translator bug. On hosts without JIT
+// support the third world degenerates into a second cached interpreter,
+// which trivially agrees.
 Verdict RunInterp(const Trace& t, WorldPool& pool, CoverageMap* cover) {
-  WorldPool::Lease lease_c = pool.Acquire(t.pages);
-  WorldPool::Lease lease_u = pool.Acquire(t.pages);
-  WorldPool::Lease lease_j = pool.Acquire(t.pages);
-  os::World& wc = lease_c.world();
-  os::World& wu = lease_u.world();
-  os::World& wj = lease_j.world();
-  // wc/wj set their cache/JIT enablement explicitly below, so their resident
-  // decode/JIT entries are legitimate (environment-independent) coverage.
-  CoverageScope coverage(wc, cover, {&wc, &wj});
-  wc.machine.interp.set_enabled(true);
-  wc.machine.jit.set_enabled(false);
-  wu.machine.interp.set_enabled(false);
-  wu.machine.jit.set_enabled(false);
-  wj.machine.interp.set_enabled(true);
-  wj.machine.jit.set_enabled(true);
-  os::EnclaveHandle vc, vu, vj;
-  if (!t.victim.empty()) {
-    std::string why;
-    if (!BuildVictim(wc, t.victim, &vc, &why) || !BuildVictim(wu, t.victim, &vu, &why) ||
-        !BuildVictim(wj, t.victim, &vj, &why)) {
-      return Fail(-1, "harness: " + why);
+  enum : size_t { kCached, kUncached, kJit };
+  Lockstep cfg;
+  cfg.lanes = 3;
+  // These lanes set their cache/JIT enablement explicitly below, so their
+  // resident decode/JIT entries are legitimate (environment-independent)
+  // coverage.
+  cfg.machine_coverage = {kCached, kJit};
+  cfg.setup = [](size_t k, Lane& lane) {
+    lane.world->machine.interp.set_enabled(k != kUncached);
+    lane.world->machine.jit.set_enabled(k == kJit);
+  };
+  cfg.check = [](const std::vector<Lane>& l) {
+    const arm::MachineState& c = l[kCached].world->machine;
+    const arm::MachineState& u = l[kUncached].world->machine;
+    const arm::MachineState& j = l[kJit].world->machine;
+    std::string detail = ResultDiff("cached ", l[kCached].result, "uncached ", l[kUncached].result);
+    if (!detail.empty()) {
+      return detail;
     }
-  }
-  for (size_t i = 0; i < t.ops.size(); ++i) {
-    const TraceOp& op = t.ops[i];
-    os::SmcRet rc{kErrSuccess, 0};
-    os::SmcRet ru{kErrSuccess, 0};
-    os::SmcRet rj{kErrSuccess, 0};
-    switch (op.kind) {
-      case OpKind::kPoke:
-        ApplyPoke(wc, op);
-        ApplyPoke(wu, op);
-        ApplyPoke(wj, op);
-        break;
-      case OpKind::kSmc:
-        rc = wc.os.Smc(op.a[0], op.a[1], op.a[2], op.a[3], op.a[4]);
-        ru = wu.os.Smc(op.a[0], op.a[1], op.a[2], op.a[3], op.a[4]);
-        rj = wj.os.Smc(op.a[0], op.a[1], op.a[2], op.a[3], op.a[4]);
-        break;
-      case OpKind::kSvc:
-        break;  // not generated for interp traces
-      case OpKind::kEnter:
-        if (t.victim.empty()) {
-          break;
-        }
-        rc = AbiWords(wc.os.Enter(vc.thread, op.a[1], op.a[2], op.a[3]));
-        ru = AbiWords(wu.os.Enter(vu.thread, op.a[1], op.a[2], op.a[3]));
-        rj = AbiWords(wj.os.Enter(vj.thread, op.a[1], op.a[2], op.a[3]));
-        break;
-      case OpKind::kResume:
-        if (t.victim.empty()) {
-          break;
-        }
-        rc = AbiWords(wc.os.Resume(vc.thread));
-        ru = AbiWords(wu.os.Resume(vu.thread));
-        rj = AbiWords(wj.os.Resume(vj.thread));
-        break;
+    if (const auto diff = MachineDiff(c, u); !diff.empty()) {
+      return "cached/uncached state diverges: " + diff.front();
     }
-    if (rc.err != ru.err || rc.val != ru.val) {
-      std::ostringstream out;
-      out << OpLabel(t, i) << ": result differs: cached (" << KomErrName(rc.err) << ", "
-          << rc.val << ") vs uncached (" << KomErrName(ru.err) << ", " << ru.val << ")";
-      return Fail(static_cast<int>(i), out.str());
+    detail = ResultDiff("jit ", l[kJit].result, "cached ", l[kCached].result);
+    if (!detail.empty()) {
+      return detail;
     }
-    const auto diff = MachineDiff(wc.machine, wu.machine);
-    if (!diff.empty()) {
-      return Fail(static_cast<int>(i),
-                  OpLabel(t, i) + ": cached/uncached state diverges: " + diff.front());
-    }
-    if (rj.err != rc.err || rj.val != rc.val) {
-      std::ostringstream out;
-      out << OpLabel(t, i) << ": result differs: jit (" << KomErrName(rj.err) << ", "
-          << rj.val << ") vs cached (" << KomErrName(rc.err) << ", " << rc.val << ")";
-      return Fail(static_cast<int>(i), out.str());
-    }
-    const auto jdiff = MachineDiff(wj.machine, wc.machine);
-    if (!jdiff.empty()) {
-      return Fail(static_cast<int>(i),
-                  OpLabel(t, i) + ": jit/cached state diverges: " + jdiff.front());
-    }
-  }
-  return {};
+    const auto diff = MachineDiff(j, c);
+    return diff.empty() ? std::string() : "jit/cached state diverges: " + diff.front();
+  };
+  return RunLockstep(t, pool, cover, cfg);
 }
 
 }  // namespace

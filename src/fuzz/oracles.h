@@ -3,16 +3,19 @@
 // upheld its contract.
 //
 //   refinement        impl-vs-spec bisimulation through the call registry:
-//                     every SMC's error code and resulting abstract PageDb
-//                     must match spec::ApplySmc; SVCs are driven through a
-//                     driver enclave and compared against spec::ApplySvc.
+//                     every call is related to spec::ApplySmc/ApplySvc by
+//                     spec::CheckRefinement, the relation komodo-verify
+//                     checks too; SVCs are driven through a driver enclave.
 //   invariants        spec::PageDbViolations after every operation.
 //   noninterference   two worlds differing only in a victim's secret replay
 //                     the identical trace; every SMC result and the full
 //                     ≈adv relation must stay equal.
-//   interp            cache-enabled vs cache-disabled worlds replay the same
-//                     trace; SMC results and complete machine state must be
+//   interp            cached, uncached and JIT worlds replay the same trace;
+//                     SMC results and complete machine state must be
 //                     bit-identical.
+//
+// The last two are configurations of one lockstep runner over N pooled
+// worlds: one op applier, one victim builder, one per-op check.
 //
 // A Verdict pinpoints the first failing operation, which is what the shrinker
 // truncates to.

@@ -43,8 +43,9 @@ const char* RequestFailureName(RequestFailure f) {
 Monitor::Config Server::MonitorConfigFor(const Config& config) {
   Monitor::Config mc;
   mc.max_enclave_steps = config.steps_per_slice;
-  mc.opt_skip_redundant_tlb_flush = config.monitor_fast_paths;
-  mc.opt_lazy_banked_regs = config.monitor_fast_paths;
+  // The serve world always runs both §8.1 monitor fast paths.
+  mc.opt_skip_redundant_tlb_flush = true;
+  mc.opt_lazy_banked_regs = true;
   return mc;
 }
 

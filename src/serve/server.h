@@ -111,8 +111,6 @@ class Server {
     word timeout_slices = 4;
     // Coalesce same-session requests into one Enter (batch-ABI programs).
     bool batching = true;
-    // §8.1 Monitor fast paths (flush skipping + lazy banked registers).
-    bool monitor_fast_paths = true;
   };
 
   explicit Server(ProgramCatalog catalog) : Server(std::move(catalog), Config{}) {}

@@ -107,4 +107,43 @@ std::vector<std::string> AdvEquivViolations(const arm::MachineState& m1, const P
   return out;
 }
 
+RefinementStep CheckRefinement(const PageDb& pre, bool is_svc, word call, Result expected,
+                               word impl_err, const ExtractPost& post) {
+  RefinementStep step;
+  const bool enterish = !is_svc && (call == kSmcEnter || call == kSmcResume);
+  const bool havoc = is_svc ? call == kSvcExit || call == kSvcAttest || call == kSvcVerify
+                            : enterish && expected.err == kErrSuccess;
+  const auto label = [&] { return (is_svc ? "svc " : "smc ") + std::to_string(call); };
+  if (enterish && havoc && impl_err != kErrSuccess && impl_err != kErrInterrupted &&
+      impl_err != kErrFault) {
+    step.failure = std::string("enter/resume guard passed in spec but impl says ") +
+                   KomErrName(impl_err);
+    return step;
+  }
+  if (!havoc && impl_err != expected.err) {
+    step.failure =
+        label() + " impl=" + KomErrName(impl_err) + " spec=" + KomErrName(expected.err);
+    return step;
+  }
+  std::optional<PageDb> got = post(&step.failure);
+  if (!step.failure.empty()) {
+    return step;
+  }
+  if (havoc) {
+    step.successor = std::move(got);
+  } else if (expected.err != kErrSuccess) {
+    // A failed spec leaves the PageDb as it was (SpecErrorsTest pins this), so
+    // a post-state the call never wrote needs no compare.
+    if (got.has_value() && !(*got == expected.db)) {
+      step.failure =
+          label() + " failed with " + KomErrName(impl_err) + " but mutated the pagedb";
+    }
+  } else if (!((got.has_value() ? *got : pre) == expected.db)) {
+    step.failure = label() + " pagedb diverges from spec";
+  } else {
+    step.successor = std::move(expected.db);
+  }
+  return step;
+}
+
 }  // namespace komodo::spec

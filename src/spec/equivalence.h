@@ -1,16 +1,20 @@
-// Observational-equivalence relations from the noninterference proofs (§6.1):
-// weak page equivalence =enc (Definition 1), enclave observational
+// The relations the two theorems are checked against. For noninterference
+// (§6.1): weak page equivalence =enc (Definition 1), enclave observational
 // equivalence ≈enc (Definition 2), and the OS-adversary relation ≈adv, which
 // additionally compares general-purpose registers, non-monitor banked
-// registers, and all of insecure memory.
+// registers, and all of insecure memory. For functional correctness (§5.2):
+// the refinement relation between one implementation call and its spec.
 #ifndef SRC_SPEC_EQUIVALENCE_H_
 #define SRC_SPEC_EQUIVALENCE_H_
 
+#include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "src/arm/machine.h"
 #include "src/spec/abstract_state.h"
+#include "src/spec/spec_calls.h"
 
 namespace komodo::spec {
 
@@ -37,6 +41,30 @@ inline bool ObsEquivAdv(const arm::MachineState& m1, const PageDb& d1,
                         const arm::MachineState& m2, const PageDb& d2, PageNr enc) {
   return AdvEquivViolations(m1, d1, m2, d2, enc).empty();
 }
+
+// Refinement: a call refines its spec when it returns the spec's error word
+// and lands on the spec's PageDb. The exception is the havoc set, whose
+// effects the spec leaves to user-mode execution (§5.1): Enter/Resume whose
+// guard passed (which must then return success, interrupted or fault), and
+// the Exit/Attest/Verify SVCs (whose failures live in user memory). There the
+// spec fixes only the guard and the implementation's post-state is taken as
+// the successor.
+struct RefinementStep {
+  std::string failure;              // empty: the call refines the spec
+  std::optional<PageDb> successor;  // abstract post-state; nullopt: unchanged
+};
+
+// The implementation's post-state, extracted on demand: its PageDb, nullopt
+// when the call wrote no memory (the post-state is the pre-state), or nullopt
+// with `*why` set when the machine does not decode.
+using ExtractPost = std::function<std::optional<PageDb>(std::string* why)>;
+
+// Relates one call (SMC, or SVC when `is_svc`) from pre-state `pre` to the
+// spec's `expected` result. The error word is compared before `post` is
+// called, so a post-state that does not decode is reported only when the
+// error words agree.
+RefinementStep CheckRefinement(const PageDb& pre, bool is_svc, word call, Result expected,
+                               word impl_err, const ExtractPost& post);
 
 }  // namespace komodo::spec
 

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "src/core/kom_defs.h"
+#include "src/spec/equivalence.h"
 #include "src/spec/extract.h"
 #include "src/spec/invariants.h"
 #include "src/spec/spec_dispatch.h"
@@ -10,22 +11,6 @@
 namespace komodo::verify {
 
 namespace {
-
-// Global page index (the dirty-list space: insecure, monitor, secure in
-// layout order) back to the page's base physical address.
-arm::paddr PageBaseOfIndex(uint32_t index) {
-  constexpr uint32_t kInsecurePages = arm::kInsecureSize / arm::kPageSize;
-  constexpr uint32_t kMonitorPages = arm::kMonitorSize / arm::kPageSize;
-  if (index < kInsecurePages) {
-    return arm::kInsecureBase + static_cast<arm::paddr>(index) * arm::kPageSize;
-  }
-  index -= kInsecurePages;
-  if (index < kMonitorPages) {
-    return arm::kMonitorBase + static_cast<arm::paddr>(index) * arm::kPageSize;
-  }
-  index -= kMonitorPages;
-  return arm::kSecurePagesBase + static_cast<arm::paddr>(index) * arm::kPageSize;
-}
 
 ObligationResult FailOb(std::string detail, word impl_err) {
   ObligationResult res;
@@ -45,22 +30,12 @@ ConcreteWorld::ConcreteWorld(const WorldSpec& spec)
   boot_db_ = spec::ExtractPageDb(world_.machine);
 }
 
-void ConcreteWorld::MarkPages(arm::MachineState* m, const std::vector<uint32_t>& pages) {
-  // Write-back marking: re-storing a word's own value records the page in
-  // the dirty list (stores mark unconditionally) without changing contents,
-  // which is exactly what ResetTo needs to know which pages to restore.
-  for (uint32_t index : pages) {
-    const arm::paddr base = PageBaseOfIndex(index);
-    m->mem.Write(base, m->mem.Read(base));
-  }
-}
-
 void ConcreteWorld::PreparePath(const std::vector<VerifyOp>& path) {
   // The live machine deviates from boot on the previous path's pages (not in
   // the dirty list any more — each mid-reset clears it) plus whatever the
   // last probe dirtied (still listed). Re-mark the former so the boot reset
   // restores both.
-  MarkPages(&world_.machine, path_pages_);
+  world_.machine.mem.MarkPagesDirty(path_pages_);
   world_.machine.ResetTo(*boot_);
   world_.monitor.ResetForReuse();
   world_.os.ResetForReuse();
@@ -79,8 +54,8 @@ void ConcreteWorld::PreparePath(const std::vector<VerifyOp>& path) {
   // state, so it deviates from the live machine on the union of the old and
   // new path footprints.
   const std::vector<uint32_t> new_path = world_.machine.mem.dirty_pages();
-  MarkPages(mid_.get(), path_pages_);
-  MarkPages(mid_.get(), new_path);
+  mid_->mem.MarkPagesDirty(path_pages_);
+  mid_->mem.MarkPagesDirty(new_path);
   mid_->ResetTo(world_.machine);
   path_pages_ = new_path;
 }
@@ -149,55 +124,21 @@ ObligationResult CheckTransition(ConcreteWorld& world, const spec::PageDb& d,
     }
   }
 
-  // Obligation 2: the implementation refines the spec.
+  // Obligation 2: the implementation refines the spec. RunStaged extracts
+  // eagerly, so an undecodable post-state outranks an error-word mismatch.
   ConcreteWorld::Outcome out = world.RunStaged(op);
   if (!out.extract_error.empty()) {
     return FailOb("extraction failed after impl call: " + out.extract_error, out.impl_err);
   }
-
+  spec::RefinementStep step =
+      spec::CheckRefinement(d, op.is_svc, op.call, std::move(sres), out.impl_err,
+                            [&out](std::string*) { return std::move(out.post); });
+  if (!step.failure.empty()) {
+    return FailOb(std::move(step.failure), out.impl_err);
+  }
   ObligationResult res;
   res.impl_err = out.impl_err;
-
-  const bool enterish = !op.is_svc && (op.call == kSmcEnter || op.call == kSmcResume);
-  const bool havoc_svc =
-      op.is_svc && (op.call == kSvcExit || op.call == kSvcAttest || op.call == kSvcVerify);
-
-  if (enterish && sres.err == kErrSuccess) {
-    // The guard passed; user-mode execution is havoc in the spec. Accept any
-    // legitimate outcome and resynchronize from the machine.
-    if (out.impl_err != kErrSuccess && out.impl_err != kErrInterrupted &&
-        out.impl_err != kErrFault) {
-      return FailOb(std::string("enter/resume guard passed in spec but impl says ") +
-                        KomErrName(out.impl_err),
-                    out.impl_err);
-    }
-    res.successor = std::move(out.post);  // nullopt when nothing was written
-  } else if (havoc_svc) {
-    // Guard-only specs whose failures live in user-memory havoc (Attest and
-    // Verify fault on bad virtual addresses; Exit cannot fail). The error
-    // set is still pinned: the explorer compares every observed error
-    // against the registry row, so an undeclared failure mode fails the run.
-    res.successor = std::move(out.post);
-  } else {
-    if (out.impl_err != sres.err) {
-      return FailOb(std::string(op.is_svc ? "svc" : "smc") + " " + std::to_string(op.call) +
-                        " impl=" + KomErrName(out.impl_err) + " spec=" + KomErrName(sres.err),
-                    out.impl_err);
-    }
-    if (sres.err == kErrSuccess) {
-      const spec::PageDb& got = out.post.has_value() ? *out.post : d;
-      if (!(got == sres.db)) {
-        return FailOb(std::string(op.is_svc ? "svc" : "smc") + " " + std::to_string(op.call) +
-                          " pagedb diverges from spec",
-                      out.impl_err);
-      }
-      res.successor = std::move(sres.db);
-    } else if (out.post.has_value() && !(*out.post == d)) {
-      return FailOb(std::string(op.is_svc ? "svc" : "smc") + " " + std::to_string(op.call) +
-                        " failed with " + KomErrName(out.impl_err) + " but mutated the pagedb",
-                    out.impl_err);
-    }
-  }
+  res.successor = std::move(step.successor);
 
   // Obligation 1 on the implementation side of havoc transitions: states we
   // resynchronized from the machine never went through the spec check above.

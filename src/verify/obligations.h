@@ -6,8 +6,8 @@
 //      an inductive proof over the explored world, not a sampled one);
 //   2. refinement — the concrete monitor, run from a machine whose extraction
 //      equals d, returns the spec's error word and lands on the spec's PageDb
-//      (Enter/Resume and the user-memory SVCs are havoc-resynchronized the
-//      same way the fuzzing oracles do);
+//      (spec::CheckRefinement, the relation the fuzzer's refinement oracle
+//      uses, havoc set included);
 //   3. error-code agreement — every error the implementation actually returns
 //      is recorded so the explorer can compare the per-call observation
 //      against the registry row's declared `errors` set.
@@ -87,7 +87,6 @@ class ConcreteWorld {
   const spec::PageDb& boot_db() const { return boot_db_; }
 
  private:
-  void MarkPages(arm::MachineState* m, const std::vector<uint32_t>& pages);
   void Execute(const VerifyOp& op, word* err, word* val);
 
   os::World world_;

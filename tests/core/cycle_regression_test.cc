@@ -98,6 +98,34 @@ TEST(CycleRegressionTest, MapDataDominatedByZeroFill) {
   // SVC; our measurement includes the crossing.
   EXPECT_GE(cycles, 5000u);
   EXPECT_LE(cycles, 9000u);
+  EXPECT_EQ(cycles, 5660u);  // exact: see PageOpCallsChargeExactCycles
+}
+
+// Exact totals, SMC crossing included, for every call that zeroes or copies a
+// whole page: a page costs 5,120 cycles to zero and 8,192 to copy, as the
+// per-word loop it models (loop overhead 3 + store 2, + load 3 for a copy).
+// The ranges above would let a page-op refactor drift; these must not move.
+TEST(CycleRegressionTest, PageOpCallsChargeExactCycles) {
+  os::World w{64};
+  const auto cycles_of = [&w](auto call) {
+    const uint64_t before = w.machine.cycles.total();
+    EXPECT_EQ(call().err, kErrSuccess);
+    return w.machine.cycles.total() - before;
+  };
+  const PageNr as = w.os.AllocSecurePage();
+  const PageNr l1 = w.os.AllocSecurePage();
+  const PageNr l2 = w.os.AllocSecurePage();
+  const PageNr data = w.os.AllocSecurePage();
+  const word staging = w.os.AllocInsecurePage();
+  w.os.WriteInsecurePage(staging, {1, 2, 3});
+  EXPECT_EQ(cycles_of([&] { return w.os.InitAddrspace(as, l1); }), 5365u);
+  EXPECT_EQ(cycles_of([&] { return w.os.InitL2Table(as, l2, 0); }), 5278u);
+  EXPECT_EQ(cycles_of([&] {
+              return w.os.MapSecure(as, data, MakeMapping(os::kEnclaveCodeVa, kMapR), staging);
+            }),
+            158046u);
+  ASSERT_EQ(w.os.Stop(as).err, kErrSuccess);
+  EXPECT_EQ(cycles_of([&] { return w.os.Remove(data); }), 5251u);
 }
 
 TEST(CycleRegressionTest, SgxConstantsMatchCitedLatencies) {

@@ -1,5 +1,6 @@
 // Unit tests for the observational-equivalence relations of §6.1
-// (Definitions 1 and 2, and the ≈adv machine-state extension).
+// (Definitions 1 and 2, and the ≈adv machine-state extension), and for the
+// refinement relation the fuzzer and komodo-verify share.
 #include "src/spec/equivalence.h"
 
 #include <gtest/gtest.h>
@@ -130,6 +131,90 @@ TEST(AdvEquivTest, MonitorBankAndSecureMemoryInvisible) {
   m2.mem.Write(arm::kMonitorBase + 0x40, 0xdead);
   m2.mem.Write(arm::kSecurePagesBase + 0x40, 0xbeef);
   EXPECT_TRUE(ObsEquivAdv(m1, d1, m2, d2, kInvalidPage));
+}
+
+// A post-state provider that records whether the relation asked for it.
+struct Post {
+  std::optional<PageDb> db;
+  std::string why;
+  bool called = false;
+  ExtractPost Fn() {
+    return [this](std::string* out) {
+      called = true;
+      *out = why;
+      return db;
+    };
+  }
+};
+
+TEST(RefinementRelationTest, ErrorWordIsComparedBeforeThePostStateIsExtracted) {
+  const PageDb pre(4);
+  Post post;
+  post.why = "undecodable";
+  const RefinementStep step = CheckRefinement(pre, /*is_svc=*/false, kSmcRemove,
+                                              {kErrInvalidPageNo, pre}, kErrSuccess, post.Fn());
+  EXPECT_EQ(step.failure, "smc 20 impl=success spec=invalid_pageno");
+  EXPECT_FALSE(post.called);
+  // With the error words agreeing, the undecodable post-state is the failure.
+  EXPECT_EQ(CheckRefinement(pre, false, kSmcRemove, {kErrInvalidPageNo, pre}, kErrInvalidPageNo,
+                            post.Fn())
+                .failure,
+            "undecodable");
+}
+
+TEST(RefinementRelationTest, ModelledCallsMustLandOnTheSpecPageDb) {
+  const PageDb pre(4);
+  PageDb spec_db = pre;
+  spec_db[1] = Data(0, 0);
+  Post post;
+  post.db = spec_db;
+  RefinementStep step =
+      CheckRefinement(pre, false, kSmcMapSecure, {kErrSuccess, spec_db}, kErrSuccess, post.Fn());
+  EXPECT_TRUE(step.failure.empty());
+  EXPECT_TRUE(step.successor == spec_db);
+  // Wrote nothing, but the spec says the PageDb changed.
+  post.db.reset();
+  step = CheckRefinement(pre, false, kSmcMapSecure, {kErrSuccess, spec_db}, kErrSuccess, post.Fn());
+  EXPECT_EQ(step.failure, "smc 13 pagedb diverges from spec");
+  // A failed call must leave the PageDb as it was.
+  post.db = spec_db;
+  step = CheckRefinement(pre, true, kSvcMapData, {kErrNotSpare, pre}, kErrNotSpare, post.Fn());
+  EXPECT_EQ(step.failure, "svc 11 failed with not_spare but mutated the pagedb");
+  post.db.reset();
+  step = CheckRefinement(pre, true, kSvcMapData, {kErrNotSpare, pre}, kErrNotSpare, post.Fn());
+  EXPECT_TRUE(step.failure.empty());
+  EXPECT_FALSE(step.successor.has_value());
+}
+
+TEST(RefinementRelationTest, HavocCallsResynchronizeFromTheImplementation) {
+  const PageDb pre(4);
+  PageDb impl_db = pre;
+  impl_db[2] = Disp(0, true, 0x8000);
+  Post post;
+  post.db = impl_db;
+  // Enter whose guard passed: any legitimate outcome, successor from the impl.
+  for (const word err : {kErrSuccess, kErrInterrupted, kErrFault}) {
+    const RefinementStep step =
+        CheckRefinement(pre, false, kSmcEnter, {kErrSuccess, pre}, err, post.Fn());
+    EXPECT_TRUE(step.failure.empty());
+    EXPECT_TRUE(step.successor == impl_db);
+  }
+  EXPECT_EQ(CheckRefinement(pre, false, kSmcResume, {kErrSuccess, pre}, kErrNotEntered,
+                            post.Fn())
+                .failure,
+            "enter/resume guard passed in spec but impl says not_entered");
+  // Enter whose guard failed is modelled: the error word must match.
+  EXPECT_EQ(CheckRefinement(pre, false, kSmcEnter, {kErrNotFinal, pre}, kErrSuccess, post.Fn())
+                .failure,
+            "smc 22 impl=success spec=not_final");
+  // Exit/Attest/Verify are havoc whatever they return; GetRandom is not.
+  for (const word svc : {kSvcExit, kSvcAttest, kSvcVerify}) {
+    EXPECT_TRUE(
+        CheckRefinement(pre, true, svc, {kErrSuccess, pre}, kErrFault, post.Fn()).failure.empty());
+  }
+  EXPECT_FALSE(
+      CheckRefinement(pre, true, kSvcGetRandom, {kErrSuccess, pre}, kErrSuccess, post.Fn())
+          .failure.empty());
 }
 
 }  // namespace
