@@ -20,6 +20,9 @@
 // ledger and its depth clamp keep them within ~2% of blind's, so the
 // comparison really is at equal budget.
 //
+// The serial-pooled run also reports each oracle's calls and calls per
+// CPU-second, the figure a change to one oracle's cost is judged by.
+//
 // Emits BENCH_fuzz.json in the working directory so the perf trajectory is
 // tracked PR over PR. `--smoke` runs a tiny call budget for CI.
 #include <algorithm>
@@ -92,7 +95,7 @@ int main(int argc, char** argv) {
     fresh.reuse_worlds = false;
     runs.push_back(RunConfig("serial-fresh", fresh, 1, 1));
   }
-  runs.push_back(RunConfig("serial-pooled", sweep, 1, 1));
+  runs.push_back(RunConfig("serial-pooled", sweep, 1, 1));  // runs[1]: per-oracle rows
   unsigned max_effective = 1;  // job counts already measured (1 = the serial runs)
   for (const int jobs : {2, 4, 8}) {
     const unsigned effective = std::min<unsigned>(static_cast<unsigned>(jobs), host_cores);
@@ -199,6 +202,18 @@ int main(int argc, char** argv) {
     json.Result(run.name, "worlds_reused", static_cast<double>(r.worlds_reused), "worlds");
     json.Result(run.name, "pages_per_reset", pages_per_reset, "pages");
     json.Result(run.name, "speedup_vs_serial_fresh", base / r.wall_seconds, "x");
+  }
+
+  // Per-oracle cost in the serial-pooled run: thread-CPU seconds are summed
+  // per oracle, so calls per CPU-second rates each oracle on its own work.
+  const Run& pooled = runs[1];
+  std::printf("\n=== per-oracle cost (%s) ===\n", pooled.name.c_str());
+  for (const komodo::fuzz::OracleStats& st : pooled.result.stats) {
+    const double rate = st.cpu_seconds > 0 ? static_cast<double>(st.calls) / st.cpu_seconds : 0.0;
+    std::printf("%-16s %8llu calls %10.3f cpu-s %12.1f calls/cpu-s\n", st.oracle.c_str(),
+                static_cast<unsigned long long>(st.calls), st.cpu_seconds, rate);
+    json.Result(pooled.name, "calls_" + st.oracle, static_cast<double>(st.calls), "calls");
+    json.Result(pooled.name, "calls_per_cpu_sec_" + st.oracle, rate, "calls/s");
   }
 
   std::printf("\n=== evolve vs blind coverage (calls_per_oracle=%llu) ===\n",

@@ -122,18 +122,22 @@ grep -q "^closure-hash ${VERIFY_CLOSURE_HASH}\$" build/verify-small-1.out \
   || { echo "komodo-verify: closure hash drifted from the pinned value" >&2; exit 1; }
 ./build/tools/komodo-benchjson build/bench/BENCH_verify.json
 
-echo "=== [10/12] komodo-fuzz smoke (fixed seed, all oracles, determinism) ==="
+echo "=== [10/12] komodo-fuzz smoke (fixed seed, all oracles, pinned v2 hash) ==="
 # A short fixed-seed campaign per oracle (DESIGN.md §10). Run twice; stdout —
 # including the campaign-hash over every generated trace and verdict — must be
-# byte-identical, or the fuzzer has lost replayability. The interp oracle is
-# a three-way bisimulation (uncached / cached / JIT, DESIGN.md §13), so this
-# smoke is also the JIT's randomized gate.
+# byte-identical, or the fuzzer has lost replayability, and the hash must
+# match the pinned value. The interp oracle is a three-way bisimulation
+# (uncached / cached / JIT, DESIGN.md §13), so this smoke is also the JIT's
+# randomized gate. Re-pin when a change to the generator or an oracle's
+# verdicts is *intended*.
+FUZZ_SMOKE_HASH=c757d8cefebc445d72864a83b3210a3291a43c449c5f0c637e6b7aef2e809ca1
 FUZZ_ARGS=(--seed 20260807 --calls 400 --trace-len 60 --out build)
 ./build/tools/komodo-fuzz "${FUZZ_ARGS[@]}" 2>/dev/null > build/fuzz-smoke-1.out
 ./build/tools/komodo-fuzz "${FUZZ_ARGS[@]}" 2>/dev/null > build/fuzz-smoke-2.out
 cmp build/fuzz-smoke-1.out build/fuzz-smoke-2.out \
   || { echo "komodo-fuzz: nondeterministic campaign output" >&2; exit 1; }
-grep "^campaign-hash " build/fuzz-smoke-1.out
+grep -q "^campaign-hash ${FUZZ_SMOKE_HASH}\$" build/fuzz-smoke-1.out \
+  || { echo "komodo-fuzz: smoke campaign hash drifted from the pinned value" >&2; exit 1; }
 
 echo "=== [11/12] komodo-fuzz parallel determinism (--jobs 1 vs --jobs 8) ==="
 # The sharded campaign hash (DESIGN.md §11) is defined to be independent of

@@ -1,21 +1,65 @@
 #include "src/arm/memory.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <bit>
+#include <cstdlib>
 #include <cstring>
 
 namespace komodo::arm {
 
+namespace {
+
+const word kZeroPage[kWordsPerPage] = {};
+
+size_t MappingBytes(size_t words) { return MappedWords::kDataOffset + words * kWordSize; }
+
+void* MapZeroed(size_t words) {
+  assert(words % kWordsPerPage == 0);
+  void* mapping = mmap(nullptr, MappingBytes(words), PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (mapping == MAP_FAILED) {
+    std::abort();  // simulated RAM is not optional
+  }
+  return mapping;
+}
+
+}  // namespace
+
+MappedWords::MappedWords(size_t words)
+    : mapping_(MapZeroed(words)),
+      data_(reinterpret_cast<word*>(static_cast<char*>(mapping_) + kDataOffset)),
+      words_(words) {}
+
+MappedWords::MappedWords(const MappedWords& o) : MappedWords(o.words_) {
+  for (size_t i = 0; i < words_; i += kWordsPerPage) {
+    if (std::memcmp(o.data_ + i, kZeroPage, kPageSize) != 0) {
+      std::memcpy(data_ + i, o.data_ + i, kPageSize);
+    }
+  }
+}
+
+MappedWords::~MappedWords() {
+  if (mapping_ != nullptr) {
+    munmap(mapping_, MappingBytes(words_));
+  }
+}
+
 PhysMemory::PhysMemory(word nsecure_pages)
     : nsecure_pages_(nsecure_pages),
-      insecure_(kInsecureSize / kWordSize, 0),
-      monitor_(kMonitorSize / kWordSize, 0),
-      secure_(static_cast<size_t>(nsecure_pages) * kWordsPerPage, 0),
+      insecure_(kInsecureSize / kWordSize),
+      monitor_(kMonitorSize / kWordSize),
+      secure_(static_cast<size_t>(nsecure_pages) * kWordsPerPage),
       page_gen_((kInsecureSize + kMonitorSize) / kPageSize + nsecure_pages, 0) {
   assert(nsecure_pages >= 1 && nsecure_pages <= kMaxSecurePages);
 }
 
-const std::vector<word>* PhysMemory::BackingFor(paddr addr, size_t* index) const {
+bool PhysMemory::operator==(const PhysMemory& o) const {
+  return !MemoryCompare().FirstDifference(*this, o).has_value();
+}
+
+const MappedWords* PhysMemory::BackingFor(paddr addr, size_t* index) const {
   switch (RegionOf(addr)) {
     case MemRegion::kInsecure:
       *index = (addr - kInsecureBase) / kWordSize;
@@ -35,7 +79,7 @@ const std::vector<word>* PhysMemory::BackingFor(paddr addr, size_t* index) const
 void PhysMemory::ReadPage(paddr page_base, word out[kWordsPerPage]) const {
   assert(IsPageAligned(page_base));
   size_t index = 0;
-  const std::vector<word>* backing = BackingFor(page_base, &index);
+  const MappedWords* backing = BackingFor(page_base, &index);
   assert(backing != nullptr);
   std::memcpy(out, backing->data() + index, kPageSize);
 }
@@ -43,7 +87,7 @@ void PhysMemory::ReadPage(paddr page_base, word out[kWordsPerPage]) const {
 void PhysMemory::WritePage(paddr page_base, const word in[kWordsPerPage]) {
   assert(IsPageAligned(page_base));
   size_t index = 0;
-  std::vector<word>* backing = BackingFor(page_base, &index);
+  MappedWords* backing = BackingFor(page_base, &index);
   assert(backing != nullptr);
   std::memcpy(backing->data() + index, in, kPageSize);
   const size_t page_index = PageIndexOf(page_base);
@@ -56,7 +100,7 @@ void PhysMemory::WritePage(paddr page_base, const word in[kWordsPerPage]) {
 void PhysMemory::ZeroPage(paddr page_base) {
   assert(IsPageAligned(page_base));
   size_t index = 0;
-  std::vector<word>* backing = BackingFor(page_base, &index);
+  MappedWords* backing = BackingFor(page_base, &index);
   assert(backing != nullptr);
   std::fill_n(backing->data() + index, kWordsPerPage, 0u);
   const size_t page_index = PageIndexOf(page_base);
@@ -101,7 +145,7 @@ size_t PhysMemory::ResetTo(const PhysMemory& snapshot) {
 void PhysMemory::ReadPageBytes(paddr page_base, uint8_t* bytes_out) const {
   assert(IsPageAligned(page_base));
   size_t index = 0;
-  const std::vector<word>* backing = BackingFor(page_base, &index);
+  const MappedWords* backing = BackingFor(page_base, &index);
   assert(backing != nullptr);
   if constexpr (std::endian::native == std::endian::little) {
     std::memcpy(bytes_out, backing->data() + index, kPageSize);
@@ -114,6 +158,30 @@ void PhysMemory::ReadPageBytes(paddr page_base, uint8_t* bytes_out) const {
       bytes_out[i * 4 + 3] = static_cast<uint8_t>((w >> 24) & 0xff);
     }
   }
+}
+
+std::optional<size_t> MemoryCompare::FirstDifference(const PhysMemory& a, const PhysMemory& b) {
+  const size_t pages = std::min(PagesInScope(a), PagesInScope(b));
+  const bool carried = &a == a_ && &b == b_ && gen_a_.size() == pages;
+  for (size_t p = 0; p < pages; ++p) {
+    if (carried && a.page_gen_[p] == gen_a_[p] && b.page_gen_[p] == gen_b_[p]) {
+      continue;
+    }
+    const word* wa = a.PageWords(p);
+    const word* wb = b.PageWords(p);
+    if (std::memcmp(wa, wb, kPageSize) != 0) {
+      const word* first = std::mismatch(wa, wa + kWordsPerPage, wb).first;
+      return p * kWordsPerPage + static_cast<size_t>(first - wa);
+    }
+  }
+  if (PagesInScope(a) != PagesInScope(b)) {
+    return pages * kWordsPerPage;
+  }
+  a_ = &a;
+  b_ = &b;
+  gen_a_.assign(a.page_gen_.begin(), a.page_gen_.begin() + static_cast<ptrdiff_t>(pages));
+  gen_b_.assign(b.page_gen_.begin(), b.page_gen_.begin() + static_cast<ptrdiff_t>(pages));
+  return std::nullopt;
 }
 
 bool IsInsecurePageAddr(const PhysMemory& mem, paddr page_base) {

@@ -6,12 +6,16 @@
 // monitor image, secure pages) so that region predicates — which the monitor's
 // validity checks depend on — are cheap and explicit.
 //
-// Hot-path design: the three regions are flat vectors and the word accessors
-// are inline single-branch span lookups (DESIGN.md §8). Every page carries a
-// generation counter bumped on any store into it; the interpreter's decode
-// cache and micro-TLB validate their entries against these generations, which
-// makes them coherent against *any* writer (interpreted stores, monitor C++
-// code, or test-harness pokes) without explicit invalidation hooks.
+// Hot-path design: the three regions are flat word arrays and the word
+// accessors are inline single-branch span lookups (DESIGN.md §8). Each region
+// lives in an anonymous mapping of its own, so the kernel's zero fill replaces
+// a 17 MB memset per world and untouched pages stay non-resident (DESIGN.md
+// §11). Every page carries a generation counter bumped on any store into it;
+// the interpreter's decode cache and micro-TLB validate their entries against
+// these generations, which makes them coherent against *any* writer
+// (interpreted stores, monitor C++ code, or test-harness pokes) without
+// explicit invalidation hooks. MemoryCompare leans on the same counters to
+// compare two memories in O(pages written) rather than O(memory).
 //
 // Snapshot-reset (DESIGN.md §11): with dirty tracking enabled, every store
 // also records the containing page in a dirty list (once per page), so
@@ -26,6 +30,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "src/arm/types.h"
@@ -35,11 +40,53 @@ namespace komodo::arm {
 // Identifies which physical region an address falls in.
 enum class MemRegion { kInsecure, kMonitor, kSecurePages, kUnmapped };
 
+// A zero-initialised array of whole pages of words in an anonymous mapping of
+// its own, unmapped on destruction. The kernel zero-fills a page on first
+// touch, so construction writes nothing and pages never written cost no
+// resident memory. Copies are deep but skip all-zero pages, which a fresh
+// mapping already reads as zero. The data starts kDataOffset bytes into the
+// mapping, off page alignment: page-aligned regions measured slower on
+// serve-resident (DESIGN.md §11).
+class MappedWords {
+ public:
+  static constexpr size_t kDataOffset = 64;
+
+  explicit MappedWords(size_t words);
+  MappedWords(const MappedWords& o);
+  MappedWords(MappedWords&& o) noexcept
+      : mapping_(o.mapping_), data_(o.data_), words_(o.words_) {
+    o.mapping_ = nullptr;
+    o.data_ = nullptr;
+    o.words_ = 0;
+  }
+  MappedWords& operator=(const MappedWords&) = delete;
+  MappedWords& operator=(MappedWords&&) = delete;
+  ~MappedWords();
+
+  word* data() { return data_; }
+  const word* data() const { return data_; }
+  const word& operator[](size_t i) const { return data_[i]; }
+
+ private:
+  // Kept at three words: with a two-word handle MachineState's later fields
+  // moved and verify-small ran 2-4% slower.
+  void* mapping_;  // what mmap returned; null once moved from
+  word* data_;
+  size_t words_;
+};
+
+// A PhysMemory is copied (snapshots, test fixtures) but never assigned:
+// assignment would swap contents under generations that no store bumped,
+// which the interpreter caches and MemoryCompare both rule out.
 class PhysMemory {
  public:
   // `nsecure_pages` is the bootloader-configured size of the secure page
   // region (GetPhysPages returns it).
   explicit PhysMemory(word nsecure_pages = kDefaultSecurePages);
+  PhysMemory(const PhysMemory&) = default;
+  PhysMemory(PhysMemory&&) = default;
+  PhysMemory& operator=(const PhysMemory&) = delete;
+  PhysMemory& operator=(PhysMemory&&) = delete;
 
   word nsecure_pages() const { return nsecure_pages_; }
 
@@ -132,19 +179,14 @@ class PhysMemory {
   // does). Geometries must match. Returns the number of pages restored.
   size_t ResetTo(const PhysMemory& snapshot);
 
-  // Architectural equality: contents only. Page generations are cache
-  // bookkeeping and must not distinguish observably-equal memories.
-  bool operator==(const PhysMemory& o) const {
-    return nsecure_pages_ == o.nsecure_pages_ && insecure_ == o.insecure_ &&
-           monitor_ == o.monitor_ && secure_ == o.secure_;
-  }
-
-  // Whole-region views for the equivalence relations (fast comparison of all
-  // insecure memory without per-word region lookups).
-  const std::vector<word>& insecure_words() const { return insecure_; }
-  const std::vector<word>& secure_words() const { return secure_; }
+  // Architectural equality: contents only (a fresh MemoryCompare). Page
+  // generations are cache bookkeeping and must not distinguish
+  // observably-equal memories.
+  bool operator==(const PhysMemory& o) const;
 
  private:
+  friend class MemoryCompare;
+
   // Pointer to the backing word, or nullptr if unmapped. The non-const form
   // also yields the global page index (for the generation bump) so the region
   // decode happens once per access.
@@ -155,10 +197,9 @@ class PhysMemory {
 
   // Region backing a page-aligned address, with the word index of `addr` in
   // it; non-const overload for writers (no const_cast at call sites).
-  const std::vector<word>* BackingFor(paddr addr, size_t* index) const;
-  std::vector<word>* BackingFor(paddr addr, size_t* index) {
-    return const_cast<std::vector<word>*>(
-        static_cast<const PhysMemory*>(this)->BackingFor(addr, index));
+  const MappedWords* BackingFor(paddr addr, size_t* index) const;
+  MappedWords* BackingFor(paddr addr, size_t* index) {
+    return const_cast<MappedWords*>(static_cast<const PhysMemory*>(this)->BackingFor(addr, index));
   }
 
   // First word of the page with global index `page_index` (which must be a
@@ -176,9 +217,9 @@ class PhysMemory {
   }
 
   word nsecure_pages_;
-  std::vector<word> insecure_;
-  std::vector<word> monitor_;
-  std::vector<word> secure_;
+  MappedWords insecure_;
+  MappedWords monitor_;
+  MappedWords secure_;
   // One generation counter per mapped page, across all three regions in
   // layout order (insecure, monitor, secure).
   std::vector<uint32_t> page_gen_;
@@ -213,6 +254,45 @@ inline const word* PhysMemory::WordPtr(paddr addr, size_t* page_index) const {
   }
   return nullptr;
 }
+
+// The one memory comparison (DESIGN.md §10): the lowest word at which two
+// memories differ, scanning pages in ascending order. After a call that finds
+// the two memories equal it carries both sides' page generations, and the
+// next call rescans only the pages whose generation has moved in either
+// memory since. That is sound because every store into a PhysMemory bumps
+// its page's generation and a PhysMemory is never assigned, so a page whose
+// generations have not moved still holds what compared equal. A fresh
+// MemoryCompare, or one handed a different pair of memories, compares every
+// page; the memories must outlive it. Generations are 32-bit: a page would
+// have to take 2^32 stores between two calls for the carry to miss one.
+class MemoryCompare {
+ public:
+  // The pages compared: all of memory, or insecure RAM only (the OS's view).
+  enum class Scope { kAll, kInsecure };
+
+  explicit MemoryCompare(Scope scope = Scope::kAll) : scope_(scope) {}
+
+  Scope scope() const { return scope_; }
+
+  // Index of the lowest in-scope word at which `a` and `b` differ, counting
+  // words in the PageIndexOf layout (insecure RAM, monitor image, secure
+  // pages), or nullopt when they agree. A page that exists in one memory only
+  // (secure regions of different sizes) differs at its first word.
+  std::optional<size_t> FirstDifference(const PhysMemory& a, const PhysMemory& b);
+
+ private:
+  size_t PagesInScope(const PhysMemory& m) const {
+    return scope_ == Scope::kInsecure ? kInsecureSize / kPageSize : m.page_gen_.size();
+  }
+
+  Scope scope_;
+  // The pair the carried generations belong to, and each side's generation
+  // of every in-scope page when they last compared equal; empty until then.
+  const PhysMemory* a_ = nullptr;
+  const PhysMemory* b_ = nullptr;
+  std::vector<uint32_t> gen_a_;
+  std::vector<uint32_t> gen_b_;
+};
 
 // True iff the page-aligned physical address `page_base` lies entirely in
 // insecure RAM — i.e. it overlaps neither the monitor image nor the secure

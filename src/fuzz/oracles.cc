@@ -1,5 +1,6 @@
 #include "src/fuzz/oracles.h"
 
+#include <cassert>
 #include <functional>
 #include <optional>
 #include <sstream>
@@ -402,7 +403,8 @@ Verdict RunNoninterference(const Trace& t, WorldPool& pool, CoverageMap* cover) 
     lane.world->machine.mem.Write(PagePaddr(pages.size() > 1 ? pages[1] : pages[0]),
                                   t.secrets[k]);
   };
-  cfg.check = [cover](const std::vector<Lane>& l) {
+  arm::MemoryCompare insecure_ram(arm::MemoryCompare::Scope::kInsecure);
+  cfg.check = [cover, &insecure_ram](const std::vector<Lane>& l) {
     std::string detail = ResultDiff("", l[0].result, "", l[1].result);
     if (!detail.empty()) {
       return detail;
@@ -418,9 +420,8 @@ Verdict RunNoninterference(const Trace& t, WorldPool& pool, CoverageMap* cover) 
     if (cover != nullptr) {
       HarvestPageDbCoverage(*d1, cover);
     }
-    const auto violations =
-        spec::AdvEquivViolations(l[0].world->machine, *d1, l[1].world->machine, *d2,
-                                 kInvalidPage);
+    const auto violations = spec::AdvEquivViolations(
+        l[0].world->machine, *d1, l[1].world->machine, *d2, kInvalidPage, &insecure_ram);
     return violations.empty() ? std::string() : "~adv broken: " + violations.front();
   };
   return RunLockstep(t, pool, cover, cfg);
@@ -445,7 +446,9 @@ Verdict RunInterp(const Trace& t, WorldPool& pool, CoverageMap* cover) {
     lane.world->machine.interp.set_enabled(k != kUncached);
     lane.world->machine.jit.set_enabled(k == kJit);
   };
-  cfg.check = [](const std::vector<Lane>& l) {
+  arm::MemoryCompare cached_uncached;
+  arm::MemoryCompare jit_cached;
+  cfg.check = [&cached_uncached, &jit_cached](const std::vector<Lane>& l) {
     const arm::MachineState& c = l[kCached].world->machine;
     const arm::MachineState& u = l[kUncached].world->machine;
     const arm::MachineState& j = l[kJit].world->machine;
@@ -453,14 +456,14 @@ Verdict RunInterp(const Trace& t, WorldPool& pool, CoverageMap* cover) {
     if (!detail.empty()) {
       return detail;
     }
-    if (const auto diff = MachineDiff(c, u); !diff.empty()) {
+    if (const auto diff = MachineDiff(c, u, &cached_uncached); !diff.empty()) {
       return "cached/uncached state diverges: " + diff.front();
     }
     detail = ResultDiff("jit ", l[kJit].result, "cached ", l[kCached].result);
     if (!detail.empty()) {
       return detail;
     }
-    const auto diff = MachineDiff(j, c);
+    const auto diff = MachineDiff(j, c, &jit_cached);
     return diff.empty() ? std::string() : "jit/cached state diverges: " + diff.front();
   };
   return RunLockstep(t, pool, cover, cfg);
@@ -468,7 +471,8 @@ Verdict RunInterp(const Trace& t, WorldPool& pool, CoverageMap* cover) {
 
 }  // namespace
 
-std::vector<std::string> MachineDiff(const arm::MachineState& a, const arm::MachineState& b) {
+std::vector<std::string> MachineDiff(const arm::MachineState& a, const arm::MachineState& b,
+                                     arm::MemoryCompare* memory) {
   std::vector<std::string> v;
   if (!(a.r == b.r)) {
     v.push_back("r0-r12 differ");
@@ -503,7 +507,10 @@ std::vector<std::string> MachineDiff(const arm::MachineState& a, const arm::Mach
   if (!(a.cycles.total() == b.cycles.total())) {
     v.push_back("cycle count differs");
   }
-  if (!(a.mem == b.mem)) {
+  arm::MemoryCompare fresh;
+  arm::MemoryCompare& compare = memory != nullptr ? *memory : fresh;
+  assert(compare.scope() == arm::MemoryCompare::Scope::kAll);
+  if (compare.FirstDifference(a.mem, b.mem).has_value()) {
     v.push_back("memories diverge");
   }
   return v;

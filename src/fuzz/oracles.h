@@ -61,8 +61,11 @@ Verdict RunTrace(const Trace& t, bool apply_inject = true, WorldPool* pool = nul
 // Full architectural-state comparison (the non-gtest form of the interp-diff
 // suite's ExpectSameState): registers, banked state, CPSR/SPSRs, system
 // registers, TLB-consistency bit, retired-step and cycle counters, and all of
-// memory. Empty = identical.
-std::vector<std::string> MachineDiff(const arm::MachineState& a, const arm::MachineState& b);
+// memory. Empty = identical. A caller diffing one pair of machines repeatedly
+// passes `memory`, a MemoryCompare over all pages it keeps across the calls,
+// so each call rescans only the pages written since the last equal check.
+std::vector<std::string> MachineDiff(const arm::MachineState& a, const arm::MachineState& b,
+                                     arm::MemoryCompare* memory = nullptr);
 
 }  // namespace komodo::fuzz
 

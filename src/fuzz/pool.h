@@ -1,7 +1,7 @@
 // Per-worker world pools for the fuzzing subsystem (DESIGN.md §11).
 //
 // Every oracle run needs one or two freshly booted Worlds (machine + monitor
-// + OS model). Constructing one zeroes ~17 MB of simulated physical memory
+// + OS model). Constructing one maps ~17 MB of simulated physical memory
 // and replays secure boot; for short traces that setup dwarfs the oracle
 // work itself — and the paired-execution oracles (noninterference, interp)
 // pay it twice per trace. A WorldPool keeps booted worlds alive between

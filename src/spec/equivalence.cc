@@ -1,5 +1,7 @@
 #include "src/spec/equivalence.h"
 
+#include <cassert>
+
 namespace komodo::spec {
 
 namespace {
@@ -66,7 +68,7 @@ std::vector<std::string> EncEquivViolations(const PageDb& d1, const PageDb& d2, 
 
 std::vector<std::string> AdvEquivViolations(const arm::MachineState& m1, const PageDb& d1,
                                             const arm::MachineState& m2, const PageDb& d2,
-                                            PageNr enc) {
+                                            PageNr enc, arm::MemoryCompare* insecure_ram) {
   std::vector<std::string> out = EncEquivViolations(d1, d2, enc);
 
   for (int i = 0; i < 13; ++i) {
@@ -93,16 +95,12 @@ std::vector<std::string> AdvEquivViolations(const arm::MachineState& m1, const P
     }
   }
 
-  // All of insecure memory.
-  if (m1.mem.insecure_words() != m2.mem.insecure_words()) {
-    const auto& w1 = m1.mem.insecure_words();
-    const auto& w2 = m2.mem.insecure_words();
-    for (size_t i = 0; i < w1.size(); ++i) {
-      if (w1[i] != w2[i]) {
-        out.push_back("insecure memory differs at word " + std::to_string(i));
-        break;  // one witness is enough
-      }
-    }
+  // All of insecure memory; the lowest differing word is the witness.
+  arm::MemoryCompare fresh(arm::MemoryCompare::Scope::kInsecure);
+  arm::MemoryCompare& compare = insecure_ram != nullptr ? *insecure_ram : fresh;
+  assert(compare.scope() == arm::MemoryCompare::Scope::kInsecure);
+  if (const std::optional<size_t> w = compare.FirstDifference(m1.mem, m2.mem)) {
+    out.push_back("insecure memory differs at word " + std::to_string(*w));
   }
   return out;
 }

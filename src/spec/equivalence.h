@@ -33,10 +33,14 @@ inline bool ObsEquivEnc(const PageDb& d1, const PageDb& d2, PageNr enc) {
 // ≈adv: the OS colluding with enclave `enc` (pass kInvalidPage for an OS-only
 // adversary, i.e. skip the colluding-enclave clause). Compares, on top of
 // ≈enc: r0-r12, banked SP/LR/SPSR of every mode except monitor, CPSR, and the
-// full insecure memory.
+// full insecure memory. A caller checking one pair of machines repeatedly
+// passes `insecure_ram`, a MemoryCompare with Scope::kInsecure it keeps
+// across the calls, so each call rescans only the insecure pages written since
+// the last related check; without it every call compares all insecure memory.
 std::vector<std::string> AdvEquivViolations(const arm::MachineState& m1, const PageDb& d1,
                                             const arm::MachineState& m2, const PageDb& d2,
-                                            PageNr enc);
+                                            PageNr enc,
+                                            arm::MemoryCompare* insecure_ram = nullptr);
 inline bool ObsEquivAdv(const arm::MachineState& m1, const PageDb& d1,
                         const arm::MachineState& m2, const PageDb& d2, PageNr enc) {
   return AdvEquivViolations(m1, d1, m2, d2, enc).empty();

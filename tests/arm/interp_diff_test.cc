@@ -90,6 +90,37 @@ void RunLockstep(MachineState& cached, MachineState& uncached, MachineState& jit
   ExpectSameState(jitted, cached);
 }
 
+// The interp oracle carries one memory compare per machine pair across a
+// run. After a synced check, a store retired by one machine must diverge
+// exactly as a fresh diff reports, and the same store retired by the other
+// must relate the pair again.
+TEST(InterpDiffTest, CarriedMachineDiffSeesAStoreIntoOneMachine) {
+  Assembler a(kCodeBase);
+  a.MovImm(R0, kScratchBase);
+  a.MovImm(R1, 0x1234);
+  a.Str(R1, R0, 8);
+  const std::vector<word> code = a.Finish();
+  MachineState cached = MakeFlatMachine(code, /*cached=*/true);
+  MachineState uncached = MakeFlatMachine(code, /*cached=*/false);
+  while (cached.r[R0] != kScratchBase || cached.r[R1] != 0x1234) {  // up to the store
+    ASSERT_EQ(Step(cached).status, StepStatus::kOk);
+    ASSERT_EQ(Step(uncached).status, StepStatus::kOk);
+  }
+  MemoryCompare memory;
+  const auto synced = fuzz::MachineDiff(cached, uncached, &memory);
+  ASSERT_TRUE(synced.empty()) << synced.front();
+
+  ASSERT_EQ(Step(cached).status, StepStatus::kOk);
+  const auto fresh = fuzz::MachineDiff(cached, uncached);
+  ASSERT_FALSE(fresh.empty());
+  EXPECT_EQ(fresh.back(), "memories diverge");
+  EXPECT_EQ(fuzz::MachineDiff(cached, uncached, &memory), fresh);
+
+  ASSERT_EQ(Step(uncached).status, StepStatus::kOk);
+  const auto healed = fuzz::MachineDiff(cached, uncached, &memory);
+  EXPECT_TRUE(healed.empty()) << healed.front();
+}
+
 // --- Randomized flat programs ----------------------------------------------------
 
 TEST(InterpDiffTest, RandomFlatProgramsMatchExactly) {

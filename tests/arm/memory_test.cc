@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <random>
+#include <vector>
+
 namespace komodo::arm {
 namespace {
 
@@ -79,6 +84,196 @@ TEST(MemoryTest, EqualityDetectsSingleWordChange) {
   EXPECT_EQ(a, b);
   b.Write(kSecurePagesBase + 8, 1);
   EXPECT_NE(a, b);
+}
+
+constexpr size_t kInsecurePages = kInsecureSize / kPageSize;
+constexpr size_t kMonitorPages = kMonitorSize / kPageSize;
+
+// Base address of the page with global index `page` (the PageIndexOf layout).
+paddr PageAddr(size_t page) {
+  if (page < kInsecurePages) {
+    return kInsecureBase + static_cast<paddr>(page) * kPageSize;
+  }
+  if (page < kInsecurePages + kMonitorPages) {
+    return kMonitorBase + static_cast<paddr>(page - kInsecurePages) * kPageSize;
+  }
+  return kSecurePagesBase + static_cast<paddr>(page - kInsecurePages - kMonitorPages) * kPageSize;
+}
+
+size_t PageCount(const PhysMemory& m) {
+  return kInsecurePages + kMonitorPages + m.nsecure_pages();
+}
+
+// The reference: every word of both memories through the public accessors.
+std::optional<size_t> ScanFirstDifference(const PhysMemory& a, const PhysMemory& b) {
+  word pa[kWordsPerPage];
+  word pb[kWordsPerPage];
+  for (size_t page = 0; page < PageCount(a); ++page) {
+    a.ReadPage(PageAddr(page), pa);
+    b.ReadPage(PageAddr(page), pb);
+    const word* first = std::mismatch(pa, pa + kWordsPerPage, pb).first;
+    if (first != pa + kWordsPerPage) {
+      return page * kWordsPerPage + static_cast<size_t>(first - pa);
+    }
+  }
+  return std::nullopt;
+}
+
+// The insecure-scope answer is the all-pages answer when it lies in insecure
+// RAM, which comes first in the layout.
+std::optional<size_t> InsecurePart(std::optional<size_t> word_index) {
+  if (word_index.has_value() && *word_index >= kInsecurePages * kWordsPerPage) {
+    return std::nullopt;
+  }
+  return word_index;
+}
+
+TEST(MemoryTest, MappedBackingReadsZeroAndCopiesDeep) {
+  PhysMemory fresh(8);
+  word page[kWordsPerPage];
+  for (size_t p = 0; p < PageCount(fresh); ++p) {
+    fresh.ReadPage(PageAddr(p), page);
+    ASSERT_TRUE(std::all_of(page, page + kWordsPerPage, [](word w) { return w == 0; }))
+        << "page " << p;
+  }
+
+  PhysMemory a(8);
+  a.Write(kInsecureBase + 0x2004, 7);
+  a.Write(kMonitorBase + 0x10, 8);
+  a.Write(kSecurePagesBase + 7 * kPageSize + 4, 9);
+  PhysMemory copy(a);
+  EXPECT_EQ(copy, a);
+  EXPECT_EQ(copy.Read(kInsecureBase + 0x2004), 7u);
+  EXPECT_EQ(copy.Read(kMonitorBase + 0x10), 8u);
+  EXPECT_EQ(copy.Read(kSecurePagesBase + 7 * kPageSize + 4), 9u);
+  EXPECT_EQ(ScanFirstDifference(copy, a), std::nullopt);
+
+  // Deep: stores into either side stay on that side.
+  a.Write(kInsecureBase + 0x2004, 70);
+  copy.Write(kSecurePagesBase, 90);
+  EXPECT_EQ(copy.Read(kInsecureBase + 0x2004), 7u);
+  EXPECT_EQ(a.Read(kSecurePagesBase), 0u);
+  EXPECT_NE(copy, a);
+}
+
+TEST(MemoryTest, CompareReportsLowestWordAndGeometry) {
+  PhysMemory a(8);
+  PhysMemory b(8);
+  b.Write(kSecurePagesBase + kPageSize + 12, 1);
+  b.Write(kMonitorBase + 8, 1);
+  const size_t monitor_word = kInsecurePages * kWordsPerPage + 2;
+  EXPECT_EQ(MemoryCompare().FirstDifference(a, b), monitor_word);
+  EXPECT_EQ(MemoryCompare(MemoryCompare::Scope::kInsecure).FirstDifference(a, b), std::nullopt);
+
+  // A secure page present in one memory only differs at its first word.
+  PhysMemory c(8);
+  PhysMemory d(16);
+  EXPECT_EQ(MemoryCompare().FirstDifference(c, d), PageCount(c) * kWordsPerPage);
+  EXPECT_NE(c, d);
+  EXPECT_EQ(MemoryCompare(MemoryCompare::Scope::kInsecure).FirstDifference(c, d), std::nullopt);
+}
+
+TEST(MemoryTest, CarriedCompareSeesAHealedDifferenceAndANewPair) {
+  PhysMemory a(8);
+  PhysMemory b(8);
+  MemoryCompare carry;
+  ASSERT_EQ(carry.FirstDifference(a, b), std::nullopt);
+
+  const paddr addr = kInsecureBase + 5 * kPageSize + 40;
+  a.Write(addr, 0x5a);
+  EXPECT_EQ(carry.FirstDifference(a, b), 5 * kWordsPerPage + 10);
+  b.Write(addr, 0x5a);  // the same store on the other side heals it
+  EXPECT_EQ(carry.FirstDifference(a, b), std::nullopt);
+  // A later store to the re-synced page is still seen.
+  b.Write(addr + 4, 1);
+  EXPECT_EQ(carry.FirstDifference(a, b), 5 * kWordsPerPage + 11);
+  a.Write(addr + 4, 1);
+  ASSERT_EQ(carry.FirstDifference(a, b), std::nullopt);
+
+  // Handed another pair, the carry compares every page, even where the new
+  // pair's generations match the carried ones.
+  PhysMemory c(8);
+  PhysMemory d(8);
+  c.Write(addr, 0x5a);
+  c.Write(addr + 4, 1);
+  d.Write(addr, 0x5a);
+  d.Write(addr + 4, 2);
+  EXPECT_EQ(carry.FirstDifference(c, d), 5 * kWordsPerPage + 11);
+}
+
+// Two memories copied from one snapshot take random stores — one side or
+// both, word stores, whole-page writes, page zeroing and snapshot resets. The
+// carried compare must report exactly what a full scan reports after every
+// step, over all pages and over insecure RAM.
+TEST(MemoryTest, CarriedCompareMatchesFullScanUnderRandomStores) {
+  PhysMemory snapshot(8);
+  snapshot.Write(kInsecureBase + 3 * kPageSize, 0x33);
+  snapshot.Write(kSecurePagesBase + 2 * kPageSize + 8, 0x44);
+  PhysMemory a(snapshot);
+  PhysMemory b(snapshot);
+  a.EnableDirtyTracking();
+  b.EnableDirtyTracking();
+
+  // A few pages in every region, so differences arise and heal often.
+  const std::vector<size_t> pages = {0,
+                                     3,
+                                     kInsecurePages - 1,
+                                     kInsecurePages,
+                                     kInsecurePages + kMonitorPages - 1,
+                                     kInsecurePages + kMonitorPages,
+                                     kInsecurePages + kMonitorPages + 2,
+                                     kInsecurePages + kMonitorPages + 7};
+  std::mt19937 rng(20261017);
+  const auto below = [&rng](size_t n) { return static_cast<size_t>(rng() % n); };
+  MemoryCompare all;
+  MemoryCompare insecure(MemoryCompare::Scope::kInsecure);
+  size_t differed = 0;
+  size_t healed = 0;
+  bool was_different = false;
+  for (int step = 0; step < 300; ++step) {
+    const paddr page = PageAddr(pages[below(pages.size())]);
+    const size_t sides = below(3);  // 0: a, 1: b, 2: both
+    const auto apply = [&](PhysMemory& m) {
+      switch (below(8)) {
+        case 0: {
+          word in[kWordsPerPage] = {};
+          in[below(4)] = static_cast<word>(below(2));
+          m.WritePage(page, in);
+          break;
+        }
+        case 1:
+          m.ZeroPage(page);
+          break;
+        case 2:
+          m.ResetTo(snapshot);
+          break;
+        default:
+          m.Write(page + static_cast<paddr>(below(4)) * kWordSize, static_cast<word>(below(2)));
+          break;
+      }
+    };
+    std::mt19937 replay = rng;  // "both" applies the same step to each side
+    if (sides != 1) {
+      apply(a);
+    }
+    if (sides == 2) {
+      rng = replay;
+    }
+    if (sides != 0) {
+      apply(b);
+    }
+
+    const std::optional<size_t> expected = ScanFirstDifference(a, b);
+    ASSERT_EQ(all.FirstDifference(a, b), expected) << "step " << step;
+    ASSERT_EQ(MemoryCompare().FirstDifference(a, b), expected) << "step " << step;
+    ASSERT_EQ(insecure.FirstDifference(a, b), InsecurePart(expected)) << "step " << step;
+    differed += expected.has_value() ? 1 : 0;
+    healed += was_different && !expected.has_value() ? 1 : 0;
+    was_different = expected.has_value();
+  }
+  // The walk must exercise both outcomes, and heal differences along the way.
+  EXPECT_GT(differed, 30u);
+  EXPECT_GT(healed, 5u);
 }
 
 }  // namespace
