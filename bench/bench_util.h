@@ -78,16 +78,8 @@ class BenchJson {
     w.EndArray();
     w.EndObject();
     out += "\n";
-
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-      std::perror(path.c_str());
-      return false;
-    }
-    const size_t n = std::fwrite(out.data(), 1, out.size(), f);
-    const int rc = std::fclose(f);
-    if (n != out.size() || rc != 0) {
-      std::fprintf(stderr, "short write: %s\n", path.c_str());
+    if (!obs::WriteFile(path, out)) {
+      std::fprintf(stderr, "cannot write %s\n", path.c_str());
       return false;
     }
     std::printf("\nwrote %s\n", path.c_str());

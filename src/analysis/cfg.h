@@ -50,7 +50,6 @@ struct BasicBlock {
   std::optional<size_t> taken;
   std::optional<size_t> fall;
   std::vector<size_t> successors;  // taken + fall, for generic traversals
-  vaddr StartAddr(const std::vector<CfgInsn>& insns) const { return insns[first].addr; }
 };
 
 struct Cfg {

@@ -100,8 +100,6 @@ class Assembler {
   void WriteTtbr0(Reg rt) { Mcr(rt, 0, 2, 0, 0); }
   void ReadTtbr0(Reg rt) { Mrc(rt, 0, 2, 0, 0); }
   void TlbiAll(Reg rt) { Mcr(rt, 0, 8, 7, 0); }
-  void ReadVbar(Reg rt) { Mrc(rt, 0, 12, 0, 0); }
-  void WriteVbar(Reg rt) { Mcr(rt, 0, 12, 0, 0); }
   void ReadScr(Reg rt) { Mrc(rt, 0, 1, 1, 0); }
   void WriteScr(Reg rt) { Mcr(rt, 0, 1, 1, 0); }
 

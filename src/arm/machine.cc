@@ -43,6 +43,26 @@ Mode ExceptionTargetMode(Exception e) {
   return Mode::kSupervisor;
 }
 
+const char* ExceptionName(Exception e) {
+  switch (e) {
+    case Exception::kUndefined:
+      return "undefined";
+    case Exception::kSvc:
+      return "svc";
+    case Exception::kSmc:
+      return "smc";
+    case Exception::kPrefetchAbort:
+      return "prefetch_abort";
+    case Exception::kDataAbort:
+      return "data_abort";
+    case Exception::kIrq:
+      return "irq";
+    case Exception::kFiq:
+      return "fiq";
+  }
+  return "unknown";
+}
+
 MachineState::MachineState(word nsecure_pages) : mem(nsecure_pages) {
   cpsr.mode = Mode::kSupervisor;
   cpsr.irq_masked = true;

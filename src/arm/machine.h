@@ -38,6 +38,8 @@ enum class Exception : uint8_t {
 word VectorOffset(Exception e);
 // The mode an exception is taken to. SMC always enters monitor mode.
 Mode ExceptionTargetMode(Exception e);
+// Static lower-case name ("data_abort"), used as a trace event name.
+const char* ExceptionName(Exception e);
 
 struct MachineState {
   explicit MachineState(word nsecure_pages = kDefaultSecurePages);

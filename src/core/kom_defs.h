@@ -50,60 +50,58 @@ enum KomSvc : word {
 };
 
 // --- Error codes ---------------------------------------------------------------
-// Typed error codes used by the monitor's handlers and dispatch (the
-// registry's `CallResult`/`SvcResult` carry a KomErr, never a raw word); the
-// enum class keeps handler code from mixing error codes with page numbers or
-// values. The raw `kErr*` word constants below are the SMC ABI encoding —
-// what lands in r0 on return to the OS — and remain the vocabulary of the
-// spec, the OS model and the tests, which all sit on the ABI side.
-enum class KomErr : word {
-  kSuccess = 0,
-  kInvalidPageNo = 1,
-  kPageInUse = 2,
-  kInvalidAddrspace = 3,
-  kAlreadyFinal = 4,
-  kNotFinal = 5,
-  kInvalidMapping = 6,
-  kAddrInUse = 7,
-  kNotStopped = 8,
-  kInterrupted = 9,
-  kFault = 10,
-  kAlreadyEntered = 11,
-  kNotEntered = 12,
-  kPageTableMissing = 13,
-  kInvalidArgument = 14,
-  kNotFinalised = 15,
-  kInvalidSvc = 16,
-  kNotSpare = 17,
-};
+// Every error code, declared once as (name, ABI word, KomErrName string) in
+// the X-macro style of call_list.inc. The list expands into three views:
+//   * enum class KomErr — the typed code the monitor's handlers and dispatch
+//     return (the registry's `CallResult`/`SvcResult` carry a KomErr, never a
+//     raw word), so handler code cannot mix error codes with page numbers;
+//   * the `kErr*` words — the SMC ABI encoding that lands in r0 on return to
+//     the OS, and the vocabulary of the spec, the OS model and the tests;
+//   * KomErrName — the names the registry's `errors` column is written in.
+#define KOM_ERRORS(X)                             \
+  X(Success, 0, "success")                        \
+  X(InvalidPageNo, 1, "invalid_pageno")           \
+  X(PageInUse, 2, "page_in_use")                  \
+  X(InvalidAddrspace, 3, "invalid_addrspace")     \
+  X(AlreadyFinal, 4, "already_final")             \
+  X(NotFinal, 5, "not_final")                     \
+  X(InvalidMapping, 6, "invalid_mapping")         \
+  X(AddrInUse, 7, "addr_in_use")                  \
+  X(NotStopped, 8, "not_stopped")                 \
+  X(Interrupted, 9, "interrupted")                \
+  X(Fault, 10, "fault")                           \
+  X(AlreadyEntered, 11, "already_entered")        \
+  X(NotEntered, 12, "not_entered")                \
+  X(PageTableMissing, 13, "pagetable_missing")    \
+  X(InvalidArgument, 14, "invalid_argument")      \
+  X(NotFinalised, 15, "not_finalised")            \
+  X(InvalidSvc, 16, "invalid_svc")                \
+  X(NotSpare, 17, "not_spare")
 
-// The ABI words, value-identical to the enum above (checked by
-// tests/core/call_table_test.cc).
-inline constexpr word kErrSuccess = 0;
-inline constexpr word kErrInvalidPageNo = 1;
-inline constexpr word kErrPageInUse = 2;
-inline constexpr word kErrInvalidAddrspace = 3;
-inline constexpr word kErrAlreadyFinal = 4;
-inline constexpr word kErrNotFinal = 5;
-inline constexpr word kErrInvalidMapping = 6;
-inline constexpr word kErrAddrInUse = 7;
-inline constexpr word kErrNotStopped = 8;
-inline constexpr word kErrInterrupted = 9;
-inline constexpr word kErrFault = 10;
-inline constexpr word kErrAlreadyEntered = 11;
-inline constexpr word kErrNotEntered = 12;
-inline constexpr word kErrPageTableMissing = 13;
-inline constexpr word kErrInvalidArgument = 14;
-inline constexpr word kErrNotFinalised = 15;
-inline constexpr word kErrInvalidSvc = 16;
-inline constexpr word kErrNotSpare = 17;
+#define KOM_ERR_ENUM(name, value, str) k##name = (value),
+enum class KomErr : word { KOM_ERRORS(KOM_ERR_ENUM) };
+#undef KOM_ERR_ENUM
+
+#define KOM_ERR_WORD(name, value, str) inline constexpr word kErr##name = (value);
+KOM_ERRORS(KOM_ERR_WORD)
+#undef KOM_ERR_WORD
 
 // KomErr <-> ABI word conversions, used only at the SMC/SVC boundary.
 constexpr word ToWord(KomErr err) { return static_cast<word>(err); }
 constexpr KomErr ErrFromWord(word err) { return static_cast<KomErr>(err); }
 
-const char* KomErrName(word err);
-inline const char* KomErrName(KomErr err) { return KomErrName(ToWord(err)); }
+constexpr const char* KomErrName(word err) {
+  switch (err) {
+#define KOM_ERR_NAME(name, value, str) \
+  case (value):                        \
+    return (str);
+    KOM_ERRORS(KOM_ERR_NAME)
+#undef KOM_ERR_NAME
+    default:
+      return "unknown";
+  }
+}
+constexpr const char* KomErrName(KomErr err) { return KomErrName(ToWord(err)); }
 
 // --- Page types in the PageDB ----------------------------------------------------
 enum class PageType : word {

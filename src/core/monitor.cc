@@ -10,51 +10,9 @@
 
 namespace komodo {
 
-using arm::Exception;
 using arm::MachineState;
 using arm::Mode;
 using arm::Reg;
-
-const char* KomErrName(word err) {
-  switch (err) {
-    case kErrSuccess:
-      return "success";
-    case kErrInvalidPageNo:
-      return "invalid_pageno";
-    case kErrPageInUse:
-      return "page_in_use";
-    case kErrInvalidAddrspace:
-      return "invalid_addrspace";
-    case kErrAlreadyFinal:
-      return "already_final";
-    case kErrNotFinal:
-      return "not_final";
-    case kErrInvalidMapping:
-      return "invalid_mapping";
-    case kErrAddrInUse:
-      return "addr_in_use";
-    case kErrNotStopped:
-      return "not_stopped";
-    case kErrInterrupted:
-      return "interrupted";
-    case kErrFault:
-      return "fault";
-    case kErrAlreadyEntered:
-      return "already_entered";
-    case kErrNotEntered:
-      return "not_entered";
-    case kErrPageTableMissing:
-      return "pagetable_missing";
-    case kErrInvalidArgument:
-      return "invalid_argument";
-    case kErrInvalidSvc:
-      return "invalid_svc";
-    case kErrNotSpare:
-      return "not_spare";
-    default:
-      return "unknown";
-  }
-}
 
 Monitor::Monitor(MachineState& m, const Config& config)
     : machine_(m), config_(config), ops_(m), db_(ops_), entropy_(config.entropy_seed) {}

@@ -76,7 +76,6 @@ class Monitor {
 
   void SetUserRunner(UserRunner runner) { user_runner_ = std::move(runner); }
 
-  arm::MachineState& machine() { return machine_; }
   const Config& config() const { return config_; }
   obs::Observability& obs() { return obs_; }
   const obs::Observability& obs() const { return obs_; }
@@ -126,6 +125,9 @@ class Monitor {
   // Snapshot of the machine's cycle/step/cache counters for the tracer.
   // Reads state directly (never through ops_), so it charges nothing.
   obs::MachineSnap ObsSnap() const;
+  // Records a tracer instant; takes no snapshot while tracing is off.
+  void ObsInstant(obs::EventKind kind, word code, const char* name,
+                  KomErr err = KomErr::kSuccess);
 
   // --- SMC handlers (Table 1, top half) ---------------------------------------
   CallResult SmcQuery();
@@ -154,10 +156,16 @@ class Monitor {
   SvcResult SvcUnmapData(PageNr as_page, PageNr data_page, word mapping);
 
   // --- Enclave execution (Figure 3) -----------------------------------------------
-  // Shared tail of Enter/Resume: assumes user state is staged and the machine
-  // is in monitor mode; repeatedly drops to user mode and services the
-  // resulting exceptions until control returns to the OS.
-  CallResult EnclaveExecutionLoop(PageNr disp_page, PageNr as_page);
+  // Enter and Resume differ only in the entered-flag state they require and
+  // in how they stage the user registers; the rest is written once.
+  // Shared head: validates the dispatcher (Resume needs it entered, Enter
+  // needs it not), sets `as_page`, saves the OS state and loads the enclave's
+  // page table. Returns the call's error, if any.
+  std::optional<KomErr> SwitchToEnclave(PageNr disp_page, bool resume, PageNr* as_page);
+  // Shared tail: with the user state staged, marks the dispatcher current,
+  // drops to user mode at `pc` and services the resulting exceptions until
+  // control returns to the OS.
+  CallResult RunEnclave(PageNr disp_page, PageNr as_page, word pc, bool resume);
   // Saves the interrupted enclave context into the dispatcher page.
   void SaveEnclaveContext(PageNr disp_page, word resume_pc, const arm::Psr& user_psr);
   // Restores r0-r12/sp/lr from the dispatcher page; returns the resume pc and

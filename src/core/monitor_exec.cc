@@ -33,27 +33,6 @@ word ExceptionBit(Exception e) { return 1u << static_cast<word>(e); }
 
 // The declassified exception-type code reported to the OS on a faulting
 // enclave (§6.2: the OS learns only the kind of exception).
-// Static event names for the tracer (obs holds the pointer, never copies).
-const char* ExcName(Exception e) {
-  switch (e) {
-    case Exception::kSvc:
-      return "svc";
-    case Exception::kIrq:
-      return "irq";
-    case Exception::kFiq:
-      return "fiq";
-    case Exception::kPrefetchAbort:
-      return "prefetch_abort";
-    case Exception::kDataAbort:
-      return "data_abort";
-    case Exception::kUndefined:
-      return "undefined";
-    case Exception::kSmc:
-      return "smc";
-  }
-  return "unknown";
-}
-
 word FaultCode(Exception e) {
   switch (e) {
     case Exception::kPrefetchAbort:
@@ -139,12 +118,16 @@ arm::Exception Monitor::RunUser() {
   return *exc;
 }
 
-Monitor::CallResult Monitor::TeardownToOs(KomErr err, word val) {
+void Monitor::ObsInstant(obs::EventKind kind, word code, const char* name, KomErr err) {
   if (obs_.enabled()) {
-    // No PageDb reads here: obs must never charge simulated cycles, and every
-    // ops_ accessor does.
-    obs_.Instant(obs::EventKind::kEnclaveExit, 0, "EnclaveExit", ObsSnap(), ToWord(err));
+    obs_.Instant(kind, code, name, ObsSnap(), ToWord(err));
   }
+}
+
+Monitor::CallResult Monitor::TeardownToOs(KomErr err, word val) {
+  // No PageDb reads in the trace event: obs must never charge simulated
+  // cycles, and every ops_ accessor does.
+  ObsInstant(obs::EventKind::kEnclaveExit, 0, "EnclaveExit", err);
   ops_.ChargeAlu();  // cps #monitor
   machine_.cpsr.mode = Mode::kMonitor;
   machine_.cpsr.irq_masked = true;
@@ -158,16 +141,17 @@ Monitor::CallResult Monitor::TeardownToOs(KomErr err, word val) {
   return {err, val};
 }
 
-Monitor::CallResult Monitor::SmcEnter(PageNr disp_page, word arg1, word arg2, word arg3) {
+std::optional<KomErr> Monitor::SwitchToEnclave(PageNr disp_page, bool resume, PageNr* as_page) {
   if (!db_.ValidPageNr(disp_page) || db_.TypeOf(disp_page) != PageType::kDispatcher) {
-    return {KomErr::kInvalidPageNo, 0};
+    return KomErr::kInvalidPageNo;
   }
-  const PageNr as_page = db_.OwnerOf(disp_page);
-  if (db_.AsState(as_page) != AddrspaceState::kFinal) {
-    return {KomErr::kNotFinal, 0};
+  *as_page = db_.OwnerOf(disp_page);
+  if (db_.AsState(*as_page) != AddrspaceState::kFinal) {
+    return KomErr::kNotFinal;
   }
-  if (db_.DispEntered(disp_page)) {
-    return {KomErr::kAlreadyEntered, 0};
+  // Enter needs a thread that is not mid-run; Resume needs one that is.
+  if (db_.DispEntered(disp_page) != resume) {
+    return resume ? KomErr::kNotEntered : KomErr::kAlreadyEntered;
   }
 
   // Save the OS return state and banked registers (conservatively, §8.1).
@@ -179,18 +163,23 @@ Monitor::CallResult Monitor::SmcEnter(PageNr disp_page, word arg1, word arg2, wo
   exceptions_seen_ = 0;
 
   // Load the enclave page table; flush unless provably still consistent.
-  const paddr l1pt = PagePaddr(db_.AsL1Pt(as_page));
+  const paddr l1pt = PagePaddr(db_.AsL1Pt(*as_page));
   if (config_.opt_skip_redundant_tlb_flush && machine_.ttbr0 == l1pt &&
       machine_.tlb_consistent) {
     ops_.ChargeAlu(2);
   } else {
     machine_.WriteTtbr0(l1pt);
     machine_.FlushTlb();
-    if (obs_.enabled()) {
-      obs_.Instant(obs::EventKind::kTlbFlush, 0, "TlbFlush", ObsSnap());
-    }
+    ObsInstant(obs::EventKind::kTlbFlush, 0, "TlbFlush");
   }
+  return std::nullopt;
+}
 
+Monitor::CallResult Monitor::SmcEnter(PageNr disp_page, word arg1, word arg2, word arg3) {
+  PageNr as_page = kInvalidPage;
+  if (const auto err = SwitchToEnclave(disp_page, /*resume=*/false, &as_page)) {
+    return {*err, 0};
+  }
   // Stage the architectural entry state (§5.2): parameters in r0-r2, every
   // other user-visible register zeroed.
   for (int i = 0; i < 13; ++i) {
@@ -208,68 +197,33 @@ Monitor::CallResult Monitor::SmcEnter(PageNr disp_page, word arg1, word arg2, wo
   user_psr.fiq_masked = false;
   machine_.spsr_banked[static_cast<size_t>(Mode::kMonitor)] = user_psr;
   ops_.ChargeAlu(2);  // msr spsr
-
-  const word entry = db_.DispEntrypoint(disp_page);
-  db_.SetCurDispatcher(disp_page);
-  if (obs_.enabled()) {
-    obs_.Instant(obs::EventKind::kEnclaveEnter, disp_page, "EnclaveEnter", ObsSnap());
-  }
-  machine_.ExceptionReturn(entry);  // MOVS PC, LR into user mode
-  return EnclaveExecutionLoop(disp_page, as_page);
+  return RunEnclave(disp_page, as_page, db_.DispEntrypoint(disp_page), /*resume=*/false);
 }
 
 Monitor::CallResult Monitor::SmcResume(PageNr disp_page) {
-  if (!db_.ValidPageNr(disp_page) || db_.TypeOf(disp_page) != PageType::kDispatcher) {
-    return {KomErr::kInvalidPageNo, 0};
+  PageNr as_page = kInvalidPage;
+  if (const auto err = SwitchToEnclave(disp_page, /*resume=*/true, &as_page)) {
+    return {*err, 0};
   }
-  const PageNr as_page = db_.OwnerOf(disp_page);
-  if (db_.AsState(as_page) != AddrspaceState::kFinal) {
-    return {KomErr::kNotFinal, 0};
-  }
-  if (!db_.DispEntered(disp_page)) {
-    return {KomErr::kNotEntered, 0};
-  }
-
-  ops_.StorePhys(FrameAddr(kFrameOsLr), machine_.lr_banked[static_cast<size_t>(Mode::kMonitor)]);
-  ops_.StorePhys(FrameAddr(kFrameOsSpsr),
-                 machine_.spsr_banked[static_cast<size_t>(Mode::kMonitor)].Encode());
-  SaveOsBankedState();
-  machine_.SetScrNs(false);
-  exceptions_seen_ = 0;
-
-  const paddr l1pt = PagePaddr(db_.AsL1Pt(as_page));
-  if (config_.opt_skip_redundant_tlb_flush && machine_.ttbr0 == l1pt &&
-      machine_.tlb_consistent) {
-    ops_.ChargeAlu(2);
-  } else {
-    machine_.WriteTtbr0(l1pt);
-    machine_.FlushTlb();
-    if (obs_.enabled()) {
-      obs_.Instant(obs::EventKind::kTlbFlush, 0, "TlbFlush", ObsSnap());
-    }
-  }
-
   word resume_pc = 0;
   Psr user_psr;
   RestoreEnclaveContext(disp_page, &resume_pc, &user_psr);
   db_.SetDispEntered(disp_page, false);
   machine_.spsr_banked[static_cast<size_t>(Mode::kMonitor)] = user_psr;
-  ops_.ChargeAlu(2);
-
-  db_.SetCurDispatcher(disp_page);
-  if (obs_.enabled()) {
-    obs_.Instant(obs::EventKind::kEnclaveResume, disp_page, "EnclaveResume", ObsSnap());
-  }
-  machine_.ExceptionReturn(resume_pc);
-  return EnclaveExecutionLoop(disp_page, as_page);
+  ops_.ChargeAlu(2);  // msr spsr
+  return RunEnclave(disp_page, as_page, resume_pc, /*resume=*/true);
 }
 
-Monitor::CallResult Monitor::EnclaveExecutionLoop(PageNr disp_page, PageNr as_page) {
+Monitor::CallResult Monitor::RunEnclave(PageNr disp_page, PageNr as_page, word pc, bool resume) {
+  db_.SetCurDispatcher(disp_page);
+  ObsInstant(resume ? obs::EventKind::kEnclaveResume : obs::EventKind::kEnclaveEnter, disp_page,
+             resume ? "EnclaveResume" : "EnclaveEnter");
+  machine_.ExceptionReturn(pc);  // MOVS PC, LR into user mode
   for (;;) {
     const Exception exc = RunUser();
     exceptions_seen_ |= ExceptionBit(exc);
-    if (obs_.enabled() && exc != Exception::kSvc) {
-      obs_.Instant(obs::EventKind::kException, static_cast<word>(exc), ExcName(exc), ObsSnap());
+    if (exc != Exception::kSvc) {
+      ObsInstant(obs::EventKind::kException, static_cast<word>(exc), arm::ExceptionName(exc));
     }
     switch (exc) {
       case Exception::kSvc: {
@@ -284,9 +238,7 @@ Monitor::CallResult Monitor::EnclaveExecutionLoop(PageNr disp_page, PageNr as_pa
         ops_.SetReg(Reg::R1, res.val);
         if (!machine_.tlb_consistent) {
           machine_.FlushTlb();  // an SVC may have edited the live page table
-          if (obs_.enabled()) {
-            obs_.Instant(obs::EventKind::kTlbFlush, 0, "TlbFlush", ObsSnap());
-          }
+          ObsInstant(obs::EventKind::kTlbFlush, 0, "TlbFlush");
         }
         machine_.ExceptionReturn(machine_.lr_banked[static_cast<size_t>(Mode::kSupervisor)]);
         continue;

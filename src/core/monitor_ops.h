@@ -17,8 +17,6 @@ class MonitorOps {
  public:
   explicit MonitorOps(arm::MachineState& m) : m_(m) {}
 
-  arm::MachineState& machine() { return m_; }
-
   // --- Memory (each charges one load/store) ---------------------------------
   word LoadPhys(paddr addr) {
     m_.cycles.Charge(kCosts.load);
@@ -70,7 +68,6 @@ class MonitorOps {
 
   // --- Pure compute ----------------------------------------------------------
   void ChargeAlu(uint64_t n = 1) { m_.cycles.Charge(n * kCosts.alu); }
-  void ChargeBranch() { m_.cycles.Charge(kCosts.branch_taken); }
   // One SHA-256 compression function in unoptimised ARM assembly. Calibrated
   // against the paper's Attest/Verify rows (≈5 compressions each).
   void ChargeSha256Blocks(uint64_t blocks) { m_.cycles.Charge(blocks * kSha256BlockCycles); }

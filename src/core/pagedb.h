@@ -61,10 +61,6 @@ class PageDb {
   void SetOwner(PageNr n, PageNr addrspace);
 
   bool IsFree(PageNr n) { return TypeOf(n) == PageType::kFree; }
-  // Valid page number of an address-space page?
-  bool IsAddrspace(PageNr n) {
-    return ValidPageNr(n) && TypeOf(n) == PageType::kAddrspace;
-  }
 
   // --- Address-space pages ----------------------------------------------------
   PageNr AsL1Pt(PageNr as) { return LoadPageWord(as, kAsL1PtPage); }
@@ -94,7 +90,6 @@ class PageDb {
   }
 
   // --- Globals ----------------------------------------------------------------------
-  PageNr CurDispatcher() { return ops_.LoadPhys(arm::kMonitorBase + kGlobalCurDispatcher); }
   void SetCurDispatcher(PageNr n) {
     ops_.StorePhys(arm::kMonitorBase + kGlobalCurDispatcher, n);
   }
@@ -109,8 +104,6 @@ class PageDb {
     ops_.ChargeAlu();
     ops_.StorePhys(PagePaddr(page) + word_offset * arm::kWordSize, value);
   }
-
-  MonitorOps& ops() { return ops_; }
 
  private:
   paddr EntryAddr(PageNr n, word field) {

@@ -392,4 +392,14 @@ std::optional<JsonValue> ParseJson(std::string_view text, std::string* error) {
   return Parser(text).Parse(error);
 }
 
+bool WriteFile(const std::string& path, std::string_view content) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    return false;
+  }
+  const size_t n = std::fwrite(content.data(), 1, content.size(), f);
+  const int rc = std::fclose(f);
+  return n == content.size() && rc == 0;
+}
+
 }  // namespace komodo::obs

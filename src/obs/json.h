@@ -79,6 +79,10 @@ struct JsonValue {
 // stores a byte offset + message.
 std::optional<JsonValue> ParseJson(std::string_view text, std::string* error = nullptr);
 
+// Writes `content` to `path`, replacing the file. False when the file cannot
+// be opened or fully written. Every JSON artifact goes out through here.
+bool WriteFile(const std::string& path, std::string_view content);
+
 }  // namespace komodo::obs
 
 #endif  // SRC_OBS_JSON_H_

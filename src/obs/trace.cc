@@ -143,35 +143,6 @@ Observability::Pending Observability::BeginCall(EventKind kind, uint32_t call, c
   return p;
 }
 
-void Observability::Accumulate(std::map<uint32_t, CallStats>& stats, uint32_t call,
-                               const char* name, uint32_t err, const Pending& pending,
-                               const MachineSnap& end) {
-  CallStats& s = stats[call];
-  if (s.name.empty()) {
-    s.name = name;
-  }
-  ++s.calls;
-  if (err != 0) {
-    ++s.errors;
-  }
-  const uint64_t cycles = end.cycles - pending.begin.cycles;
-  s.cycles += cycles;
-  s.cycle_hist.Add(cycles);
-  s.steps += end.steps - pending.begin.steps;
-  s.wall_ns += WallNs() - pending.wall_begin_ns;
-  s.decode_hits += end.decode_hits - pending.begin.decode_hits;
-  s.decode_misses += end.decode_misses - pending.begin.decode_misses;
-  s.tlb_hits += end.tlb_hits - pending.begin.tlb_hits;
-  s.tlb_misses += end.tlb_misses - pending.begin.tlb_misses;
-  s.tlb_flushes += end.tlb_flushes - pending.begin.tlb_flushes;
-  s.jit_blocks_translated += end.jit_blocks_translated - pending.begin.jit_blocks_translated;
-  s.jit_block_hits += end.jit_block_hits - pending.begin.jit_block_hits;
-  s.jit_block_invalidations +=
-      end.jit_block_invalidations - pending.begin.jit_block_invalidations;
-  s.jit_fallback_steps += end.jit_fallback_steps - pending.begin.jit_fallback_steps;
-  s.jit_steps += end.jit_steps - pending.begin.jit_steps;
-}
-
 void Observability::EndCall(EventKind kind, uint32_t call, const char* name, uint32_t err,
                             uint32_t val, const Pending& pending, const MachineSnap& snap) {
   if (!enabled_) {
@@ -196,8 +167,30 @@ void Observability::EndCall(EventKind kind, uint32_t call, const char* name, uin
     coverage_.insert(CoverageKey(kind, call, err));
   }
 
-  Accumulate(kind == EventKind::kSmcEnd ? smc_stats_ : svc_stats_, call, name, err, pending,
-             snap);
+  CallStats& s = (kind == EventKind::kSmcEnd ? smc_stats_ : svc_stats_)[call];
+  if (s.name.empty()) {
+    s.name = name;
+  }
+  ++s.calls;
+  if (err != 0) {
+    ++s.errors;
+  }
+  s.wall_ns += e.wall_ns - pending.wall_begin_ns;
+  s.cycle_hist.Add(snap.cycles - pending.begin.cycles);
+  const MachineSnap& b = pending.begin;
+  MachineSnap& c = s.cost;
+  c.cycles += snap.cycles - b.cycles;
+  c.steps += snap.steps - b.steps;
+  c.decode_hits += snap.decode_hits - b.decode_hits;
+  c.decode_misses += snap.decode_misses - b.decode_misses;
+  c.tlb_hits += snap.tlb_hits - b.tlb_hits;
+  c.tlb_misses += snap.tlb_misses - b.tlb_misses;
+  c.tlb_flushes += snap.tlb_flushes - b.tlb_flushes;
+  c.jit_blocks_translated += snap.jit_blocks_translated - b.jit_blocks_translated;
+  c.jit_block_hits += snap.jit_block_hits - b.jit_block_hits;
+  c.jit_block_invalidations += snap.jit_block_invalidations - b.jit_block_invalidations;
+  c.jit_fallback_steps += snap.jit_fallback_steps - b.jit_fallback_steps;
+  c.jit_steps += snap.jit_steps - b.jit_steps;
 }
 
 void Observability::Instant(EventKind kind, uint32_t code, const char* name,
@@ -272,6 +265,53 @@ void WriteCallArgs(JsonWriter& w, const TraceEvent& begin, const TraceEvent& end
   w.EndObject();
 }
 
+void WriteCallStatsJson(JsonWriter& w, const std::map<uint32_t, CallStats>& stats) {
+  w.BeginArray();
+  for (const auto& [call, s] : stats) {
+    w.BeginObject();
+    w.KV("call", static_cast<uint64_t>(call));
+    w.KV("name", s.name);
+    w.KV("calls", s.calls);
+    w.KV("errors", s.errors);
+    w.Key("cycles");
+    WriteHistogramJson(w, s.cycle_hist);
+    w.KV("steps", s.cost.steps);
+    w.KV("wall_ns", s.wall_ns);
+    w.Key("interp_cache");
+    w.BeginObject();
+    w.KV("decode_hits", s.cost.decode_hits);
+    w.KV("decode_misses", s.cost.decode_misses);
+    w.KV("tlb_hits", s.cost.tlb_hits);
+    w.KV("tlb_misses", s.cost.tlb_misses);
+    w.EndObject();
+    w.Key("jit");
+    w.BeginObject();
+    w.KV("blocks_translated", s.cost.jit_blocks_translated);
+    w.KV("block_hits", s.cost.jit_block_hits);
+    w.KV("block_invalidations", s.cost.jit_block_invalidations);
+    w.KV("fallback_steps", s.cost.jit_fallback_steps);
+    w.KV("jit_steps", s.cost.jit_steps);
+    w.EndObject();
+    w.KV("tlb_flushes", s.cost.tlb_flushes);
+    w.EndObject();
+  }
+  w.EndArray();
+}
+
+void WriteCountersJson(JsonWriter& w, const Counters& c) {
+  w.BeginObject();
+  w.KV("events_recorded", c.events_recorded);
+  w.KV("events_dropped", c.events_dropped);
+  w.KV("smc_calls", c.smc_calls);
+  w.KV("svc_calls", c.svc_calls);
+  w.KV("enclave_entries", c.enclave_entries);
+  w.KV("enclave_resumes", c.enclave_resumes);
+  w.KV("enclave_exits", c.enclave_exits);
+  w.KV("exceptions", c.exceptions);
+  w.KV("tlb_flushes", c.tlb_flushes);
+  w.EndObject();
+}
+
 }  // namespace
 
 void WriteHistogramJson(JsonWriter& w, const Histogram& h) {
@@ -298,41 +338,6 @@ void WriteHistogramJson(JsonWriter& w, const Histogram& h) {
   w.EndArray();
   w.EndObject();
 }
-
-void WriteCallStatsJson(JsonWriter& w, const std::map<uint32_t, CallStats>& stats) {
-  w.BeginArray();
-  for (const auto& [call, s] : stats) {
-    w.BeginObject();
-    w.KV("call", static_cast<uint64_t>(call));
-    w.KV("name", s.name);
-    w.KV("calls", s.calls);
-    w.KV("errors", s.errors);
-    w.Key("cycles");
-    WriteHistogramJson(w, s.cycle_hist);
-    w.KV("steps", s.steps);
-    w.KV("wall_ns", s.wall_ns);
-    w.Key("interp_cache");
-    w.BeginObject();
-    w.KV("decode_hits", s.decode_hits);
-    w.KV("decode_misses", s.decode_misses);
-    w.KV("tlb_hits", s.tlb_hits);
-    w.KV("tlb_misses", s.tlb_misses);
-    w.EndObject();
-    w.Key("jit");
-    w.BeginObject();
-    w.KV("blocks_translated", s.jit_blocks_translated);
-    w.KV("block_hits", s.jit_block_hits);
-    w.KV("block_invalidations", s.jit_block_invalidations);
-    w.KV("fallback_steps", s.jit_fallback_steps);
-    w.KV("jit_steps", s.jit_steps);
-    w.EndObject();
-    w.KV("tlb_flushes", s.tlb_flushes);
-    w.EndObject();
-  }
-  w.EndArray();
-}
-
-
 
 std::string Observability::ExportChromeTrace() const {
   const std::vector<TraceEvent> events = Events();
@@ -423,24 +428,7 @@ std::string Observability::ExportChromeTrace() const {
   return out;
 }
 
-void WriteCountersJson(JsonWriter& w, const Counters& c) {
-  w.BeginObject();
-  w.KV("events_recorded", c.events_recorded);
-  w.KV("events_dropped", c.events_dropped);
-  w.KV("smc_calls", c.smc_calls);
-  w.KV("svc_calls", c.svc_calls);
-  w.KV("enclave_entries", c.enclave_entries);
-  w.KV("enclave_resumes", c.enclave_resumes);
-  w.KV("enclave_exits", c.enclave_exits);
-  w.KV("exceptions", c.exceptions);
-  w.KV("tlb_flushes", c.tlb_flushes);
-  w.EndObject();
-}
-
-std::string Observability::ExportMetrics() const {
-  std::string out;
-  JsonWriter w(&out);
-  w.BeginObject();
+void Observability::WriteMetricsMembers(JsonWriter& w) const {
   w.KV("schema", "komodo-metrics-v1");
   w.Key("counters");
   WriteCountersJson(w, counters_);
@@ -448,30 +436,23 @@ std::string Observability::ExportMetrics() const {
   WriteCallStatsJson(w, smc_stats_);
   w.Key("svc");
   WriteCallStatsJson(w, svc_stats_);
+}
+
+std::string Observability::ExportMetrics() const {
+  std::string out;
+  JsonWriter w(&out);
+  w.BeginObject();
+  WriteMetricsMembers(w);
   w.EndObject();
   return out;
 }
 
-namespace {
-
-bool WriteFileString(const std::string& path, const std::string& content) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
-  const size_t n = std::fwrite(content.data(), 1, content.size(), f);
-  const int rc = std::fclose(f);
-  return n == content.size() && rc == 0;
-}
-
-}  // namespace
-
 bool Observability::WriteChromeTrace(const std::string& path) const {
-  return WriteFileString(path, ExportChromeTrace());
+  return WriteFile(path, ExportChromeTrace());
 }
 
 bool Observability::WriteMetrics(const std::string& path) const {
-  return WriteFileString(path, ExportMetrics());
+  return WriteFile(path, ExportMetrics());
 }
 
 }  // namespace komodo::obs

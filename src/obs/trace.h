@@ -116,21 +116,10 @@ class Histogram {
 struct CallStats {
   std::string name;
   uint64_t calls = 0;
-  uint64_t errors = 0;        // calls returning err != 0
-  uint64_t cycles = 0;        // simulated cycles across all calls
-  uint64_t steps = 0;
+  uint64_t errors = 0;   // calls returning err != 0
   uint64_t wall_ns = 0;
-  Histogram cycle_hist;       // per-call simulated cycles
-  uint64_t decode_hits = 0;   // interp-cache activity attributed to the call
-  uint64_t decode_misses = 0;
-  uint64_t tlb_hits = 0;
-  uint64_t tlb_misses = 0;
-  uint64_t tlb_flushes = 0;
-  uint64_t jit_blocks_translated = 0;  // block-JIT activity for the call
-  uint64_t jit_block_hits = 0;
-  uint64_t jit_block_invalidations = 0;
-  uint64_t jit_fallback_steps = 0;
-  uint64_t jit_steps = 0;
+  Histogram cycle_hist;  // per-call simulated cycles
+  MachineSnap cost;      // end - begin snapshot of every call, summed
 };
 
 struct Counters {
@@ -145,13 +134,11 @@ struct Counters {
   uint64_t tlb_flushes = 0;
 };
 
-// komodo-metrics-v1 building-block serializers. Exposed so layers above the
-// monitor (the serve daemon's request-latency histograms and queue counters)
-// can embed their own sections in the same document format the validator
-// understands, instead of inventing a parallel schema.
+// komodo-metrics-v1 histogram serializer. Exposed so layers above the
+// monitor (the serve daemon's request-latency histograms) can embed their own
+// sections in the same document format the validator understands, instead of
+// inventing a parallel schema.
 void WriteHistogramJson(JsonWriter& w, const Histogram& h);
-void WriteCallStatsJson(JsonWriter& w, const std::map<uint32_t, CallStats>& stats);
-void WriteCountersJson(JsonWriter& w, const Counters& c);
 
 class Observability {
  public:
@@ -185,7 +172,6 @@ class Observability {
     coverage_armed_ = false;
     coverage_.clear();
   }
-  bool coverage_armed() const { return coverage_armed_; }
   const std::set<uint64_t>& coverage_keys() const { return coverage_; }
 
   // Begin/End bracket one dispatched call. The returned Pending carries the
@@ -218,13 +204,15 @@ class Observability {
   // Flat metrics (schema "komodo-metrics-v1"): global counters plus per-SMC
   // and per-SVC cycle histograms and interp-cache attribution.
   std::string ExportMetrics() const;
+  // The members of that document ("schema", "counters", "smc", "svc"),
+  // written into an object the caller has opened, so a layer above the
+  // monitor can append its own sections to the same document.
+  void WriteMetricsMembers(JsonWriter& w) const;
   bool WriteChromeTrace(const std::string& path) const;
   bool WriteMetrics(const std::string& path) const;
 
  private:
   void Record(const TraceEvent& e);
-  void Accumulate(std::map<uint32_t, CallStats>& stats, uint32_t call, const char* name,
-                  uint32_t err, const Pending& pending, const MachineSnap& end);
   static uint64_t WallNs();
 
   bool enabled_ = false;

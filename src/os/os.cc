@@ -7,20 +7,6 @@ namespace komodo::os {
 
 using arm::Mode;
 
-const char* EnclaveExitName(EnclaveExit reason) {
-  switch (reason) {
-    case EnclaveExit::kExited:
-      return "exited";
-    case EnclaveExit::kInterrupted:
-      return "interrupted";
-    case EnclaveExit::kFaulted:
-      return "faulted";
-    case EnclaveExit::kDenied:
-      return "denied";
-  }
-  return "unknown";
-}
-
 EnterResult EnterResult::FromSmc(SmcRet r) {
   EnterResult res;
   res.err = ErrFromWord(r.err);
@@ -189,11 +175,6 @@ EnclaveBuilder& EnclaveBuilder::Data(std::vector<word> data_init) {
   return *this;
 }
 
-EnclaveBuilder& EnclaveBuilder::Entrypoint(word entry_va) {
-  entrypoint_ = entry_va;
-  return *this;
-}
-
 EnclaveBuilder& EnclaveBuilder::SharedPage() {
   with_shared_page_ = true;
   shared_page_preallocated_ = false;
@@ -298,7 +279,7 @@ Expected<EnclaveHandle, KomErr> EnclaveBuilder::Build() {
   }
 
   enclave.thread = os_.AllocSecurePage();
-  if (const SmcRet r = os_.InitThread(enclave.addrspace, enclave.thread, entrypoint_);
+  if (const SmcRet r = os_.InitThread(enclave.addrspace, enclave.thread, kEnclaveCodeVa);
       r.err != kErrSuccess) {
     os_.FreeSecurePage(enclave.thread);
     enclave.thread = kInvalidPage;

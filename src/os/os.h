@@ -11,8 +11,8 @@
 #include <vector>
 
 #include "src/arm/machine.h"
-#include "src/core/expected.h"
 #include "src/core/monitor.h"
+#include "src/os/expected.h"
 
 namespace komodo::os {
 
@@ -57,8 +57,6 @@ enum class EnclaveExit : word {
   kDenied,       // monitor rejected the call itself (see err)
 };
 
-const char* EnclaveExitName(EnclaveExit reason);
-
 // Typed result of Os::Enter / Os::Resume. Raw ABI words exist only at the
 // monitor's OnSmc epilogue (the PR 3 KomErr convention); everything OS-side
 // consumes this struct.
@@ -98,7 +96,6 @@ class EnclaveBuilder {
 
   EnclaveBuilder& Code(std::vector<word> code);
   EnclaveBuilder& Data(std::vector<word> data_init);
-  EnclaveBuilder& Entrypoint(word entry_va);
   // Map one shared insecure page RW at kEnclaveSharedVa. With no argument a
   // fresh insecure page is allocated; passing a page number reuses an
   // existing one (a rebuilt serve session keeps its client-visible buffer).
@@ -111,7 +108,6 @@ class EnclaveBuilder {
   Os& os_;
   std::vector<word> code_;
   std::vector<word> data_init_;
-  word entrypoint_ = kEnclaveCodeVa;
   bool with_shared_page_ = false;
   bool shared_page_preallocated_ = false;
   word shared_insecure_pgnr_ = 0;

@@ -1,7 +1,6 @@
 #include "src/serve/server.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <utility>
 
 #include "src/obs/json.h"
@@ -300,13 +299,7 @@ std::string Server::ExportMetrics() const {
   std::string out;
   obs::JsonWriter w(&out);
   w.BeginObject();
-  w.KV("schema", "komodo-metrics-v1");
-  w.Key("counters");
-  obs::WriteCountersJson(w, obs.counters());
-  w.Key("smc");
-  obs::WriteCallStatsJson(w, obs.smc_stats());
-  w.Key("svc");
-  obs::WriteCallStatsJson(w, obs.svc_stats());
+  obs.WriteMetricsMembers(w);
   w.Key("serve");
   w.BeginObject();
   w.KV("sessions_created", stats_.sessions_created);
@@ -334,14 +327,7 @@ std::string Server::ExportMetrics() const {
 }
 
 bool Server::WriteMetrics(const std::string& path) const {
-  const std::string content = ExportMetrics();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
-  const size_t n = std::fwrite(content.data(), 1, content.size(), f);
-  const int rc = std::fclose(f);
-  return n == content.size() && rc == 0;
+  return obs::WriteFile(path, ExportMetrics());
 }
 
 }  // namespace komodo::serve

@@ -33,8 +33,8 @@
 #include <utility>
 #include <vector>
 
-#include "src/core/expected.h"
 #include "src/obs/trace.h"
+#include "src/os/expected.h"
 #include "src/os/world.h"
 #include "src/serve/catalog.h"
 

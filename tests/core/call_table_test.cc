@@ -216,6 +216,7 @@ TEST(CallTable, KomErrMatchesAbiWords) {
   EXPECT_EQ(ToWord(KomErr::kNotSpare), kErrNotSpare);
   for (word e = 0; e <= kErrNotSpare; ++e) {
     EXPECT_EQ(ErrFromWord(ToWord(static_cast<KomErr>(e))), static_cast<KomErr>(e));
+    EXPECT_STRNE(KomErrName(e), "unknown") << "error code " << e << " has no name";
   }
 }
 

@@ -107,7 +107,7 @@ TEST(ObsTrace, WorkloadEventShapes) {
   EXPECT_EQ(smc.at(kSmcEnter).calls, 2u);
   EXPECT_EQ(smc.at(kSmcEnter).errors, 0u);
   EXPECT_EQ(smc.at(kSmcEnter).name, "Enter");
-  EXPECT_GT(smc.at(kSmcEnter).cycles, 0u);
+  EXPECT_GT(smc.at(kSmcEnter).cost.cycles, 0u);
   EXPECT_EQ(smc.at(kSmcEnter).cycle_hist.count(), 2u);
   ASSERT_TRUE(smc.count(kSmcInitAddrspace));
   EXPECT_EQ(smc.at(kSmcInitAddrspace).errors, 1u);
