@@ -5,89 +5,33 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "src/arm/cycle_model.h"
 #include "src/enclave/notary.h"
-#include "src/os/world.h"
 
 namespace komodo {
 namespace {
 
-// The notary enclave wired up with the full shared document region, as in
-// tests/enclave/notary_test.cc.
-struct NotaryRig {
-  os::World w{512};
-  enclave::NativeRuntime runtime{w.monitor};
-  std::shared_ptr<enclave::NotaryProgram> program;
-  PageNr thread = 0;
-  word doc_pg0 = 0;
-
-  explicit NotaryRig(uint64_t key_seed, bool trace = false) {
-    if (trace) {
-      w.monitor.obs().Enable();  // before the build, so the SMCs trace too
-    }
-    auto& os = w.os;
-    const PageNr as = os.AllocSecurePage();
-    const PageNr l1pt = os.AllocSecurePage();
-    const PageNr l2 = os.AllocSecurePage();
-    if (os.InitAddrspace(as, l1pt).err != kErrSuccess ||
-        os.InitL2Table(as, l2, 0).err != kErrSuccess) {
-      std::abort();
-    }
-    const word staging = os.AllocInsecurePage();
-    os.WriteInsecurePage(staging, {0xe3a00001, 0xef000000});
-    const PageNr code = os.AllocSecurePage();
-    if (os.MapSecure(as, code, MakeMapping(os::kEnclaveCodeVa, kMapR | kMapX), staging).err !=
-        kErrSuccess) {
-      std::abort();
-    }
-    doc_pg0 = os.AllocInsecurePage();
-    for (word i = 1; i < enclave::kNotarySharedPages + 1; ++i) {
-      os.AllocInsecurePage();
-    }
-    for (word i = 0; i < enclave::kNotarySharedPages + 1; ++i) {
-      if (os.MapInsecure(
-                as,
-                MakeMapping(os::kEnclaveSharedVa + i * arm::kPageSize, kMapR | kMapW),
-                doc_pg0 + i)
-              .err != kErrSuccess) {
-        std::abort();
-      }
-    }
-    thread = os.AllocSecurePage();
-    if (os.InitThread(as, thread, os::kEnclaveCodeVa).err != kErrSuccess ||
-        os.Finalise(as).err != kErrSuccess) {
-      std::abort();
-    }
-    program = std::make_shared<enclave::NotaryProgram>(key_seed);
-    runtime.Register(l1pt, program);
-    if (!w.os.Enter(thread, enclave::kNotaryCmdInit).exited()) {
-      std::abort();
-    }
+// Builds and initialises the notary enclave; any failure aborts the bench.
+void BuildNotary(enclave::NotaryHost& host) {
+  if (host.Build() != KomErr::kSuccess ||
+      !host.world.os.Enter(host.thread, enclave::kNotaryCmdInit).exited()) {
+    std::abort();
   }
+}
 
-  void StageDocument(const std::vector<uint8_t>& doc) {
-    for (size_t i = 0; i < doc.size(); i += 4) {
-      word v = 0;
-      for (size_t j = 0; j < 4 && i + j < doc.size(); ++j) {
-        v |= static_cast<word>(doc[i + j]) << (8 * j);
-      }
-      w.machine.mem.Write(doc_pg0 * arm::kPageSize + static_cast<word>(i), v);
-    }
+uint64_t NotarizeCycles(enclave::NotaryHost& host, size_t len) {
+  const uint64_t before = host.world.machine.cycles.total();
+  if (!host.world.os.Enter(host.thread, enclave::kNotaryCmdNotarize, static_cast<word>(len))
+           .exited()) {
+    std::abort();
   }
-
-  uint64_t NotarizeCycles(size_t len) {
-    const uint64_t before = w.machine.cycles.total();
-    if (!w.os.Enter(thread, enclave::kNotaryCmdNotarize, static_cast<word>(len)).exited()) {
-      std::abort();
-    }
-    return w.machine.cycles.total() - before;
-  }
-};
+  return host.world.machine.cycles.total() - before;
+}
 
 struct Fig5Row {
   size_t kb;
@@ -96,15 +40,16 @@ struct Fig5Row {
 };
 
 std::vector<Fig5Row> MeasureFig5() {
-  NotaryRig rig(4242);
+  enclave::NotaryHost host(4242);
+  BuildNotary(host);
   enclave::NotaryNative native(4242);
   native.Init();
 
   std::vector<Fig5Row> rows;
   for (size_t kb : {4, 8, 16, 32, 64, 128, 256, 512}) {
     const std::vector<uint8_t> doc(kb * 1024, static_cast<uint8_t>(kb));
-    rig.StageDocument(doc);
-    const uint64_t enclave_cycles = rig.NotarizeCycles(doc.size());
+    host.StageDocument(doc);
+    const uint64_t enclave_cycles = NotarizeCycles(host, doc.size());
     native.ResetCycles();
     native.Notarize(doc);
     rows.push_back({kb, arm::CyclesToMs(enclave_cycles), arm::CyclesToMs(native.cycles())});
@@ -143,26 +88,29 @@ void EmitJson(const std::vector<Fig5Row>& rows) {
 // showcase artifact for DESIGN.md §9 (load TRACE_fig5_notary.json in
 // Perfetto to see the SMC/SVC spans of a real Fig. 5 workload).
 void RunTraced() {
-  NotaryRig rig(4242, /*trace=*/true);
+  enclave::NotaryHost host(4242);
+  host.world.monitor.obs().Enable();  // before the build, so its SMCs trace too
+  BuildNotary(host);
   for (size_t kb : {4, 64}) {
     const std::vector<uint8_t> doc(kb * 1024, static_cast<uint8_t>(kb));
-    rig.StageDocument(doc);
-    rig.NotarizeCycles(doc.size());
+    host.StageDocument(doc);
+    NotarizeCycles(host, doc.size());
   }
-  if (!rig.w.monitor.obs().WriteChromeTrace("TRACE_fig5_notary.json") ||
-      !rig.w.monitor.obs().WriteMetrics("METRICS_fig5_notary.json")) {
+  if (!host.world.monitor.obs().WriteChromeTrace("TRACE_fig5_notary.json") ||
+      !host.world.monitor.obs().WriteMetrics("METRICS_fig5_notary.json")) {
     std::abort();
   }
   std::printf("wrote TRACE_fig5_notary.json\nwrote METRICS_fig5_notary.json\n");
 }
 
 void BM_NotaryEnclave(benchmark::State& state) {
-  NotaryRig rig(1);
+  enclave::NotaryHost host(1);
+  BuildNotary(host);
   const size_t kb = static_cast<size_t>(state.range(0));
   const std::vector<uint8_t> doc(kb * 1024, 7);
-  rig.StageDocument(doc);
+  host.StageDocument(doc);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(rig.NotarizeCycles(doc.size()));
+    benchmark::DoNotOptimize(NotarizeCycles(host, doc.size()));
   }
   state.counters["doc_kB"] = static_cast<double>(kb);
 }

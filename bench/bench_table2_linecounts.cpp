@@ -108,12 +108,14 @@ bool ReportTable2() {
   const int tests = CountDir(root / "tests");
   const int bench = CountDir(root / "bench");
   const int examples = CountDir(root / "examples");
+  const int tools = CountDir(root / "tools");
   std::printf("%-28s %26s %12d\n", "src/ total", "7,156 (4,446/2,710/     -)", src_total);
   std::printf("%-28s %26s %12d\n", "tests (role of proofs)", "18,655 proof lines", tests);
   std::printf("%-28s %26s %12d\n", "benchmarks", "-", bench);
   std::printf("%-28s %26s %12d\n", "examples", "-", examples);
+  std::printf("%-28s %26s %12d\n", "tools (CLIs)", "-", tools);
   std::printf("%-28s %26s %12d\n", "TOTAL", "25,811 (4,446/2,710/18,655)",
-              src_total + tests + bench + examples);
+              src_total + tests + bench + examples + tools);
   std::printf(
       "\nThe paper's 'proof' column (18,655 Dafny annotation lines) maps onto this repo's\n"
       "test suite: machine-checked proofs are replaced by executable-spec refinement and\n"
@@ -122,6 +124,7 @@ bool ReportTable2() {
   json.Result("tests", "code_lines", tests, "lines");
   json.Result("bench", "code_lines", bench, "lines");
   json.Result("examples", "code_lines", examples, "lines");
+  json.Result("tools", "code_lines", tools, "lines");
   return json.Write("BENCH_table2.json");
 }
 

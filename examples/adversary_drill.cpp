@@ -7,7 +7,7 @@
 #include <cstdio>
 
 #include "src/arm/assembler.h"
-#include "src/enclave/example_programs.h"
+#include "src/enclave/programs.h"
 #include "src/os/world.h"
 #include "src/spec/extract.h"
 
@@ -29,7 +29,7 @@ void Check(const char* attack, bool rejected, const char* how) {
 int main() {
   os::World world{64};
   os::EnclaveHandle victim;
-  auto built_victim = world.os.NewEnclave().Code(enclave::DrillVictimProgram()).Build();
+  auto built_victim = world.os.NewEnclave().Code(enclave::SquareSecretProgram()).Build();
   if (!built_victim.ok()) {
     return 1;
   }

@@ -14,31 +14,24 @@ using namespace komodo;
 
 namespace {
 
-struct Built {
-  os::EnclaveHandle handle;
-  word shared_pg;
-};
-
-Built Build(os::World& world, const std::vector<word>& code) {
+os::EnclaveHandle Build(os::World& world, const std::vector<word>& code) {
   auto built = world.os.NewEnclave().Code(code).SharedPage().Build();
   if (!built.ok()) {
     std::printf("build failed\n");
     std::exit(1);
   }
-  os::EnclaveHandle e = *std::move(built);
-  const word shared_pg = e.shared_insecure_pgnr;
-  return {e, shared_pg};
+  return *std::move(built);
 }
 
 }  // namespace
 
 int main() {
   os::World world{128};
-  const Built attestor = Build(world, enclave::AttestProgram());
-  const Built verifier = Build(world, enclave::VerifyProgram());
+  const os::EnclaveHandle attestor = Build(world, enclave::AttestProgram());
+  const os::EnclaveHandle verifier = Build(world, enclave::VerifyProgram());
 
   // The attestor binds user data (derived from 0x1000) to its identity.
-  if (!world.os.Enter(attestor.handle.thread, 0x1000).exited()) {
+  if (!world.os.Enter(attestor.thread, 0x1000).exited()) {
     return 1;
   }
   std::printf("attestor produced a MAC over (measurement, data)\n");
@@ -46,23 +39,18 @@ int main() {
   // The OS reads the attestor's measurement (public) and the MAC from the
   // shared page, and hands everything to the verifier.
   const auto db = spec::ExtractPageDb(world.machine);
-  const auto measurement =
-      db[attestor.handle.addrspace].As<spec::AddrspacePage>().measurement;
-  for (word i = 0; i < 8; ++i) {
-    world.os.WriteInsecure(verifier.shared_pg, i, 0x1000 + i);  // claimed data
-    world.os.WriteInsecure(verifier.shared_pg, 8 + i, measurement[i]);
-    world.os.WriteInsecure(verifier.shared_pg, 16 + i,
-                           world.os.ReadInsecure(attestor.shared_pg, i));
-  }
-  os::EnterResult r = world.os.Enter(verifier.handle.thread);
+  const auto measurement = db[attestor.addrspace].As<spec::AddrspacePage>().measurement;
+  enclave::StageAttestation(world.os, verifier.shared_insecure_pgnr, 0x1000, measurement,
+                            attestor.shared_insecure_pgnr);
+  os::EnterResult r = world.os.Enter(verifier.thread);
   std::printf("verifier says: %s\n", r.payload == 1 ? "genuine" : "FORGED");
   if (r.payload != 1) {
     return 1;
   }
 
   // A man-in-the-middle OS flips one bit of the payload: verification fails.
-  world.os.WriteInsecure(verifier.shared_pg, 0, 0x1001);
-  r = world.os.Enter(verifier.handle.thread);
+  world.os.WriteInsecure(verifier.shared_insecure_pgnr, 0, 0x1001);
+  r = world.os.Enter(verifier.thread);
   std::printf("after OS tampering: %s\n", r.payload == 1 ? "genuine (BUG!)" : "rejected");
   return r.payload == 0 ? 0 : 1;
 }

@@ -5,86 +5,17 @@
 //
 //   $ ./examples/notary_demo
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/arm/cycle_model.h"
 #include "src/enclave/notary.h"
-#include "src/os/world.h"
 
 using namespace komodo;
 
-namespace {
-
-// Builds the notary enclave with the 129-page shared document region.
-struct NotaryHost {
-  os::World world{512};
-  enclave::NativeRuntime runtime{world.monitor};
-  std::shared_ptr<enclave::NotaryProgram> notary;
-  PageNr thread = 0;
-  word doc_pg0 = 0;
-
-  bool Build() {
-    auto& os = world.os;
-    const PageNr as = os.AllocSecurePage();
-    const PageNr l1pt = os.AllocSecurePage();
-    const PageNr l2 = os.AllocSecurePage();
-    if (os.InitAddrspace(as, l1pt).err != kErrSuccess) return false;
-    if (os.InitL2Table(as, l2, 0).err != kErrSuccess) return false;
-    const word staging = os.AllocInsecurePage();
-    os.WriteInsecurePage(staging, {0xe3a00001, 0xef000000});
-    const PageNr code = os.AllocSecurePage();
-    if (os.MapSecure(as, code, MakeMapping(os::kEnclaveCodeVa, kMapR | kMapX), staging).err !=
-        kErrSuccess) {
-      return false;
-    }
-    doc_pg0 = os.AllocInsecurePage();
-    for (word i = 1; i < enclave::kNotarySharedPages + 1; ++i) {
-      os.AllocInsecurePage();
-    }
-    for (word i = 0; i < enclave::kNotarySharedPages + 1; ++i) {
-      if (os.MapInsecure(as,
-                         MakeMapping(os::kEnclaveSharedVa + i * arm::kPageSize, kMapR | kMapW),
-                         doc_pg0 + i)
-              .err != kErrSuccess) {
-        return false;
-      }
-    }
-    thread = os.AllocSecurePage();
-    if (os.InitThread(as, thread, os::kEnclaveCodeVa).err != kErrSuccess) return false;
-    if (os.Finalise(as).err != kErrSuccess) return false;
-    notary = std::make_shared<enclave::NotaryProgram>(/*key_seed=*/20260707);
-    runtime.Register(l1pt, notary);
-    return true;
-  }
-
-  void Stage(const std::vector<uint8_t>& doc) {
-    for (size_t i = 0; i < doc.size(); i += 4) {
-      word v = 0;
-      for (size_t j = 0; j < 4 && i + j < doc.size(); ++j) {
-        v |= static_cast<word>(doc[i + j]) << (8 * j);
-      }
-      world.machine.mem.Write(doc_pg0 * arm::kPageSize + static_cast<word>(i), v);
-    }
-  }
-
-  std::vector<uint8_t> Signature() {
-    std::vector<uint8_t> sig(128);
-    const paddr base = doc_pg0 * arm::kPageSize + enclave::kNotaryMaxDocBytes + 1024;
-    for (size_t i = 0; i < sig.size(); ++i) {
-      const word v = world.machine.mem.Read((base + static_cast<word>(i)) & ~3u);
-      sig[i] = static_cast<uint8_t>(v >> (((base + i) & 3u) * 8));
-    }
-    return sig;
-  }
-};
-
-}  // namespace
-
 int main() {
-  NotaryHost host;
-  if (!host.Build()) {
+  enclave::NotaryHost host(/*key_seed=*/20260707);
+  if (host.Build() != KomErr::kSuccess) {
     std::printf("failed to build the notary enclave\n");
     return 1;
   }
@@ -93,7 +24,7 @@ int main() {
   if (!host.world.os.Enter(host.thread, enclave::kNotaryCmdInit).exited()) {
     return 1;
   }
-  const crypto::RsaPublicKey& pub = host.notary->core().public_key();
+  const crypto::RsaPublicKey& pub = host.program->core().public_key();
   std::printf("notary public modulus: %s...\n", pub.n.ToHex().substr(0, 32).c_str());
 
   const std::vector<std::string> documents = {
@@ -103,7 +34,7 @@ int main() {
   };
   for (const std::string& text : documents) {
     const std::vector<uint8_t> doc(text.begin(), text.end());
-    host.Stage(doc);
+    host.StageDocument(doc);
     const uint64_t before = host.world.machine.cycles.total();
     const os::EnterResult r =
         host.world.os.Enter(host.thread, enclave::kNotaryCmdNotarize, doc.size());

@@ -59,12 +59,8 @@ int main() {
   std::printf("attestor produced a local MAC over its measurement + data\n");
 
   // --- 2. The untrusted OS ferries it to the signing enclave -------------------
-  for (word i = 0; i < 8; ++i) {
-    world.os.WriteInsecure(signer.shared_insecure_pgnr, i, kDataSeed + i);
-    world.os.WriteInsecure(signer.shared_insecure_pgnr, 8 + i, measurement[i]);
-    world.os.WriteInsecure(signer.shared_insecure_pgnr, 16 + i,
-                           world.os.ReadInsecure(attestor.shared_insecure_pgnr, i));
-  }
+  enclave::StageAttestation(world.os, signer.shared_insecure_pgnr, kDataSeed, measurement,
+                            attestor.shared_insecure_pgnr);
   if (world.os.Enter(signer.thread, enclave::kSignerCmdSign).payload != 1) {
     std::printf("signing enclave refused — forged attestation?\n");
     return 1;
@@ -72,19 +68,13 @@ int main() {
   std::printf("signing enclave verified the MAC via the monitor and signed\n");
 
   // --- 3. The remote verifier, with nothing but the endorsed key ---------------
-  std::vector<uint8_t> signature(128);
-  for (size_t i = 0; i < signature.size(); ++i) {
-    const word v = world.os.ReadInsecure(
-        signer.shared_insecure_pgnr, (enclave::kSignerSigOffset + static_cast<word>(i)) / 4);
-    signature[i] = static_cast<uint8_t>(v >> ((i % 4) * 8));
-  }
+  const std::vector<uint8_t> signature =
+      world.os.ReadInsecureBytes(signer.shared_insecure_pgnr, enclave::kSignerSigOffset, 128);
   std::array<word, 8> data;
-  std::array<word, 8> measure;
   for (word i = 0; i < 8; ++i) {
     data[i] = kDataSeed + i;
-    measure[i] = measurement[i];
   }
-  const std::vector<uint8_t> message = SigningEnclave::SignedMessage(measure, data);
+  const std::vector<uint8_t> message = SigningEnclave::SignedMessage(measurement, data);
   const bool ok =
       crypto::RsaVerifySha256(endorsed_key, message.data(), message.size(), signature);
   std::printf("remote verifier: signature %s — enclave identity %s\n", ok ? "valid" : "INVALID",

@@ -28,7 +28,9 @@ for arg in "$@"; do
 done
 
 echo "=== [1/12] tier-1: configure + build ==="
-cmake -B build -S . $(generator_for build) -DCMAKE_EXPORT_COMPILE_COMMANDS=ON >/dev/null
+# Warnings are errors here (CMake >= 3.24), so a new warning fails the gate.
+cmake -B build -S . $(generator_for build) -DCMAKE_EXPORT_COMPILE_COMMANDS=ON \
+  -DCMAKE_COMPILE_WARNING_AS_ERROR=ON >/dev/null
 cmake --build build -j "$JOBS"
 
 echo "=== [2/12] tier-1: ctest ==="

@@ -2,6 +2,8 @@
 
 #include "src/arm/assembler.h"
 #include "src/core/kom_defs.h"
+#include "src/enclave/programs.h"
+#include "src/enclave/sha256_program.h"
 #include "src/os/os.h"
 
 namespace komodo::enclave {
@@ -27,18 +29,6 @@ std::vector<word> HeapProgram() {
   a.MovImm(R5, 0xfeed);
   a.Str(R5, R4, 0);
   a.Ldr(R1, R4, 0);
-  a.MovImm(R0, kSvcExit);
-  a.Svc();
-  return a.Finish();
-}
-
-std::vector<word> DrillVictimProgram() {
-  Assembler a(os::kEnclaveCodeVa);
-  a.MovImm(R4, os::kEnclaveDataVa);
-  a.Ldr(R5, R4, 0);
-  a.Mul(R6, R5, R5);
-  a.Str(R6, R4, 4);
-  a.MovImm(R1, 0);
   a.MovImm(R0, kSvcExit);
   a.Svc();
   return a.Finish();
@@ -101,6 +91,33 @@ std::vector<word> VaultProgram() {
   a.MovImm(R0, kSvcExit);
   a.Svc();
   return a.Finish();
+}
+
+std::vector<ShippedProgram> ShippedPrograms() {
+  return {
+      {"add_two", AddTwoProgram()},
+      {"echo_shared", EchoSharedProgram()},
+      {"counter", CounterProgram()},
+      {"counter_batch", CounterBatchProgram()},
+      {"echo_batch", EchoBatchProgram()},
+      {"spin", SpinProgram()},
+      {"attest", AttestProgram()},
+      {"verify", VerifyProgram()},
+      {"dyn_mem", DynMemProgram()},
+      {"random", RandomProgram()},
+      {"square_secret", SquareSecretProgram()},
+      {"leak_secret", LeakSecretProgram()},
+      {"sha256", Sha256Program()},
+      // The examples' own programs. The vault in particular must stay
+      // constant-time: a secret-dependent branch there is a real timing leak
+      // in a demo about not leaking.
+      {"example_quickstart", QuickstartProgram()},
+      {"example_heap", HeapProgram()},
+      {"example_vault", VaultProgram()},
+      {"read_outside", ReadOutsideProgram(), false},
+      {"write_code", WriteCodeProgram(), false},
+      {"undefined_insn", UndefinedInsnProgram(), false},
+  };
 }
 
 }  // namespace komodo::enclave

@@ -1,5 +1,7 @@
 #include "src/enclave/notary.h"
 
+#include <cassert>
+
 #include "src/os/os.h"
 
 namespace komodo::enclave {
@@ -38,7 +40,7 @@ UserAction NotaryProgram::Run(UserContext& ctx) {
       ctx.ChargeCycles(core_.Init());
       // Publish the modulus to the shared page following the document region.
       const std::vector<uint8_t> n_bytes = core_.public_key().n.ToBytesBe(128);
-      const vaddr out_va = os::kEnclaveSharedVa + kNotaryMaxDocBytes;
+      const vaddr out_va = os::kEnclaveSharedVa + kNotaryPubkeyOffset;
       if (!ctx.WriteBytes(out_va, n_bytes.data(), n_bytes.size())) {
         return UserAction::Fault();
       }
@@ -58,7 +60,7 @@ UserAction NotaryProgram::Run(UserContext& ctx) {
       uint64_t cycles = 0;
       const std::vector<uint8_t> sig = core_.Notarize(doc.data(), doc.size(), &cycles);
       ctx.ChargeCycles(cycles);
-      const vaddr out_va = os::kEnclaveSharedVa + kNotaryMaxDocBytes + 1024;
+      const vaddr out_va = os::kEnclaveSharedVa + kNotarySigOffset;
       if (!ctx.WriteBytes(out_va, sig.data(), sig.size())) {
         return UserAction::Fault();
       }
@@ -77,6 +79,57 @@ std::vector<uint8_t> NotaryNative::Notarize(const std::vector<uint8_t>& doc) {
   std::vector<uint8_t> sig = core_.Notarize(doc.data(), doc.size(), &work);
   cycles_ += work;
   return sig;
+}
+
+NotaryHost::NotaryHost(uint64_t key_seed)
+    : program(std::make_shared<NotaryProgram>(key_seed)) {}
+
+KomErr NotaryHost::Build() {
+  os::Os& os = world.os;
+  KomErr err = KomErr::kSuccess;
+  const auto ok = [&err](os::SmcRet r) {
+    err = ErrFromWord(r.err);
+    return err == KomErr::kSuccess;
+  };
+  const PageNr as = os.AllocSecurePage();
+  const PageNr l1pt = os.AllocSecurePage();
+  const PageNr l2 = os.AllocSecurePage();
+  if (!ok(os.InitAddrspace(as, l1pt)) || !ok(os.InitL2Table(as, l2, 0))) {
+    return err;
+  }
+  // The program runs natively, so the code page is a stub; it is still
+  // measured.
+  const word staging = os.AllocInsecurePage();
+  os.WriteInsecurePage(staging, {0xe3a00001, 0xef000000});
+  const PageNr code = os.AllocSecurePage();
+  if (!ok(os.MapSecure(as, code, MakeMapping(os::kEnclaveCodeVa, kMapR | kMapX), staging))) {
+    return err;
+  }
+  doc_pg0 = os.AllocInsecurePage();
+  for (word i = 1; i < kNotarySharedPages + 1; ++i) {
+    [[maybe_unused]] const word pg = os.AllocInsecurePage();
+    assert(pg == doc_pg0 + i);  // a fresh world allocates insecure pages in order
+  }
+  for (word i = 0; i < kNotarySharedPages + 1; ++i) {
+    const word mapping = MakeMapping(os::kEnclaveSharedVa + i * arm::kPageSize, kMapR | kMapW);
+    if (!ok(os.MapInsecure(as, mapping, doc_pg0 + i))) {
+      return err;
+    }
+  }
+  thread = os.AllocSecurePage();
+  if (!ok(os.InitThread(as, thread, os::kEnclaveCodeVa)) || !ok(os.Finalise(as))) {
+    return err;
+  }
+  runtime.Register(l1pt, program);
+  return KomErr::kSuccess;
+}
+
+void NotaryHost::StageDocument(const std::vector<uint8_t>& doc) {
+  world.os.WriteInsecureBytes(doc_pg0, 0, doc);
+}
+
+std::vector<uint8_t> NotaryHost::Signature() const {
+  return world.os.ReadInsecureBytes(doc_pg0, kNotarySigOffset, 128);
 }
 
 }  // namespace komodo::enclave

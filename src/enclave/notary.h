@@ -8,15 +8,17 @@
 // compare them: NotaryProgram runs inside a Komodo enclave (via the native
 // runtime, reading the document through the enclave's page table from shared
 // insecure pages); NotaryNative models the same binary as a plain Linux
-// process.
+// process. NotaryHost is the untrusted OS side of the enclave backend.
 #ifndef SRC_ENCLAVE_NOTARY_H_
 #define SRC_ENCLAVE_NOTARY_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "src/crypto/rsa.h"
 #include "src/enclave/native_runtime.h"
+#include "src/os/world.h"
 
 namespace komodo::enclave {
 
@@ -35,9 +37,11 @@ struct NotaryCosts {
 inline constexpr word kNotaryCmdInit = 0;      // -> Exit(0), pubkey in shared page
 inline constexpr word kNotaryCmdNotarize = 1;  // arg2 = document bytes -> Exit(counter)
 
-// Shared-region layout: the document starts at kEnclaveSharedVa; the
-// signature is written to the last page of the shared region.
+// Shared-region layout (byte offsets from kEnclaveSharedVa): the document
+// starts the region; the public modulus and then the signature follow it.
 inline constexpr word kNotaryMaxDocBytes = 512 * 1024;
+inline constexpr word kNotaryPubkeyOffset = kNotaryMaxDocBytes;
+inline constexpr word kNotarySigOffset = kNotaryMaxDocBytes + 1024;
 inline constexpr word kNotarySharedPages = kNotaryMaxDocBytes / arm::kPageSize + 1;
 
 // The core workload, shared by both backends: sha256(document || counter),
@@ -93,6 +97,32 @@ class NotaryNative {
  private:
   NotaryCore core_;
   uint64_t cycles_ = 0;
+};
+
+// The untrusted host half of the enclave backend, in the role of the paper's
+// Linux driver: builds the notary enclave in its own world with the whole
+// shared region mapped, stages documents and reads signatures back. Build()
+// is a separate call so a caller can enable the tracer before its SMCs.
+struct NotaryHost {
+  explicit NotaryHost(uint64_t key_seed);
+  NotaryHost(const NotaryHost&) = delete;
+  NotaryHost& operator=(const NotaryHost&) = delete;
+
+  // Builds the address space with one L2 table, a stub code page, the
+  // kNotarySharedPages + 1 contiguous insecure pages mapped RW at
+  // kEnclaveSharedVa and one thread, finalises it and registers the program.
+  // Returns the first monitor error.
+  KomErr Build();
+  // Writes `doc` at the start of the shared region.
+  void StageDocument(const std::vector<uint8_t>& doc);
+  // The 128-byte signature of the last notarisation.
+  std::vector<uint8_t> Signature() const;
+
+  os::World world{512};
+  NativeRuntime runtime{world.monitor};
+  std::shared_ptr<NotaryProgram> program;
+  PageNr thread = 0;
+  word doc_pg0 = 0;  // first insecure page of the shared region
 };
 
 }  // namespace komodo::enclave

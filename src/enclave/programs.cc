@@ -162,6 +162,15 @@ std::vector<word> VerifyProgram() {
   return a.Finish();
 }
 
+void StageAttestation(os::Os& os, word verifier_pg, word data_seed,
+                      const crypto::DigestWords& measurement, word attestor_pg) {
+  for (word i = 0; i < 8; ++i) {
+    os.WriteInsecure(verifier_pg, i, data_seed + i);
+    os.WriteInsecure(verifier_pg, 8 + i, measurement[i]);
+    os.WriteInsecure(verifier_pg, 16 + i, os.ReadInsecure(attestor_pg, i));
+  }
+}
+
 std::vector<word> DynMemProgram() {
   Assembler a = NewAsm();
   constexpr vaddr kDynVa = 0x0003'0000;
@@ -219,6 +228,18 @@ std::vector<word> RandomProgram() {
     a.Svc();
     a.Str(R1, R7, static_cast<int32_t>(i * 4));
   }
+  a.MovImm(R1, 0);
+  a.MovImm(R0, kSvcExit);
+  a.Svc();
+  return a.Finish();
+}
+
+std::vector<word> SquareSecretProgram() {
+  Assembler a = NewAsm();
+  a.MovImm(R4, os::kEnclaveDataVa);
+  a.Ldr(R5, R4, 0);
+  a.Mul(R6, R5, R5);
+  a.Str(R6, R4, 4);
   a.MovImm(R1, 0);
   a.MovImm(R0, kSvcExit);
   a.Svc();

@@ -7,6 +7,8 @@
 #include <vector>
 
 #include "src/arm/types.h"
+#include "src/crypto/sha256.h"
+#include "src/os/os.h"
 
 namespace komodo::enclave {
 
@@ -53,6 +55,14 @@ std::vector<word> AttestProgram();
 // private data page, issues Verify, and Exit(ok).
 std::vector<word> VerifyProgram();
 
+// Untrusted host half of the Attest→Verify hand-off: after AttestProgram ran
+// with arg1 = `data_seed`, writes words 0..23 of the verifier's shared page —
+// the attested data (data_seed + i), `measurement`, then the MAC the attestor
+// left in its own shared page. VerifyProgram and SigningEnclave
+// (kSignerInputOffset) both take this layout.
+void StageAttestation(os::Os& os, word verifier_pg, word data_seed,
+                      const crypto::DigestWords& measurement, word attestor_pg);
+
 // Dynamic memory: expects the OS to have allocated a spare page (page number
 // in arg1). Issues the MapData SVC to map it at 0x30000, writes/reads a
 // pattern, issues UnmapData, and Exit(0 on success, step number on failure).
@@ -61,6 +71,10 @@ std::vector<word> DynMemProgram();
 // GetRandom: fills shared[0..3] with 4 random words from the monitor and
 // Exit(0).
 std::vector<word> RandomProgram();
+
+// Squares its secret (data[0]) into data[1] and Exit(0): a victim that
+// computes on a secret purely internally.
+std::vector<word> SquareSecretProgram();
 
 // Reads its secret from data[0] and writes it straight into the shared
 // insecure page — an enclave that *chooses* to declassify (§6's caveat that

@@ -3,6 +3,7 @@
 #include "src/arm/assembler.h"
 #include "src/arm/types.h"
 #include "src/core/kom_defs.h"
+#include "src/enclave/programs.h"
 #include "src/os/adversary.h"
 #include "src/os/os.h"
 
@@ -129,19 +130,6 @@ word RandomCodeWord(crypto::HashDrbg& drbg) {
 
 namespace {
 
-std::vector<word> InternalComputeProgram() {
-  arm::Assembler a(os::kEnclaveCodeVa);
-  using namespace arm;
-  a.MovImm(R4, os::kEnclaveDataVa);
-  a.Ldr(R5, R4, 0);
-  a.Mul(R6, R5, R5);
-  a.Str(R6, R4, 4);
-  a.MovImm(R1, 0);
-  a.MovImm(R0, kSvcExit);
-  a.Svc();
-  return a.Finish();
-}
-
 // Loads the secret into exactly the registers the SMC epilogue must scrub
 // (r2, r3, r12 — §5.2), then spins until the step budget interrupts it.
 std::vector<word> SpinScratchProgram() {
@@ -213,7 +201,7 @@ std::vector<word> SelfModifyProgram() {
 
 std::vector<word> VictimProgram(const std::string& name) {
   if (name == "internal-compute") {
-    return InternalComputeProgram();
+    return enclave::SquareSecretProgram();
   }
   if (name == "spin-scratch") {
     return SpinScratchProgram();

@@ -129,6 +129,28 @@ void Os::WriteInsecurePage(word pgnr, const std::vector<word>& words) {
   }
 }
 
+void Os::WriteInsecureBytes(word pgnr, word byte_offset, const std::vector<uint8_t>& bytes) {
+  assert(byte_offset % arm::kWordSize == 0);
+  const paddr base = pgnr * arm::kPageSize + byte_offset;
+  for (size_t i = 0; i < bytes.size(); i += arm::kWordSize) {
+    word v = 0;
+    for (size_t j = 0; j < arm::kWordSize && i + j < bytes.size(); ++j) {
+      v |= static_cast<word>(bytes[i + j]) << (8 * j);
+    }
+    machine_.mem.Write(base + static_cast<word>(i), v);
+  }
+}
+
+std::vector<uint8_t> Os::ReadInsecureBytes(word pgnr, word byte_offset, size_t len) const {
+  const paddr base = pgnr * arm::kPageSize + byte_offset;
+  std::vector<uint8_t> bytes(len);
+  for (size_t i = 0; i < len; ++i) {
+    const paddr addr = base + static_cast<word>(i);
+    bytes[i] = static_cast<uint8_t>(machine_.mem.Read(addr & ~3u) >> ((addr & 3u) * 8));
+  }
+  return bytes;
+}
+
 KomErr Os::DestroyEnclave(const EnclaveHandle& enclave) {
   KomErr first_err = KomErr::kSuccess;
   const auto note = [&first_err](SmcRet r) {

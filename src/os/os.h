@@ -154,6 +154,12 @@ class Os {
   void WriteInsecure(word pgnr, word word_offset, word value);
   word ReadInsecure(word pgnr, word word_offset) const;
   void WriteInsecurePage(word pgnr, const std::vector<word>& words);
+  // Byte views of insecure RAM, little-endian within a word, starting
+  // `byte_offset` bytes into page `pgnr` and running on into the following
+  // pages. The write starts on a word boundary and stores whole words, so the
+  // bytes past the end of `bytes` in its last word read back as zero.
+  void WriteInsecureBytes(word pgnr, word byte_offset, const std::vector<uint8_t>& bytes);
+  std::vector<uint8_t> ReadInsecureBytes(word pgnr, word byte_offset, size_t len) const;
 
   // --- Enclave construction / teardown -----------------------------------------
   // Starts a fluent enclave build (see EnclaveBuilder above).

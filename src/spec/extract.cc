@@ -38,7 +38,7 @@ struct Extraction {
   const arm::MachineState& m;
   word npages;
   bool failed = false;
-  ExtractError err;
+  ExtractError err{};
 
   void Fail(PageNr page, std::string detail) {
     if (!failed) {
@@ -201,7 +201,7 @@ std::optional<PageDb> TryExtractPageDb(const arm::MachineState& m, ExtractError*
 }
 
 PageDb ExtractPageDb(const arm::MachineState& m) {
-  ExtractError err;
+  ExtractError err{};
   std::optional<PageDb> d = TryExtractPageDb(m, &err);
   if (!d.has_value()) {
     std::fprintf(stderr, "komodo: spec extraction failed at page %u: %s\n",

@@ -29,32 +29,11 @@ std::string Dump(const AnalysisResult& result) {
 }
 
 TEST(LintShipped, AllCleanPrograms) {
-  using namespace komodo::enclave;
-  const struct {
-    const char* name;
-    std::vector<word> program;
-  } programs[] = {
-      {"add_two", AddTwoProgram()},
-      {"echo_shared", EchoSharedProgram()},
-      {"counter", CounterProgram()},
-      {"spin", SpinProgram()},
-      {"attest", AttestProgram()},
-      {"verify", VerifyProgram()},
-      {"dyn_mem", DynMemProgram()},
-      {"random", RandomProgram()},
-      {"leak_secret", LeakSecretProgram()},
-      {"sha256", Sha256Program()},
-      // The examples' enclave programs (src/enclave/example_programs.cc).
-      // The vault in particular must stay constant-time: a secret-dependent
-      // branch here is a real timing leak in a demo about not leaking.
-      {"example_quickstart", QuickstartProgram()},
-      {"example_heap", HeapProgram()},
-      {"example_drill_victim", DrillVictimProgram()},
-      {"example_vault", VaultProgram()},
-  };
-  for (const auto& p : programs) {
-    const AnalysisResult result = Analyze(p.program);
-    EXPECT_TRUE(result.Clean()) << p.name << " findings:\n" << Dump(result);
+  for (const enclave::ShippedProgram& p : enclave::ShippedPrograms()) {
+    if (p.expect_clean) {
+      const AnalysisResult result = Analyze(p.code);
+      EXPECT_TRUE(result.Clean()) << p.name << " findings:\n" << Dump(result);
+    }
   }
 }
 

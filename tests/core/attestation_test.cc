@@ -17,12 +17,11 @@ class AttestationTest : public ::testing::Test {
  protected:
   World w{128};
 
-  EnclaveHandle BuildWithShared(const std::vector<word>& code, word* shared_pg) {
+  EnclaveHandle BuildWithShared(const std::vector<word>& code) {
     EnclaveHandle e;
     auto built_e = w.os.NewEnclave().Code(code).SharedPage().Build();
     EXPECT_TRUE(built_e.ok());
     if (built_e.ok()) e = *std::move(built_e);
-    *shared_pg = e.shared_insecure_pgnr;
     return e;
   }
 
@@ -32,63 +31,47 @@ class AttestationTest : public ::testing::Test {
 };
 
 TEST_F(AttestationTest, AttestThenVerifySucceeds) {
-  word attestor_shared = 0;
-  word verifier_shared = 0;
-  const EnclaveHandle attestor = BuildWithShared(enclave::AttestProgram(), &attestor_shared);
-  const EnclaveHandle verifier = BuildWithShared(enclave::VerifyProgram(), &verifier_shared);
+  const EnclaveHandle attestor = BuildWithShared(enclave::AttestProgram());
+  const EnclaveHandle verifier = BuildWithShared(enclave::VerifyProgram());
 
   // Attestor produces a MAC over (its measurement, user data derived from 7).
   ASSERT_TRUE(w.os.Enter(attestor.thread, 7).exited());
 
   // The OS ferries data + attestor measurement + MAC to the verifier.
   const crypto::DigestWords measurement = MeasurementOf(attestor.addrspace);
-  for (word i = 0; i < 8; ++i) {
-    w.os.WriteInsecure(verifier_shared, i, 7 + i);  // the user data words
-    w.os.WriteInsecure(verifier_shared, 8 + i, measurement[i]);
-    w.os.WriteInsecure(verifier_shared, 16 + i, w.os.ReadInsecure(attestor_shared, i));
-  }
+  enclave::StageAttestation(w.os, verifier.shared_insecure_pgnr, 7, measurement,
+                            attestor.shared_insecure_pgnr);
   const os::EnterResult r = w.os.Enter(verifier.thread);
   ASSERT_TRUE(r.exited());
   EXPECT_EQ(r.payload, 1u) << "verification must succeed";
 }
 
 TEST_F(AttestationTest, VerifyRejectsTamperedData) {
-  word attestor_shared = 0;
-  word verifier_shared = 0;
-  const EnclaveHandle attestor = BuildWithShared(enclave::AttestProgram(), &attestor_shared);
-  const EnclaveHandle verifier = BuildWithShared(enclave::VerifyProgram(), &verifier_shared);
+  const EnclaveHandle attestor = BuildWithShared(enclave::AttestProgram());
+  const EnclaveHandle verifier = BuildWithShared(enclave::VerifyProgram());
   ASSERT_TRUE(w.os.Enter(attestor.thread, 7).exited());
   const crypto::DigestWords measurement = MeasurementOf(attestor.addrspace);
-  for (word i = 0; i < 8; ++i) {
-    w.os.WriteInsecure(verifier_shared, i, 7 + i);
-    w.os.WriteInsecure(verifier_shared, 8 + i, measurement[i]);
-    w.os.WriteInsecure(verifier_shared, 16 + i, w.os.ReadInsecure(attestor_shared, i));
-  }
-  w.os.WriteInsecure(verifier_shared, 0, 9999);  // tamper with the data
+  enclave::StageAttestation(w.os, verifier.shared_insecure_pgnr, 7, measurement,
+                            attestor.shared_insecure_pgnr);
+  w.os.WriteInsecure(verifier.shared_insecure_pgnr, 0, 9999);  // tamper with the data
   EXPECT_EQ(w.os.Enter(verifier.thread).payload, 0u);
 }
 
 TEST_F(AttestationTest, VerifyRejectsWrongMeasurement) {
-  word attestor_shared = 0;
-  word verifier_shared = 0;
-  const EnclaveHandle attestor = BuildWithShared(enclave::AttestProgram(), &attestor_shared);
-  const EnclaveHandle verifier = BuildWithShared(enclave::VerifyProgram(), &verifier_shared);
+  const EnclaveHandle attestor = BuildWithShared(enclave::AttestProgram());
+  const EnclaveHandle verifier = BuildWithShared(enclave::VerifyProgram());
   ASSERT_TRUE(w.os.Enter(attestor.thread, 7).exited());
   crypto::DigestWords measurement = MeasurementOf(attestor.addrspace);
   measurement[3] ^= 1;  // claim a different identity
-  for (word i = 0; i < 8; ++i) {
-    w.os.WriteInsecure(verifier_shared, i, 7 + i);
-    w.os.WriteInsecure(verifier_shared, 8 + i, measurement[i]);
-    w.os.WriteInsecure(verifier_shared, 16 + i, w.os.ReadInsecure(attestor_shared, i));
-  }
+  enclave::StageAttestation(w.os, verifier.shared_insecure_pgnr, 7, measurement,
+                            attestor.shared_insecure_pgnr);
   EXPECT_EQ(w.os.Enter(verifier.thread).payload, 0u);
 }
 
 TEST_F(AttestationTest, VerifyRejectsForgedMac) {
-  word verifier_shared = 0;
-  const EnclaveHandle verifier = BuildWithShared(enclave::VerifyProgram(), &verifier_shared);
+  const EnclaveHandle verifier = BuildWithShared(enclave::VerifyProgram());
   for (word i = 0; i < 24; ++i) {
-    w.os.WriteInsecure(verifier_shared, i, 0x41414141 + i);  // pure fabrication
+    w.os.WriteInsecure(verifier.shared_insecure_pgnr, i, 0x41414141 + i);  // pure fabrication
   }
   EXPECT_EQ(w.os.Enter(verifier.thread).payload, 0u);
 }

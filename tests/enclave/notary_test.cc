@@ -4,86 +4,8 @@
 
 #include <gtest/gtest.h>
 
-#include "src/enclave/native_runtime.h"
-#include "src/os/world.h"
-
 namespace komodo::enclave {
 namespace {
-
-using os::EnclaveHandle;
-using os::World;
-
-// Constructs the notary enclave with the full shared document region mapped
-// (129 insecure pages for the document plus one for pubkey/signature), a
-// native-runtime program registered for its address space.
-struct NotarySetup {
-  World w{512};
-  NativeRuntime runtime{w.monitor};
-  std::shared_ptr<NotaryProgram> program;
-  PageNr addrspace = 0;
-  PageNr thread = 0;
-  word doc_pg0 = 0;  // first insecure page of the document region
-
-  explicit NotarySetup(uint64_t key_seed = 4242) {
-    auto& os = w.os;
-    addrspace = os.AllocSecurePage();
-    const PageNr l1pt = os.AllocSecurePage();
-    EXPECT_EQ(os.InitAddrspace(addrspace, l1pt).err, kErrSuccess);
-    // L2 tables covering the code VA (first 4 MB) and the shared region
-    // (kEnclaveSharedVa .. +516 kB crosses nothing: 1 MB region, same 4 MB).
-    const PageNr l2 = os.AllocSecurePage();
-    EXPECT_EQ(os.InitL2Table(addrspace, l2, 0).err, kErrSuccess);
-    // Code page (native program; contents immaterial but measured).
-    const word staging = os.AllocInsecurePage();
-    os.WriteInsecurePage(staging, {0xe3a00001, 0xef000000});
-    const PageNr code = os.AllocSecurePage();
-    EXPECT_EQ(os.MapSecure(addrspace, code, MakeMapping(os::kEnclaveCodeVa, kMapR | kMapX),
-                           staging)
-                  .err,
-              kErrSuccess);
-    // Shared document region: contiguous insecure pages.
-    doc_pg0 = os.AllocInsecurePage();
-    for (word i = 1; i < kNotarySharedPages + 1; ++i) {
-      const word pg = os.AllocInsecurePage();
-      EXPECT_EQ(pg, doc_pg0 + i);  // allocator is sequential
-    }
-    for (word i = 0; i < kNotarySharedPages + 1; ++i) {
-      EXPECT_EQ(os.MapInsecure(addrspace,
-                               MakeMapping(os::kEnclaveSharedVa + i * arm::kPageSize,
-                                           kMapR | kMapW),
-                               doc_pg0 + i)
-                    .err,
-                kErrSuccess);
-    }
-    thread = os.AllocSecurePage();
-    EXPECT_EQ(os.InitThread(addrspace, thread, os::kEnclaveCodeVa).err, kErrSuccess);
-    EXPECT_EQ(os.Finalise(addrspace).err, kErrSuccess);
-
-    program = std::make_shared<NotaryProgram>(key_seed);
-    runtime.Register(l1pt, program);
-  }
-
-  // Writes the document into the shared region (OS side).
-  void StageDocument(const std::vector<uint8_t>& doc) {
-    for (size_t i = 0; i < doc.size(); i += 4) {
-      word wv = 0;
-      for (size_t j = 0; j < 4 && i + j < doc.size(); ++j) {
-        wv |= static_cast<word>(doc[i + j]) << (8 * j);
-      }
-      w.machine.mem.Write(doc_pg0 * arm::kPageSize + static_cast<word>(i), wv);
-    }
-  }
-
-  std::vector<uint8_t> ReadSignature(size_t len) {
-    std::vector<uint8_t> sig(len);
-    const paddr base = doc_pg0 * arm::kPageSize + kNotaryMaxDocBytes + 1024;
-    for (size_t i = 0; i < len; ++i) {
-      const word wv = w.machine.mem.Read((base + static_cast<word>(i)) & ~3u);
-      sig[i] = static_cast<uint8_t>(wv >> (((base + i) & 3u) * 8));
-    }
-    return sig;
-  }
-};
 
 TEST(NotaryCoreTest, SignaturesVerifyAndCounterAdvances) {
   NotaryCore core(1);
@@ -126,29 +48,28 @@ TEST(NotaryCoreTest, CostsScaleWithDocumentSize) {
 }
 
 TEST(NotaryEnclaveTest, InitPublishesModulus) {
-  NotarySetup n;
-  const os::EnterResult r = n.w.os.Enter(n.thread, kNotaryCmdInit);
+  NotaryHost n(4242);
+  ASSERT_EQ(n.Build(), KomErr::kSuccess);
+  const os::EnterResult r = n.world.os.Enter(n.thread, kNotaryCmdInit);
   ASSERT_TRUE(r.exited());
   EXPECT_EQ(r.payload, 0u);
   // Modulus appears in the shared page following the document region.
-  const paddr base = n.doc_pg0 * arm::kPageSize + kNotaryMaxDocBytes;
-  word nonzero = 0;
-  for (word i = 0; i < 32; ++i) {
-    nonzero |= n.w.machine.mem.Read(base + i * 4);
-  }
-  EXPECT_NE(nonzero, 0u);
+  const std::vector<uint8_t> modulus =
+      n.world.os.ReadInsecureBytes(n.doc_pg0, kNotaryPubkeyOffset, 128);
+  EXPECT_EQ(crypto::BigNum::FromBytesBe(modulus), n.program->core().public_key().n);
 }
 
 TEST(NotaryEnclaveTest, NotarizeProducesVerifiableSignature) {
-  NotarySetup n;
-  ASSERT_TRUE(n.w.os.Enter(n.thread, kNotaryCmdInit).exited());
+  NotaryHost n(4242);
+  ASSERT_EQ(n.Build(), KomErr::kSuccess);
+  ASSERT_TRUE(n.world.os.Enter(n.thread, kNotaryCmdInit).exited());
   const std::vector<uint8_t> doc(1000, 0x5c);
   n.StageDocument(doc);
-  const os::EnterResult r = n.w.os.Enter(n.thread, kNotaryCmdNotarize, 1000);
+  const os::EnterResult r = n.world.os.Enter(n.thread, kNotaryCmdNotarize, 1000);
   ASSERT_TRUE(r.exited());
   EXPECT_EQ(r.payload, 1u);  // counter after first notarisation
 
-  const std::vector<uint8_t> sig = n.ReadSignature(128);
+  const std::vector<uint8_t> sig = n.Signature();
   std::vector<uint8_t> message = doc;
   message.insert(message.end(), {0, 0, 0, 0});
   EXPECT_TRUE(crypto::RsaVerifySha256(n.program->core().public_key(), message.data(),
@@ -156,50 +77,54 @@ TEST(NotaryEnclaveTest, NotarizeProducesVerifiableSignature) {
 }
 
 TEST(NotaryEnclaveTest, CounterMonotonicAcrossEntries) {
-  NotarySetup n;
-  ASSERT_TRUE(n.w.os.Enter(n.thread, kNotaryCmdInit).exited());
+  NotaryHost n(4242);
+  ASSERT_EQ(n.Build(), KomErr::kSuccess);
+  ASSERT_TRUE(n.world.os.Enter(n.thread, kNotaryCmdInit).exited());
   const std::vector<uint8_t> doc(64, 1);
   n.StageDocument(doc);
   for (word expected = 1; expected <= 5; ++expected) {
-    EXPECT_EQ(n.w.os.Enter(n.thread, kNotaryCmdNotarize, 64).payload, expected);
+    EXPECT_EQ(n.world.os.Enter(n.thread, kNotaryCmdNotarize, 64).payload, expected);
   }
 }
 
 TEST(NotaryEnclaveTest, RejectsOversizedDocument) {
-  NotarySetup n;
-  ASSERT_TRUE(n.w.os.Enter(n.thread, kNotaryCmdInit).exited());
-  EXPECT_EQ(n.w.os.Enter(n.thread, kNotaryCmdNotarize, kNotaryMaxDocBytes + 1).payload, 0u);
-  EXPECT_EQ(n.w.os.Enter(n.thread, kNotaryCmdNotarize, 0).payload, 0u);
+  NotaryHost n(4242);
+  ASSERT_EQ(n.Build(), KomErr::kSuccess);
+  ASSERT_TRUE(n.world.os.Enter(n.thread, kNotaryCmdInit).exited());
+  EXPECT_EQ(n.world.os.Enter(n.thread, kNotaryCmdNotarize, kNotaryMaxDocBytes + 1).payload, 0u);
+  EXPECT_EQ(n.world.os.Enter(n.thread, kNotaryCmdNotarize, 0).payload, 0u);
 }
 
 TEST(NotaryBackendsTest, EnclaveAndNativeProduceSameSignatures) {
   // Same key seed => both backends are the same notary; Figure 5 compares
   // their performance on identical work.
-  NotarySetup n(777);
-  ASSERT_TRUE(n.w.os.Enter(n.thread, kNotaryCmdInit).exited());
+  NotaryHost n(777);
+  ASSERT_EQ(n.Build(), KomErr::kSuccess);
+  ASSERT_TRUE(n.world.os.Enter(n.thread, kNotaryCmdInit).exited());
   NotaryNative native(777);
   native.Init();
 
   const std::vector<uint8_t> doc(4096, 0xd0);
   n.StageDocument(doc);
-  ASSERT_EQ(n.w.os.Enter(n.thread, kNotaryCmdNotarize, 4096).payload, 1u);
-  const std::vector<uint8_t> enclave_sig = n.ReadSignature(128);
+  ASSERT_EQ(n.world.os.Enter(n.thread, kNotaryCmdNotarize, 4096).payload, 1u);
+  const std::vector<uint8_t> enclave_sig = n.Signature();
   const std::vector<uint8_t> native_sig = native.Notarize(doc);
   EXPECT_EQ(enclave_sig, native_sig);
 }
 
 TEST(NotaryBackendsTest, EnclaveCostExceedsNativeByCrossingOnly) {
-  NotarySetup n(9);
+  NotaryHost n(9);
+  ASSERT_EQ(n.Build(), KomErr::kSuccess);
   NotaryNative native(9);
-  ASSERT_TRUE(n.w.os.Enter(n.thread, kNotaryCmdInit).exited());
+  ASSERT_TRUE(n.world.os.Enter(n.thread, kNotaryCmdInit).exited());
   native.Init();
   native.ResetCycles();
 
   const std::vector<uint8_t> doc(16384, 0x11);
   n.StageDocument(doc);
-  const uint64_t before = n.w.machine.cycles.total();
-  ASSERT_EQ(n.w.os.Enter(n.thread, kNotaryCmdNotarize, 16384).payload, 1u);
-  const uint64_t enclave_cycles = n.w.machine.cycles.total() - before;
+  const uint64_t before = n.world.machine.cycles.total();
+  ASSERT_EQ(n.world.os.Enter(n.thread, kNotaryCmdNotarize, 16384).payload, 1u);
+  const uint64_t enclave_cycles = n.world.machine.cycles.total() - before;
   native.Notarize(doc);
   const uint64_t native_cycles = native.cycles();
 

@@ -38,28 +38,16 @@ class SigningEnclaveTest : public ::testing::Test {
   // Produces a local attestation from the attestor over data derived from
   // `seed`, then stages (data, measurement, mac) into the signer's shared
   // page. Returns the measurement.
-  std::array<word, 8> StageAttestation(word seed) {
+  crypto::DigestWords Attest(word seed) {
     EXPECT_TRUE(w.os.Enter(attestor.thread, seed).exited());
     const auto db = spec::ExtractPageDb(w.machine);
     const auto measurement = db[attestor.addrspace].As<spec::AddrspacePage>().measurement;
-    std::array<word, 8> out;
-    for (word i = 0; i < 8; ++i) {
-      out[i] = measurement[i];
-      w.os.WriteInsecure(signer_shared, i, seed + i);  // the attested data
-      w.os.WriteInsecure(signer_shared, 8 + i, measurement[i]);
-      w.os.WriteInsecure(signer_shared, 16 + i, w.os.ReadInsecure(attestor_shared, i));
-    }
-    return out;
+    StageAttestation(w.os, signer_shared, seed, measurement, attestor_shared);
+    return measurement;
   }
 
   std::vector<uint8_t> ReadSignature() {
-    std::vector<uint8_t> sig(128);
-    for (size_t i = 0; i < sig.size(); ++i) {
-      const word v = w.os.ReadInsecure(signer_shared,
-                                       (kSignerSigOffset + static_cast<word>(i)) / 4);
-      sig[i] = static_cast<uint8_t>(v >> ((i % 4) * 8));
-    }
-    return sig;
+    return w.os.ReadInsecureBytes(signer_shared, kSignerSigOffset, 128);
   }
 
   World w{128};
@@ -73,17 +61,13 @@ class SigningEnclaveTest : public ::testing::Test {
 
 TEST_F(SigningEnclaveTest, PublishesEndorsableKey) {
   // The modulus in the shared page matches the in-enclave key.
-  std::vector<uint8_t> modulus(128);
-  for (size_t i = 0; i < modulus.size(); ++i) {
-    const word v = w.os.ReadInsecure(signer_shared,
-                                     (kSignerPubkeyOffset + static_cast<word>(i)) / 4);
-    modulus[i] = static_cast<uint8_t>(v >> ((i % 4) * 8));
-  }
+  const std::vector<uint8_t> modulus =
+      w.os.ReadInsecureBytes(signer_shared, kSignerPubkeyOffset, 128);
   EXPECT_EQ(crypto::BigNum::FromBytesBe(modulus), program->public_key().n);
 }
 
 TEST_F(SigningEnclaveTest, GenuineAttestationGetsSigned) {
-  const std::array<word, 8> measurement = StageAttestation(0x42);
+  const crypto::DigestWords measurement = Attest(0x42);
   const os::EnterResult r = w.os.Enter(signer.thread, kSignerCmdSign);
   ASSERT_TRUE(r.exited());
   ASSERT_EQ(r.payload, 1u) << "signer refused a genuine attestation";
@@ -99,20 +83,20 @@ TEST_F(SigningEnclaveTest, GenuineAttestationGetsSigned) {
 }
 
 TEST_F(SigningEnclaveTest, RefusesTamperedData) {
-  StageAttestation(0x42);
+  Attest(0x42);
   w.os.WriteInsecure(signer_shared, 0, 0xbad);  // OS tampers with the data
   EXPECT_EQ(w.os.Enter(signer.thread, kSignerCmdSign).payload, 0u);
 }
 
 TEST_F(SigningEnclaveTest, RefusesTamperedMeasurement) {
-  StageAttestation(0x42);
+  Attest(0x42);
   const word original = w.os.ReadInsecure(signer_shared, 8);
   w.os.WriteInsecure(signer_shared, 8, original ^ 1);  // claim another identity
   EXPECT_EQ(w.os.Enter(signer.thread, kSignerCmdSign).payload, 0u);
 }
 
 TEST_F(SigningEnclaveTest, RefusesForgedMac) {
-  StageAttestation(0x42);
+  Attest(0x42);
   for (word i = 16; i < 24; ++i) {
     w.os.WriteInsecure(signer_shared, i, 0x41414141);
   }
@@ -121,7 +105,7 @@ TEST_F(SigningEnclaveTest, RefusesForgedMac) {
 
 TEST_F(SigningEnclaveTest, SignatureBindsToData) {
   // A signature over one payload must not verify for another.
-  const std::array<word, 8> measurement = StageAttestation(0x42);
+  const crypto::DigestWords measurement = Attest(0x42);
   ASSERT_EQ(w.os.Enter(signer.thread, kSignerCmdSign).payload, 1u);
   std::array<word, 8> other_data;
   for (word i = 0; i < 8; ++i) {

@@ -55,6 +55,21 @@ TEST(OsTest, InsecurePageReadWrite) {
   EXPECT_EQ(w.os.ReadInsecure(pg, 3), 0u);  // tail zeroed
 }
 
+TEST(OsTest, InsecureByteViewsCrossPagesAndZeroTheTail) {
+  World w{32};
+  const word pg = w.os.AllocInsecurePage();
+  ASSERT_EQ(w.os.AllocInsecurePage(), pg + 1);
+  w.os.WriteInsecure(pg + 1, 0, 0xffff'ffff);
+  w.os.WriteInsecure(pg + 1, 1, 0xaaaa'aaaa);
+  // Seven bytes from the first page's last word on into the next page.
+  w.os.WriteInsecureBytes(pg, arm::kPageSize - 4, {1, 2, 3, 4, 5, 6, 7});
+  EXPECT_EQ(w.os.ReadInsecure(pg, arm::kWordsPerPage - 1), 0x0403'0201u);
+  EXPECT_EQ(w.os.ReadInsecure(pg + 1, 0), 0x0007'0605u);  // the tail byte is zeroed
+  EXPECT_EQ(w.os.ReadInsecure(pg + 1, 1), 0xaaaa'aaaau);  // the next word is untouched
+  EXPECT_EQ(w.os.ReadInsecureBytes(pg, arm::kPageSize - 3, 7),
+            (std::vector<uint8_t>{2, 3, 4, 5, 6, 7, 0}));
+}
+
 TEST(OsTest, SmcRestoresOsContext) {
   World w{32};
   w.machine.r[7] = 0x777;

@@ -243,7 +243,7 @@ TEST(ServeTest, DestroySessionFailsQueuedRequests) {
 TEST(ServeTest, MetricsDocumentValidatesStructurally) {
   Server server(DefaultCatalog(), SmallConfig());
   const SessionId sid = *server.CreateSession("echo");
-  server.Wait(*server.Submit(sid, 3));
+  ASSERT_TRUE(server.Wait(*server.Submit(sid, 3)).ok());
   const std::string doc = server.ExportMetrics();
   const auto parsed = obs::ParseJson(doc);
   ASSERT_TRUE(parsed.has_value()) << doc;

@@ -21,21 +21,6 @@ namespace {
 using os::EnclaveHandle;
 using os::World;
 
-// A victim that computes on its secret (data[0]) purely internally: squares
-// it into data[1] and exits with a constant.
-std::vector<word> InternalComputeProgram() {
-  arm::Assembler a(os::kEnclaveCodeVa);
-  using namespace arm;
-  a.MovImm(R4, os::kEnclaveDataVa);
-  a.Ldr(R5, R4, 0);
-  a.Mul(R6, R5, R5);
-  a.Str(R6, R4, 4);
-  a.MovImm(R1, 0);
-  a.MovImm(R0, kSvcExit);
-  a.Svc();
-  return a.Finish();
-}
-
 // A victim that loads its secret into registers and spins (so an interrupt
 // suspends it with secret-laden context).
 std::vector<word> SecretSpinProgram() {
@@ -105,7 +90,7 @@ struct Pair {
 };
 
 TEST(ConfidentialityTest, InternalComputationInvisibleToOs) {
-  Pair p(InternalComputeProgram());
+  Pair p(enclave::SquareSecretProgram());
   p.PlantSecrets(0x1111, 0x2222);
   const os::EnterResult r1 = p.w1.os.Enter(p.victim.thread);
   const os::EnterResult r2 = p.w2.os.Enter(p.victim.thread);
@@ -225,7 +210,7 @@ TEST(IntegrityTest, OsGarbageCannotInfluenceEnclave) {
   // Untrusted state differs between the runs in unsanctioned ways: OS
   // register garbage and unrelated insecure memory. The victim's pages and
   // results must be identical.
-  Pair p(InternalComputeProgram());
+  Pair p(enclave::SquareSecretProgram());
   p.PlantSecrets(0x7777, 0x7777);  // same secret: victim state starts equal
 
   // Differing untrusted state.

@@ -27,8 +27,6 @@
 #include "src/analysis/analyzer.h"
 #include "src/analysis/fixtures.h"
 #include "src/enclave/example_programs.h"
-#include "src/enclave/programs.h"
-#include "src/enclave/sha256_program.h"
 #include "src/os/os.h"
 
 namespace {
@@ -39,40 +37,7 @@ using komodo::analysis::BadFixture;
 using komodo::analysis::Finding;
 using komodo::analysis::FindingKindName;
 using komodo::arm::word;
-
-struct NamedProgram {
-  std::string name;
-  std::vector<word> program;
-  // The three deliberately-faulting exception-path programs are shipped as
-  // dynamic test fixtures, not as enclave code; they are linted only on
-  // explicit request, never by --shipped / --check-shipped.
-  bool expect_clean = true;
-};
-
-std::vector<NamedProgram> ShippedPrograms() {
-  using namespace komodo::enclave;
-  return {
-      {"add_two", AddTwoProgram()},
-      {"echo_shared", EchoSharedProgram()},
-      {"counter", CounterProgram()},
-      {"counter_batch", CounterBatchProgram()},
-      {"echo_batch", EchoBatchProgram()},
-      {"spin", SpinProgram()},
-      {"attest", AttestProgram()},
-      {"verify", VerifyProgram()},
-      {"dyn_mem", DynMemProgram()},
-      {"random", RandomProgram()},
-      {"leak_secret", LeakSecretProgram()},
-      {"sha256", Sha256Program()},
-      {"example_quickstart", QuickstartProgram()},
-      {"example_heap", HeapProgram()},
-      {"example_drill_victim", DrillVictimProgram()},
-      {"example_vault", VaultProgram()},
-      {"read_outside", ReadOutsideProgram(), false},
-      {"write_code", WriteCodeProgram(), false},
-      {"undefined_insn", UndefinedInsnProgram(), false},
-  };
-}
+using komodo::enclave::ShippedProgram;
 
 int PrintFindings(const std::string& name, const AnalysisResult& result) {
   for (const Finding& f : result.findings) {
@@ -81,10 +46,10 @@ int PrintFindings(const std::string& name, const AnalysisResult& result) {
   return result.findings.empty() ? 0 : 1;
 }
 
-int LintPrograms(const std::vector<NamedProgram>& programs) {
+int LintPrograms(const std::vector<ShippedProgram>& programs) {
   int status = 0;
-  for (const NamedProgram& p : programs) {
-    const AnalysisResult result = AnalyzeProgram(p.program, komodo::os::kEnclaveCodeVa);
+  for (const ShippedProgram& p : programs) {
+    const AnalysisResult result = AnalyzeProgram(p.code, komodo::os::kEnclaveCodeVa);
     if (PrintFindings(p.name, result) != 0) {
       status = 1;
     }
@@ -148,17 +113,17 @@ int main(int argc, char** argv) {
   if (argc < 2) {
     return Usage();
   }
-  const std::vector<NamedProgram> shipped = ShippedPrograms();
+  const std::vector<ShippedProgram> shipped = komodo::enclave::ShippedPrograms();
 
   if (std::strcmp(argv[1], "--list") == 0) {
-    for (const NamedProgram& p : shipped) {
+    for (const ShippedProgram& p : shipped) {
       std::printf("%s%s\n", p.name.c_str(), p.expect_clean ? "" : " (faulting test fixture)");
     }
     return 0;
   }
   if (std::strcmp(argv[1], "--shipped") == 0 || std::strcmp(argv[1], "--check-shipped") == 0) {
-    std::vector<NamedProgram> clean;
-    for (const NamedProgram& p : shipped) {
+    std::vector<ShippedProgram> clean;
+    for (const ShippedProgram& p : shipped) {
       if (p.expect_clean) {
         clean.push_back(p);
       }
@@ -175,10 +140,10 @@ int main(int argc, char** argv) {
     return LintHexFile(argv[2]);
   }
 
-  std::vector<NamedProgram> selected;
+  std::vector<ShippedProgram> selected;
   for (int i = 1; i < argc; ++i) {
     bool found = false;
-    for (const NamedProgram& p : shipped) {
+    for (const ShippedProgram& p : shipped) {
       if (p.name == argv[i]) {
         selected.push_back(p);
         found = true;
