@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Pre-merge gate: tier-1 build + tests, ASan+UBSan and TSan builds of the
 # fuzz path, the komodo-lint static analysis of every shipped enclave
-# program, and the komodo-verify exhaustive small-world closure at its
-# pinned hash. Any failure — including a single lint finding — fails the
-# script.
+# program, and the komodo-verify exhaustive small-world and 6-page closures
+# at their pinned hashes. Any failure — including a single lint finding —
+# fails the script.
 #
 # Usage: scripts/check.sh [--skip-sanitizers]
 set -euo pipefail
@@ -120,7 +120,7 @@ echo "=== [8/12] komodo-lint: shipped programs + fixtures ==="
 ./build/tools/komodo-lint --check-shipped
 ./build/tools/komodo-lint --check-fixtures
 
-echo "=== [9/12] komodo-verify: exhaustive small-world closure ==="
+echo "=== [9/12] komodo-verify: exhaustive small-world and 6-page closures ==="
 # The model checker (DESIGN.md §12) must close the default small world with
 # all three obligations holding, byte-identically across runs, and at the
 # pinned closure hash — any drift in the PageDb serialization, the symmetry
@@ -137,6 +137,13 @@ cmp <(grep -v -e '^wrote ' -e '^$' build/verify-small-1.out) \
 grep -q "^closure-hash ${VERIFY_CLOSURE_HASH}\$" build/verify-small-1.out \
   || { echo "komodo-verify: closure hash drifted from the pinned value" >&2; exit 1; }
 ./build/tools/komodo-benchjson build/bench/BENCH_verify.json
+# The 6-page world (2 addrspaces) is pinned the same way: its counts and
+# closure hash. It takes ~13 s on a 4-vCPU x86-64 VM.
+./build/tools/komodo-verify --pages 6 --max-addrspaces 2 2>/dev/null > build/verify-6.out
+printf '%s\n' 'states 21517' 'transitions 15325556' 'clipped 2410' \
+  'closure-hash eaab469ea56a70cfbceb97ce4b1258876fd40bbf3cdcd30ae99126ac719dea15' PASS \
+  | cmp - <(grep -E '^(states|transitions|clipped|closure-hash|PASS)' build/verify-6.out) \
+  || { echo "komodo-verify: 6-page closure drifted from the pinned values" >&2; exit 1; }
 
 echo "=== [10/12] komodo-fuzz smoke (fixed seed, all oracles, pinned v2 hash) ==="
 # A short fixed-seed campaign per oracle (DESIGN.md §10). Run twice; stdout —

@@ -92,12 +92,7 @@ void HarvestPageDbCoverage(const spec::PageDb& db, CoverageMap* out) {
         break;
       }
       case PageType::kL1PTable: {
-        const auto& l1 = e.As<spec::L1PTablePage>();
-        uint64_t installed = 0;
-        for (const auto& slot : l1.l2_tables) {
-          installed += slot.has_value() ? 1 : 0;
-        }
-        Feature(out, 3, {installed});
+        Feature(out, 3, {e.As<spec::L1PTablePage>().slots().size()});
         break;
       }
       case PageType::kL2PTable: {
@@ -105,7 +100,7 @@ void HarvestPageDbCoverage(const spec::PageDb& db, CoverageMap* out) {
         uint64_t secure = 0;
         uint64_t insecure = 0;
         uint64_t perm_union = 0;
-        for (const spec::L2Entry& ent : l2.entries) {
+        for (const auto& [slot, ent] : l2.slots()) {
           if (const auto* sm = std::get_if<spec::SecureMapping>(&ent)) {
             ++secure;
             perm_union |= 1u | (sm->writable ? 2u : 0u) | (sm->executable ? 4u : 0u);

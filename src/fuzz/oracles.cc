@@ -1,5 +1,6 @@
 #include "src/fuzz/oracles.h"
 
+#include <array>
 #include <cassert>
 #include <functional>
 #include <optional>
@@ -142,20 +143,22 @@ bool BuildVictim(os::World& w, const std::string& name, os::EnclaveHandle* out,
 // (possible only when a fault injection corrupted the monitor's structures)
 // is an oracle failure with a replayable verdict, not a harness abort — the
 // corpus pins traces whose whole point is reproducing exactly that. Returns
-// nullopt with `*why` set then.
-std::optional<spec::PageDb> Extract(const os::World& w, std::string* why) {
+// nullopt with `*why` set then. Each world's extractions go through one
+// cache, so an op costs a decode of only the pages it changed.
+std::optional<spec::PageDb> Extract(const os::World& w, spec::ExtractCache& cache,
+                                    std::string* why) {
   spec::ExtractError xerr;
-  std::optional<spec::PageDb> got = spec::TryExtractPageDb(w.machine, &xerr);
+  std::optional<spec::PageDb> got = spec::TryExtractPageDb(w.machine, &xerr, &cache);
   if (!got.has_value()) {
     *why = "spec extraction failed at page " + std::to_string(xerr.page) + ": " + xerr.detail;
   }
   return got;
 }
 
-std::optional<Verdict> ExtractInto(const os::World& w, const Trace& t, size_t i,
-                                   spec::PageDb* out) {
+std::optional<Verdict> ExtractInto(const os::World& w, spec::ExtractCache& cache, const Trace& t,
+                                   size_t i, spec::PageDb* out) {
   std::string why;
-  std::optional<spec::PageDb> got = Extract(w, &why);
+  std::optional<spec::PageDb> got = Extract(w, cache, &why);
   if (!got.has_value()) {
     return Fail(static_cast<int>(i), OpLabel(t, i) + ": " + why);
   }
@@ -206,8 +209,11 @@ Verdict RunSpecBacked(const Trace& t, bool with_spec, WorldPool& pool, CoverageM
     driver = *std::move(built);
   }
 
-  const spec::ExtractPost extract = [&w](std::string* why) { return Extract(w, why); };
-  spec::PageDb d = spec::ExtractPageDb(w.machine);
+  spec::ExtractCache cache;
+  const spec::ExtractPost extract = [&w, &cache](std::string* why) {
+    return Extract(w, cache, why);
+  };
+  spec::PageDb d = spec::ExtractPageDb(w.machine, &cache);
   for (size_t i = 0; i < t.ops.size(); ++i) {
     const TraceOp& op = t.ops[i];
     spec::RefinementStep step;
@@ -249,7 +255,7 @@ Verdict RunSpecBacked(const Trace& t, bool with_spec, WorldPool& pool, CoverageM
           for (int j = 0; j < 4; ++j) {
             w.machine.mem.Write(data + static_cast<word>(j) * arm::kWordSize, op.a[j]);
           }
-          if (auto bad = ExtractInto(w, t, i, &d)) {
+          if (auto bad = ExtractInto(w, cache, t, i, &d)) {
             return *bad;
           }
         }
@@ -278,7 +284,7 @@ Verdict RunSpecBacked(const Trace& t, bool with_spec, WorldPool& pool, CoverageM
     if (!step.failure.empty()) {
       return Fail(static_cast<int>(i), OpLabel(t, i) + ": " + step.failure);
     }
-    if (auto bad = ExtractInto(w, t, i, &d)) {
+    if (auto bad = ExtractInto(w, cache, t, i, &d)) {
       return *bad;
     }
     if (cover != nullptr) {
@@ -404,16 +410,17 @@ Verdict RunNoninterference(const Trace& t, WorldPool& pool, CoverageMap* cover) 
                                   t.secrets[k]);
   };
   arm::MemoryCompare insecure_ram(arm::MemoryCompare::Scope::kInsecure);
-  cfg.check = [cover, &insecure_ram](const std::vector<Lane>& l) {
+  std::array<spec::ExtractCache, 2> caches;
+  cfg.check = [cover, &insecure_ram, &caches](const std::vector<Lane>& l) {
     std::string detail = ResultDiff("", l[0].result, "", l[1].result);
     if (!detail.empty()) {
       return detail;
     }
-    const std::optional<spec::PageDb> d1 = Extract(*l[0].world, &detail);
+    const std::optional<spec::PageDb> d1 = Extract(*l[0].world, caches[0], &detail);
     if (!d1.has_value()) {
       return detail;
     }
-    const std::optional<spec::PageDb> d2 = Extract(*l[1].world, &detail);
+    const std::optional<spec::PageDb> d2 = Extract(*l[1].world, caches[1], &detail);
     if (!d2.has_value()) {
       return detail;
     }

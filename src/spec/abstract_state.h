@@ -5,9 +5,13 @@
 #ifndef SRC_SPEC_ABSTRACT_STATE_H_
 #define SRC_SPEC_ABSTRACT_STATE_H_
 
+#include <algorithm>
 #include <array>
+#include <cassert>
 #include <map>
+#include <memory>
 #include <optional>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -66,22 +70,73 @@ struct DispatcherPage {
   bool operator==(const DispatcherPage&) const = default;
 };
 
-struct L1PTablePage {
-  // One slot per 4 MB region (kL1Entries / kL2TablesPerPage): the L2PTable
-  // page serving it, if installed.
-  std::array<std::optional<PageNr>, 256> l2_tables{};
-  bool operator==(const L1PTablePage&) const = default;
+// The occupied slots of a page-table page, as a list of (slot, entry) pairs
+// in ascending slot order behind Get/Set. Tables are mostly empty (a verify
+// world maps a handful of an L2 table's 1,024 slots), so a PageDb copy or
+// compare touches only what is installed. `Entry{}` is the empty slot: Get
+// returns it for a slot the list lacks, and Set erases on it.
+template <typename Entry, word kSlots>
+class SlotTable {
+ public:
+  using Slot = std::pair<word, Entry>;
+
+  Entry Get(word slot) const {
+    const auto it = LowerBound(slot);
+    return it != slots_.end() && it->first == slot ? it->second : Entry{};
+  }
+  void Set(word slot, Entry e) {
+    assert(slot < kSlots);
+    const auto it = LowerBound(slot);
+    const bool present = it != slots_.end() && it->first == slot;
+    if (e == Entry{}) {
+      if (present) {
+        slots_.erase(it);
+      }
+    } else if (present) {
+      slots_[static_cast<size_t>(it - slots_.begin())].second = std::move(e);
+    } else {
+      slots_.insert(it, Slot{slot, std::move(e)});
+    }
+  }
+  // The non-empty slots, ascending.
+  const std::vector<Slot>& slots() const { return slots_; }
+  bool operator==(const SlotTable&) const = default;
+
+ private:
+  typename std::vector<Slot>::const_iterator LowerBound(word slot) const {
+    return std::partition_point(slots_.begin(), slots_.end(),
+                                [slot](const Slot& s) { return s.first < slot; });
+  }
+
+  std::vector<Slot> slots_;
 };
 
-struct L2PTablePage {
-  // 1024 leaf slots (four 256-entry hardware tables per page).
-  std::array<L2Entry, arm::kWordsPerPage / 4 * 4> entries{};
-  bool operator==(const L2PTablePage&) const = default;
-};
+// One slot per 4 MB region (kL1Entries / kL2TablesPerPage): the L2PTable page
+// serving it, if installed.
+using L1PTablePage = SlotTable<std::optional<PageNr>, 256>;
 
-struct DataPage {
-  std::array<word, arm::kWordsPerPage> contents{};
-  bool operator==(const DataPage&) const = default;
+// 1024 leaf slots (four 256-entry hardware tables per page).
+using L2PTablePage = SlotTable<L2Entry, arm::kWordsPerPage>;
+
+// A data page's 4 KB, in an immutable buffer that copies of the page share:
+// copying a PageDb copies one pointer per data page, and two pages holding
+// the same buffer compare equal without reading it. A default DataPage is
+// zero-filled and holds no buffer.
+class DataPage {
+ public:
+  using Words = std::array<word, arm::kWordsPerPage>;
+
+  DataPage() = default;
+  explicit DataPage(const Words& words) : words_(std::make_shared<const Words>(words)) {}
+
+  const Words& contents() const { return words_ != nullptr ? *words_ : kZero; }
+  bool operator==(const DataPage& o) const {
+    return words_ == o.words_ || contents() == o.contents();
+  }
+
+ private:
+  static inline const Words kZero{};
+  std::shared_ptr<const Words> words_;
 };
 
 struct SparePage {

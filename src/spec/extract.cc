@@ -113,7 +113,7 @@ L1PTablePage ExtractL1PTable(Extraction& x, PageNr page) {
     if (!x.SecurePageNrOf(base, page, "L1 descriptor", &l2)) {
       return l1;
     }
-    l1.l2_tables[group] = l2;
+    l1.Set(group, l2);
   }
   return l1;
 }
@@ -133,76 +133,93 @@ L2PTablePage ExtractL2PTable(Extraction& x, PageNr page) {
     const arm::L2Perms perms = arm::L2DescPerms(desc);
     const paddr base = arm::L2DescPageBase(desc);
     if (perms.ns) {
-      l2.entries[i] = InsecureMapping{base / arm::kPageSize, perms.user_write};
+      l2.Set(i, InsecureMapping{base / arm::kPageSize, perms.user_write});
     } else {
       PageNr data = kInvalidPage;
       if (!x.SecurePageNrOf(base, page, "L2 descriptor", &data)) {
         return l2;
       }
-      l2.entries[i] = SecureMapping{data, perms.user_write, perms.executable};
+      l2.Set(i, SecureMapping{data, perms.user_write, perms.executable});
     }
   }
   return l2;
 }
 
 DataPage ExtractData(const Extraction& x, PageNr page) {
-  DataPage data;
-  for (word i = 0; i < arm::kWordsPerPage; ++i) {
-    data.contents[i] = ReadPageWord(x.m, page, i);
+  DataPage::Words words;
+  x.m.mem.ReadPage(PagePaddr(page), words.data());
+  return DataPage(words);
+}
+
+// Decodes one page from its PageDB type and owner words and its contents.
+PageDbEntry ExtractPage(Extraction& x, PageNr n, word type_word, PageNr owner) {
+  PageDbEntry entry;
+  entry.owner = owner;
+  switch (static_cast<PageType>(type_word)) {
+    case PageType::kFree:
+      entry.page = FreePage{};
+      break;
+    case PageType::kAddrspace:
+      entry.page = ExtractAddrspace(x, n);
+      break;
+    case PageType::kDispatcher:
+      entry.page = ExtractDispatcher(x, n);
+      break;
+    case PageType::kL1PTable:
+      entry.page = ExtractL1PTable(x, n);
+      break;
+    case PageType::kL2PTable:
+      entry.page = ExtractL2PTable(x, n);
+      break;
+    case PageType::kDataPage:
+      entry.page = ExtractData(x, n);
+      break;
+    case PageType::kSparePage:
+      entry.page = SparePage{};
+      break;
+    default:
+      x.Fail(n, "PageDB type word " + HexWord(type_word) + " names no page type");
+      break;
   }
-  return data;
+  return entry;
 }
 
 }  // namespace
 
-std::optional<PageDb> TryExtractPageDb(const arm::MachineState& m, ExtractError* err) {
+std::optional<PageDb> TryExtractPageDb(const arm::MachineState& m, ExtractError* err,
+                                       ExtractCache* cache) {
+  // An uncached extraction is one into a fresh cache, so both take one path.
+  ExtractCache fresh;
+  ExtractCache& c = cache != nullptr ? *cache : fresh;
   Extraction x{m, ReadGlobal(m, kGlobalNPages)};
-  PageDb d(x.npages);
+  const bool warm = c.mem_ == &m.mem && c.db_.NPages() == x.npages;
+  if (!warm) {
+    c.stamps_.assign(x.npages, {});
+    c.db_ = PageDb(x.npages);
+  }
   for (PageNr n = 0; n < x.npages && !x.failed; ++n) {
-    const word type_word = ReadDbField(m, n, 0);
-    const PageNr owner = ReadDbField(m, n, 1);
-    PageDbEntry entry;
-    entry.owner = owner;
-    switch (static_cast<PageType>(type_word)) {
-      case PageType::kFree:
-        entry.page = FreePage{};
-        break;
-      case PageType::kAddrspace:
-        entry.page = ExtractAddrspace(x, n);
-        break;
-      case PageType::kDispatcher:
-        entry.page = ExtractDispatcher(x, n);
-        break;
-      case PageType::kL1PTable:
-        entry.page = ExtractL1PTable(x, n);
-        break;
-      case PageType::kL2PTable:
-        entry.page = ExtractL2PTable(x, n);
-        break;
-      case PageType::kDataPage:
-        entry.page = ExtractData(x, n);
-        break;
-      case PageType::kSparePage:
-        entry.page = SparePage{};
-        break;
-      default:
-        x.Fail(n, "PageDB type word " + HexWord(type_word) + " names no page type");
-        break;
+    const ExtractCache::Stamp stamp{m.mem.PageGen(PagePaddr(n)), ReadDbField(m, n, 0),
+                                    ReadDbField(m, n, 1)};
+    if (warm && stamp == c.stamps_[n]) {
+      continue;
     }
-    d[n] = std::move(entry);
+    c.db_[n] = ExtractPage(x, n, stamp.type, stamp.owner);
+    c.stamps_[n] = stamp;
   }
   if (x.failed) {
+    c.mem_ = nullptr;
     if (err != nullptr) {
       *err = std::move(x.err);
     }
     return std::nullopt;
   }
-  return d;
+  c.mem_ = &m.mem;
+  return cache != nullptr ? c.db_ : std::move(c.db_);
 }
 
-PageDb ExtractPageDb(const arm::MachineState& m) {
+PageDb ExtractPageDb(const arm::MachineState& m, ExtractCache* cache) {
   ExtractError err{};
-  std::optional<PageDb> d = TryExtractPageDb(m, &err);
+  std::optional<PageDb> d = TryExtractPageDb(m, &err, cache);
   if (!d.has_value()) {
     std::fprintf(stderr, "komodo: spec extraction failed at page %u: %s\n",
                  static_cast<unsigned>(err.page), err.detail.c_str());
@@ -211,20 +228,9 @@ PageDb ExtractPageDb(const arm::MachineState& m) {
   return std::move(*d);
 }
 
-std::array<word, arm::kWordsPerPage> ExtractPageContents(const arm::MachineState& m, PageNr page) {
-  std::array<word, arm::kWordsPerPage> out;
-  for (word i = 0; i < arm::kWordsPerPage; ++i) {
-    out[i] = ReadPageWord(m, page, i);
-  }
-  return out;
-}
-
-std::array<word, arm::kWordsPerPage> ReadInsecurePage(const arm::MachineState& m,
-                                                      word insecure_pgnr) {
-  std::array<word, arm::kWordsPerPage> out;
-  for (word i = 0; i < arm::kWordsPerPage; ++i) {
-    out[i] = m.mem.Read(insecure_pgnr * arm::kPageSize + i * arm::kWordSize);
-  }
+DataPage::Words ReadInsecurePage(const arm::MachineState& m, word insecure_pgnr) {
+  DataPage::Words out;
+  m.mem.ReadPage(insecure_pgnr * arm::kPageSize, out.data());
   return out;
 }
 

@@ -8,6 +8,7 @@
 
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "src/arm/machine.h"
 #include "src/spec/abstract_state.h"
@@ -23,24 +24,53 @@ struct ExtractError {
   std::string detail;
 };
 
+class ExtractCache;
+
 // Reads the PageDB region, typed secure pages and hardware page tables out of
 // simulated memory and reifies the abstract state. Returns nullopt (filling
 // *err when non-null) if the representation cannot be decoded; semantic
-// invariants are checked separately (invariants.h).
-std::optional<PageDb> TryExtractPageDb(const arm::MachineState& m, ExtractError* err = nullptr);
+// invariants are checked separately (invariants.h). With a `cache`, pages
+// unchanged since its last extraction reuse their entries (see ExtractCache);
+// the result is the same either way.
+std::optional<PageDb> TryExtractPageDb(const arm::MachineState& m, ExtractError* err = nullptr,
+                                       ExtractCache* cache = nullptr);
 
 // Abort-on-failure wrapper for callers that have already established
 // decodability (the refinement and property tests). The differential oracles
 // and the model checker use TryExtractPageDb so an injected fault surfaces as
 // an oracle failure instead of killing the process.
-PageDb ExtractPageDb(const arm::MachineState& m);
+PageDb ExtractPageDb(const arm::MachineState& m, ExtractCache* cache = nullptr);
 
-// Extracts the contents of one secure page as words (for data-page checks).
-std::array<word, arm::kWordsPerPage> ExtractPageContents(const arm::MachineState& m, PageNr page);
+// The last successful extraction from one PhysMemory (DESIGN.md §12). A
+// page's entry is a function of its PageDB type and owner words, its secure
+// page's contents and the world size alone, and every store into a page bumps
+// its generation (PhysMemory::PageGen). So an extraction through the cache
+// from the same memory, at the same world size, reuses the entry of every page
+// whose generation, type and owner are all unchanged, and decodes every other
+// page as an uncached extraction would. A cache handed another memory decodes
+// every page and rebinds; a failed extraction empties it. Like a carried
+// MemoryCompare, the cache holds a pointer to the memory, which must outlive
+// its use, and relies on 32-bit generations not wrapping between two calls.
+class ExtractCache {
+ private:
+  friend std::optional<PageDb> TryExtractPageDb(const arm::MachineState& m, ExtractError* err,
+                                                ExtractCache* cache);
+
+  // What one page's entry was decoded from.
+  struct Stamp {
+    uint32_t gen = 0;
+    word type = 0;
+    word owner = 0;
+    bool operator==(const Stamp&) const = default;
+  };
+
+  const arm::PhysMemory* mem_ = nullptr;  // null: empty
+  std::vector<Stamp> stamps_;
+  PageDb db_;
+};
 
 // Reads one insecure physical page as words (spec input for MapSecure).
-std::array<word, arm::kWordsPerPage> ReadInsecurePage(const arm::MachineState& m,
-                                                      word insecure_pgnr);
+DataPage::Words ReadInsecurePage(const arm::MachineState& m, word insecure_pgnr);
 
 }  // namespace komodo::spec
 

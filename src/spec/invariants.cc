@@ -79,11 +79,8 @@ std::vector<std::string> PageDbViolations(const PageDb& d) {
       continue;
     }
     const L1PTablePage& l1 = d[n].As<L1PTablePage>();
-    for (word i = 0; i < l1.l2_tables.size(); ++i) {
-      if (!l1.l2_tables[i].has_value()) {
-        continue;
-      }
-      const PageNr l2 = *l1.l2_tables[i];
+    for (const auto& [i, slot] : l1.slots()) {
+      const PageNr l2 = *slot;
       if (!d.ValidPageNr(l2)) {
         fail(PageStr(n) + ": L1 slot " + std::to_string(i) + " references invalid page");
         continue;
@@ -115,8 +112,8 @@ std::vector<std::string> PageDbViolations(const PageDb& d) {
       continue;
     }
     const L2PTablePage& l2 = d[n].As<L2PTablePage>();
-    for (word i = 0; i < l2.entries.size(); ++i) {
-      const SecureMapping* sm = std::get_if<SecureMapping>(&l2.entries[i]);
+    for (const auto& [i, entry] : l2.slots()) {
+      const SecureMapping* sm = std::get_if<SecureMapping>(&entry);
       if (sm == nullptr) {
         continue;
       }

@@ -36,7 +36,7 @@ word CheckInstallL2(const PageDb& d, PageNr as_page, word l1index) {
     return kErrInvalidMapping;
   }
   const PageNr l1pt = d[as_page].As<AddrspacePage>().l1pt_page;
-  if (d[l1pt].As<L1PTablePage>().l2_tables[l1index].has_value()) {
+  if (d[l1pt].As<L1PTablePage>().Get(l1index).has_value()) {
     return kErrAddrInUse;
   }
   return kErrSuccess;
@@ -46,7 +46,7 @@ word CheckInstallL2(const PageDb& d, PageNr as_page, word l1index) {
 // must have validated with CheckInstallL2 first.
 void InstallL2(PageDb& d, PageNr as_page, PageNr l2pt_page, word l1index) {
   const PageNr l1pt = d[as_page].As<AddrspacePage>().l1pt_page;
-  d[l1pt].As<L1PTablePage>().l2_tables[l1index] = l2pt_page;
+  d[l1pt].As<L1PTablePage>().Set(l1index, l2pt_page);
 }
 
 // Shared Enter/Resume guard; `resuming` selects which entered-state is the
@@ -185,15 +185,12 @@ Result SpecMapSecure(PageDb d, PageNr as_page, PageNr data_page, word mapping, b
     return {kErrPageTableMissing, std::move(d)};
   }
   L2PTablePage& l2 = d[slot->first].As<L2PTablePage>();
-  if (!std::holds_alternative<std::monostate>(l2.entries[slot->second])) {
+  if (!std::holds_alternative<std::monostate>(l2.Get(slot->second))) {
     return {kErrAddrInUse, std::move(d)};
   }
   const word perms = MappingPerms(mapping);
-  l2.entries[slot->second] =
-      SecureMapping{data_page, (perms & kMapW) != 0, (perms & kMapX) != 0};
-  DataPage data;
-  data.contents = contents;
-  d[data_page] = PageDbEntry{as_page, data};
+  l2.Set(slot->second, SecureMapping{data_page, (perms & kMapW) != 0, (perms & kMapX) != 0});
+  d[data_page] = PageDbEntry{as_page, DataPage(contents)};
   Bump(d, as_page, 1);
 
   AddrspacePage& as = d[as_page].As<AddrspacePage>();
@@ -244,11 +241,10 @@ Result SpecMapInsecure(PageDb d, PageNr as_page, word mapping, bool insecure_ok,
     return {kErrPageTableMissing, std::move(d)};
   }
   L2PTablePage& l2 = d[slot->first].As<L2PTablePage>();
-  if (!std::holds_alternative<std::monostate>(l2.entries[slot->second])) {
+  if (!std::holds_alternative<std::monostate>(l2.Get(slot->second))) {
     return {kErrAddrInUse, std::move(d)};
   }
-  l2.entries[slot->second] =
-      InsecureMapping{insecure_pgnr, (MappingPerms(mapping) & kMapW) != 0};
+  l2.Set(slot->second, InsecureMapping{insecure_pgnr, (MappingPerms(mapping) & kMapW) != 0});
   return {kErrSuccess, std::move(d)};
 }
 
@@ -320,12 +316,11 @@ Result SpecSvcMapData(PageDb d, PageNr as_page, PageNr spare_page, word mapping)
     return {kErrPageTableMissing, std::move(d)};
   }
   L2PTablePage& l2 = d[slot->first].As<L2PTablePage>();
-  if (!std::holds_alternative<std::monostate>(l2.entries[slot->second])) {
+  if (!std::holds_alternative<std::monostate>(l2.Get(slot->second))) {
     return {kErrAddrInUse, std::move(d)};
   }
   const word perms = MappingPerms(mapping);
-  l2.entries[slot->second] =
-      SecureMapping{spare_page, (perms & kMapW) != 0, (perms & kMapX) != 0};
+  l2.Set(slot->second, SecureMapping{spare_page, (perms & kMapW) != 0, (perms & kMapX) != 0});
   d[spare_page] = PageDbEntry{as_page, DataPage{}};  // zero-filled
   return {kErrSuccess, std::move(d)};
 }
@@ -343,11 +338,12 @@ Result SpecSvcUnmapData(PageDb d, PageNr as_page, PageNr data_page, word mapping
     return {kErrPageTableMissing, std::move(d)};
   }
   L2PTablePage& l2 = d[slot->first].As<L2PTablePage>();
-  const SecureMapping* sm = std::get_if<SecureMapping>(&l2.entries[slot->second]);
+  const L2Entry entry = l2.Get(slot->second);
+  const SecureMapping* sm = std::get_if<SecureMapping>(&entry);
   if (sm == nullptr || sm->data_page != data_page) {
     return {kErrInvalidMapping, std::move(d)};
   }
-  l2.entries[slot->second] = std::monostate{};
+  l2.Set(slot->second, std::monostate{});
   // Contents are retained while the page is spare (only re-mapping zeroes).
   d[data_page] = PageDbEntry{as_page, SparePage{}};
   return {kErrSuccess, std::move(d)};

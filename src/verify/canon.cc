@@ -79,28 +79,25 @@ void AppendRecord(std::string* out, const PageDb& d, PageNr n, const Perm& perm,
     case PageType::kL1PTable: {
       const L1PTablePage& l1 = e.As<L1PTablePage>();
       out->append("|l1");
-      for (word i = 0; i < l1.l2_tables.size(); ++i) {
-        if (!l1.l2_tables[i].has_value()) {
-          continue;
-        }
+      for (const auto& [i, l2] : l1.slots()) {
         out->push_back(',');
         AppendNum(out, i);
-        ref(*l1.l2_tables[i]);
+        ref(*l2);
       }
       break;
     }
     case PageType::kL2PTable: {
       const L2PTablePage& l2 = e.As<L2PTablePage>();
       out->append("|l2");
-      for (word i = 0; i < l2.entries.size(); ++i) {
-        if (const SecureMapping* sm = std::get_if<SecureMapping>(&l2.entries[i])) {
+      for (const auto& [i, entry] : l2.slots()) {
+        if (const SecureMapping* sm = std::get_if<SecureMapping>(&entry)) {
           out->push_back(',');
           AppendNum(out, i);
           out->push_back('s');
           out->push_back(sm->writable ? 'w' : '-');
           out->push_back(sm->executable ? 'x' : '-');
           ref(sm->data_page);
-        } else if (const InsecureMapping* im = std::get_if<InsecureMapping>(&l2.entries[i])) {
+        } else if (const InsecureMapping* im = std::get_if<InsecureMapping>(&entry)) {
           out->push_back(',');
           AppendNum(out, i);
           out->push_back('i');
@@ -116,7 +113,7 @@ void AppendRecord(std::string* out, const PageDb& d, PageNr n, const Perm& perm,
       // cheap to compare and the key stays small.
       const DataPage& data = e.As<DataPage>();
       crypto::Sha256 h;
-      for (word w : data.contents) {
+      for (word w : data.contents()) {
         h.UpdateWordLe(w);
       }
       out->append("|data,");
@@ -237,18 +234,16 @@ spec::PageDb ApplyPermutation(const spec::PageDb& d, const Perm& perm) {
       }
       case PageType::kL1PTable: {
         L1PTablePage& l1 = e.As<L1PTablePage>();
-        for (auto& slot : l1.l2_tables) {
-          if (slot.has_value()) {
-            slot = Map(perm, *slot);
-          }
+        for (const auto& [i, l2] : d[n].As<L1PTablePage>().slots()) {
+          l1.Set(i, Map(perm, *l2));
         }
         break;
       }
       case PageType::kL2PTable: {
         L2PTablePage& l2 = e.As<L2PTablePage>();
-        for (auto& entry : l2.entries) {
-          if (SecureMapping* sm = std::get_if<SecureMapping>(&entry)) {
-            sm->data_page = Map(perm, sm->data_page);
+        for (const auto& [i, entry] : d[n].As<L2PTablePage>().slots()) {
+          if (const SecureMapping* sm = std::get_if<SecureMapping>(&entry)) {
+            l2.Set(i, SecureMapping{Map(perm, sm->data_page), sm->writable, sm->executable});
           }
         }
         break;

@@ -238,7 +238,9 @@ ExploreResult Explore(const WorldSpec& spec) {
 
     // Harness sanity: the replayed machine must extract to exactly the
     // abstract state we are about to reason over, or every conclusion below
-    // would be about a different state than the one recorded.
+    // would be about a different state than the one recorded. This
+    // extraction takes no cache: it decodes every page, so each explored
+    // state cross-checks the cached extraction that produced it.
     {
       world.ResetToMid();
       std::optional<spec::PageDb> mid = spec::TryExtractPageDb(world.machine());

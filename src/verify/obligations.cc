@@ -94,7 +94,8 @@ ConcreteWorld::Outcome ConcreteWorld::RunStaged(const VerifyOp& op) {
   out.db_changed = !world_.machine.mem.dirty_pages().empty();
   if (out.db_changed) {
     spec::ExtractError xerr;
-    std::optional<spec::PageDb> post = spec::TryExtractPageDb(world_.machine, &xerr);
+    std::optional<spec::PageDb> post =
+        spec::TryExtractPageDb(world_.machine, &xerr, &extract_cache_);
     if (post.has_value()) {
       out.post = std::move(*post);
     } else {

@@ -27,6 +27,7 @@
 #include "src/fuzz/pool.h"
 #include "src/os/world.h"
 #include "src/spec/abstract_state.h"
+#include "src/spec/extract.h"
 
 namespace komodo::verify {
 
@@ -80,7 +81,10 @@ class ConcreteWorld {
   };
 
   // Runs one op from the current machine state (caller must ResetToMid
-  // first). Does not reset afterwards; the next ResetToMid undoes it.
+  // first). Does not reset afterwards; the next ResetToMid undoes it. The
+  // post-state is extracted through one cache for the world's lifetime, so
+  // only the pages whose generation or PageDB record moved since the last
+  // extraction are decoded: the op's writes and the last reset's restores.
   Outcome RunStaged(const VerifyOp& op);
 
   const arm::MachineState& machine() const { return world_.machine; }
@@ -94,6 +98,7 @@ class ConcreteWorld {
   std::unique_ptr<arm::MachineState> boot_;  // post-boot, dirty set empty
   std::unique_ptr<arm::MachineState> mid_;   // post-replay, refreshed per path
   std::vector<uint32_t> path_pages_;         // pages where mid_ differs from boot_
+  spec::ExtractCache extract_cache_;         // RunStaged's post-state extractions
 };
 
 // Result of checking the three obligations for one transition.

@@ -96,7 +96,7 @@ TEST_F(ExecTest, InterruptSuspendsAndResumeContinues) {
 
   // Context was preserved: the spin stored arg1 into data[0] before looping.
   d = spec::ExtractPageDb(small.machine);
-  EXPECT_EQ(d[e.data_pages[1]].As<spec::DataPage>().contents[0], 0xbeefu);
+  EXPECT_EQ(d[e.data_pages[1]].As<spec::DataPage>().contents()[0], 0xbeefu);
   EXPECT_TRUE(spec::ValidPageDb(d));
 }
 

@@ -55,7 +55,7 @@ TEST_P(MonitorOptsTest, EnterExitResumeStillCorrect) {
   // The spin stored its arg before looping: context survived the detour.
   EXPECT_EQ(spec::ExtractPageDb(w.machine)[spin.data_pages[1]]
                 .As<spec::DataPage>()
-                .contents[0],
+                .contents()[0],
             0xbeefu);
   EXPECT_TRUE(spec::ValidPageDb(spec::ExtractPageDb(w.machine)));
 }

@@ -101,12 +101,12 @@ TEST_F(SmcTest, MapSecureHappyPathCopiesContents) {
   ASSERT_EQ(w.os.MapSecure(3, 6, mapping, staging).err, kErrSuccess);
   const spec::PageDb d = spec::ExtractPageDb(w.machine);
   ASSERT_EQ(d[6].type(), PageType::kDataPage);
-  EXPECT_EQ(d[6].As<spec::DataPage>().contents[0], 0xabcd1234u);
-  EXPECT_EQ(d[6].As<spec::DataPage>().contents[1023], 0xabcd1234u);
+  EXPECT_EQ(d[6].As<spec::DataPage>().contents()[0], 0xabcd1234u);
+  EXPECT_EQ(d[6].As<spec::DataPage>().contents()[1023], 0xabcd1234u);
   // Mapping landed in the L2 table.
   const auto slot = spec::SpecL2Slot(d, 3, mapping);
   ASSERT_TRUE(slot.has_value());
-  const auto& entry = d[slot->first].As<spec::L2PTablePage>().entries[slot->second];
+  const spec::L2Entry entry = d[slot->first].As<spec::L2PTablePage>().Get(slot->second);
   const auto* sm = std::get_if<spec::SecureMapping>(&entry);
   ASSERT_NE(sm, nullptr);
   EXPECT_EQ(sm->data_page, 6u);

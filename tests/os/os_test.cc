@@ -92,7 +92,7 @@ TEST(OsTest, BuilderProducesRunnableLayout) {
   EXPECT_EQ(d[e.addrspace].As<spec::AddrspacePage>().state, AddrspaceState::kFinal);
   EXPECT_EQ(d[e.thread].type(), PageType::kDispatcher);
   ASSERT_EQ(e.data_pages.size(), 3u);  // code, data, stack
-  EXPECT_EQ(d[e.data_pages[1]].As<spec::DataPage>().contents[0], 42u);
+  EXPECT_EQ(d[e.data_pages[1]].As<spec::DataPage>().contents()[0], 42u);
   EXPECT_TRUE(w.os.Enter(e.thread).exited());
 }
 

@@ -9,9 +9,9 @@ namespace komodo::spec {
 namespace {
 
 PageDbEntry Data(PageNr owner, word fill) {
-  DataPage d;
-  d.contents.fill(fill);
-  return PageDbEntry{owner, d};
+  DataPage::Words words;
+  words.fill(fill);
+  return PageDbEntry{owner, DataPage(words)};
 }
 
 PageDbEntry Disp(PageNr owner, bool entered, word pc) {
@@ -50,7 +50,7 @@ TEST(WeakEquivTest, PageTablesRequireFullEquality) {
   L2PTablePage l2a;
   L2PTablePage l2b;
   EXPECT_TRUE(WeakEquivPage(PageDbEntry{0, l2a}, PageDbEntry{0, l2b}));
-  l2b.entries[3] = SecureMapping{4, true, false};
+  l2b.Set(3, SecureMapping{4, true, false});
   EXPECT_FALSE(WeakEquivPage(PageDbEntry{0, l2a}, PageDbEntry{0, l2b}));
 }
 

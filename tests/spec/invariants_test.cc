@@ -20,10 +20,10 @@ PageDb SmallEnclaveDb() {
   as.state = AddrspaceState::kFinal;
   d[0] = PageDbEntry{0, as};
   L1PTablePage l1;
-  l1.l2_tables[0] = 2;
+  l1.Set(0, 2);
   d[1] = PageDbEntry{0, l1};
   L2PTablePage l2;
-  l2.entries[8] = SecureMapping{3, true, false};
+  l2.Set(8, SecureMapping{3, true, false});
   d[2] = PageDbEntry{0, l2};
   d[3] = PageDbEntry{0, DataPage{}};
   d[4] = PageDbEntry{0, DispatcherPage{}};
@@ -75,7 +75,7 @@ TEST(InvariantsTest, DetectsL1SlotToForeignTable) {
   as.refcount = 1;
   d[8] = PageDbEntry{8, as};
   L1PTablePage l1;
-  l1.l2_tables[0] = 2;  // foreign!
+  l1.Set(0, 2);  // foreign!
   d[9] = PageDbEntry{8, l1};
   EXPECT_FALSE(ValidPageDb(d));
 }
@@ -87,24 +87,24 @@ TEST(InvariantsTest, DetectsL2MappingForeignData) {
   as.refcount = 3;
   d[8] = PageDbEntry{8, as};
   L1PTablePage l1;
-  l1.l2_tables[0] = 10;
+  l1.Set(0, 10);
   d[9] = PageDbEntry{8, l1};
   L2PTablePage l2;
-  l2.entries[5] = SecureMapping{3, false, false};  // page 3 belongs to enclave 0
+  l2.Set(5, SecureMapping{3, false, false});  // page 3 belongs to enclave 0
   d[10] = PageDbEntry{8, l2};
   EXPECT_FALSE(ValidPageDb(d));
 }
 
 TEST(InvariantsTest, DetectsDoubleMappedDataPage) {
   PageDb d = SmallEnclaveDb();
-  d[2].As<L2PTablePage>().entries[9] = SecureMapping{3, false, false};
+  d[2].As<L2PTablePage>().Set(9, SecureMapping{3, false, false});
   d[0].As<AddrspacePage>().refcount = 4;
   EXPECT_FALSE(ValidPageDb(d));
 }
 
 TEST(InvariantsTest, DetectsUnmappedDataPage) {
   PageDb d = SmallEnclaveDb();
-  d[2].As<L2PTablePage>().entries[8] = std::monostate{};
+  d[2].As<L2PTablePage>().Set(8, std::monostate{});
   EXPECT_FALSE(ValidPageDb(d));
 }
 

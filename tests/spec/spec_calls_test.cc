@@ -128,12 +128,12 @@ TEST_F(SpecCallsTest, SvcMapDataZeroFills) {
   Apply(SpecAllocSpare(d, 0, 5));
   Apply(SpecSvcMapData(d, 0, 5, MakeMapping(0x30000, kMapR | kMapW)));
   EXPECT_EQ(d[5].type(), PageType::kDataPage);
-  EXPECT_EQ(d[5].As<DataPage>().contents, Fill(0));
+  EXPECT_EQ(d[5].As<DataPage>().contents(), Fill(0));
   // And it is reachable from the table.
   const auto slot = SpecL2Slot(d, 0, MakeMapping(0x30000, kMapR | kMapW));
   ASSERT_TRUE(slot.has_value());
-  const auto* sm =
-      std::get_if<SecureMapping>(&d[slot->first].As<L2PTablePage>().entries[slot->second]);
+  const L2Entry entry = d[slot->first].As<L2PTablePage>().Get(slot->second);
+  const auto* sm = std::get_if<SecureMapping>(&entry);
   ASSERT_NE(sm, nullptr);
   EXPECT_EQ(sm->data_page, 5u);
   EXPECT_TRUE(sm->writable);

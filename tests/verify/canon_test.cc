@@ -34,14 +34,14 @@ PageDb EnclaveDb() {
   as.state = AddrspaceState::kFinal;
   d[0] = PageDbEntry{0, as};
   L1PTablePage l1;
-  l1.l2_tables[0] = 2;
+  l1.Set(0, 2);
   d[1] = PageDbEntry{0, l1};
   L2PTablePage l2;
-  l2.entries[8] = SecureMapping{3, true, false};
+  l2.Set(8, SecureMapping{3, true, false});
   d[2] = PageDbEntry{0, l2};
-  DataPage data;
-  data.contents[0] = 0x1234;
-  d[3] = PageDbEntry{0, data};
+  DataPage::Words data{};
+  data[0] = 0x1234;
+  d[3] = PageDbEntry{0, DataPage(data)};
   d[4] = PageDbEntry{0, DispatcherPage{}};
   return d;
 }
@@ -55,6 +55,16 @@ std::vector<Perm> AllPerms(PageNr n) {
     out.push_back(p);
   } while (std::next_permutation(p.begin(), p.end()));
   return out;
+}
+
+// The key format itself, pinned directly rather than only through the closure
+// hash: page records in page order, mapped table slots in ascending slot
+// order, data pages by the SHA-256 of their contents, measurements left out.
+TEST(CanonTest, SerializeFormatIsPinned) {
+  EXPECT_EQ(Serialize(EnclaveDb()),
+            "1:0|as,1,4:1;3:0|l1,0:2;4:0|l2,8sw-:3;"
+            "5:0|data,7ad36782cf38c73d4f6ffe4e22283f40057e52aff911347da0b629c2ab464f5f;"
+            "2:0|d,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0;0:ffffffff;");
 }
 
 TEST(CanonTest, CanonicalizeIsIdempotent) {
@@ -80,7 +90,9 @@ TEST(CanonTest, DistinctStatesGetDistinctKeys) {
   EXPECT_NE(CanonicalKey(d), CanonicalKey(stopped));
 
   PageDb wrote = d;
-  wrote[3].As<DataPage>().contents[7] = 0xdead;
+  DataPage::Words words = wrote[3].As<DataPage>().contents();
+  words[7] = 0xdead;
+  wrote[3].As<DataPage>() = DataPage(words);
   EXPECT_NE(CanonicalKey(d), CanonicalKey(wrote));
 }
 
