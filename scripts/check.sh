@@ -108,13 +108,18 @@ printf 'session 1\nrequest 1\nrequest 2\nresult 2 ok 11\ndestroyed 1 dropped 0\n
   | cmp - build/serve-stdin.out \
   || { echo "komodo-serve: stdin transcript drifted" >&2; exit 1; }
 ./build/tools/komodo-benchjson build/serve-demo-metrics.json build/serve-stdin-metrics.json
-# Seeded load generator must be deterministic: same seed, same stdout.
+# Seeded load generator must be deterministic: same seed, same stdout, and
+# that stdout pinned, so a scheduler or LRU change that picks another victim
+# fails here. Re-pin when a change to serve scheduling is *intended*.
+SERVE_LOAD_SHA256=1e7cf0dd2b049055ffd6a228363e163b8c93ca00f2548ef1f575c98dd28aa690
 ./build/tools/komodo-serve --load --sessions 40 --requests 400 --budget 28 \
   > build/serve-load-1.out
 ./build/tools/komodo-serve --load --sessions 40 --requests 400 --budget 28 \
   > build/serve-load-2.out
 cmp build/serve-load-1.out build/serve-load-2.out \
   || { echo "komodo-serve: nondeterministic load run" >&2; exit 1; }
+echo "${SERVE_LOAD_SHA256}  build/serve-load-1.out" | sha256sum --check --quiet - \
+  || { echo "komodo-serve: load transcript drifted from the pinned sha256" >&2; exit 1; }
 
 echo "=== [8/12] komodo-lint: shipped programs + fixtures ==="
 ./build/tools/komodo-lint --check-shipped

@@ -20,10 +20,16 @@ bool EnvEnabled() {
 }  // namespace
 
 InterpCaches::InterpCaches()
-    : enabled_(EnvEnabled()), decode_(kDecodeEntries), tlb_(kTlbEntries) {}
+    : enabled_(EnvEnabled()),
+      decode_(kDecodeEntries),
+      tlb_(kTlbEntries),
+      footprints_(kFootprintEntries) {}
 
 InterpCaches::InterpCaches(const InterpCaches& o)
-    : enabled_(o.enabled_), decode_(kDecodeEntries), tlb_(kTlbEntries) {}
+    : enabled_(o.enabled_),
+      decode_(kDecodeEntries),
+      tlb_(kTlbEntries),
+      footprints_(kFootprintEntries) {}
 
 InterpCaches& InterpCaches::operator=(const InterpCaches& o) {
   enabled_ = o.enabled_;
@@ -66,16 +72,17 @@ WalkResult InterpCaches::FillTlb(const PhysMemory& mem, paddr ttbr0, vaddr va,
   return res;
 }
 
-void InterpCaches::RebuildFootprint(const PhysMemory& mem, paddr ttbr0) {
+void InterpCaches::RebuildFootprint(const PhysMemory& mem, paddr ttbr0, PtFootprint& f) {
   ++stats_.pt_filter_rebuilds;
-  footprint_.ranges.clear();
-  footprint_.ttbr0 = ttbr0;
+  f.epoch = footprint_epoch_;
+  f.ttbr0 = ttbr0;
   const paddr l1_end = ttbr0 + kL1Entries * kWordSize;
-  footprint_.l1_first_idx = mem.PageIndexOf(PageBase(ttbr0));
-  footprint_.l1_last_idx = mem.PageIndexOf(PageBase(l1_end - kWordSize));
-  footprint_.l1_first_gen = mem.PageGenAt(footprint_.l1_first_idx);
-  footprint_.l1_last_gen = mem.PageGenAt(footprint_.l1_last_idx);
-  footprint_.ranges.emplace_back(ttbr0, l1_end);
+  f.l1_first_idx = mem.PageIndexOf(PageBase(ttbr0));
+  f.l1_last_idx = mem.PageIndexOf(PageBase(l1_end - kWordSize));
+  f.l1_first_gen = mem.PageGenAt(f.l1_first_idx);
+  f.l1_last_gen = mem.PageGenAt(f.l1_last_idx);
+  f.ranges.clear();
+  f.ranges.emplace_back(ttbr0, l1_end);
   for (word l1_index = 0; l1_index < kL1Entries; ++l1_index) {
     const paddr l1_addr = ttbr0 + l1_index * kWordSize;
     if (!mem.IsValidPhys(l1_addr)) {
@@ -86,38 +93,33 @@ void InterpCaches::RebuildFootprint(const PhysMemory& mem, paddr ttbr0) {
       continue;
     }
     const paddr l2_table = L1DescTableBase(l1_desc);
-    footprint_.ranges.emplace_back(l2_table, l2_table + kL2TableBytes);
+    f.ranges.emplace_back(l2_table, l2_table + kL2TableBytes);
   }
-  // Sort and merge so membership is one binary search.
-  std::sort(footprint_.ranges.begin(), footprint_.ranges.end());
-  std::vector<std::pair<paddr, paddr>> merged;
-  for (const auto& r : footprint_.ranges) {
-    if (!merged.empty() && r.first <= merged.back().second) {
-      merged.back().second = std::max(merged.back().second, r.second);
+  // Sort and merge in place so membership is one binary search.
+  std::sort(f.ranges.begin(), f.ranges.end());
+  size_t merged = 0;
+  for (const auto& r : f.ranges) {
+    if (merged != 0 && r.first <= f.ranges[merged - 1].second) {
+      f.ranges[merged - 1].second = std::max(f.ranges[merged - 1].second, r.second);
     } else {
-      merged.push_back(r);
+      f.ranges[merged++] = r;
     }
   }
-  footprint_.ranges = std::move(merged);
-  footprint_.valid = true;
+  f.ranges.resize(merged);
 }
 
-bool InterpCaches::FootprintContains(paddr addr) const {
+bool InterpCaches::PtFootprint::Contains(paddr addr) const {
   // First range with start > addr; the candidate containing addr precedes it.
   auto it = std::upper_bound(
-      footprint_.ranges.begin(), footprint_.ranges.end(), addr,
+      ranges.begin(), ranges.end(), addr,
       [](paddr a, const std::pair<paddr, paddr>& r) { return a < r.first; });
-  return it != footprint_.ranges.begin() && addr < std::prev(it)->second;
-}
-
-void InterpCaches::InvalidateTlb() {
-  ++tlb_epoch_;
-  footprint_.valid = false;
+  return it != ranges.begin() && addr < std::prev(it)->second;
 }
 
 void InterpCaches::InvalidateAll() {
   InvalidateTlb();
   ++decode_epoch_;
+  ++footprint_epoch_;
 }
 
 std::vector<paddr> InterpCaches::ResidentDecodeAddrs() const {

@@ -12,12 +12,15 @@
 //    page, tagged with the TTBR0 it was walked under and the generations of
 //    the L1/L2 descriptor pages the walk read. Any store into those pages —
 //    interpreted, monitor C++, or test-harness poke — invalidates the entry
-//    by construction; TLBIALL, TTBR writes and world switches flush it
-//    outright (the events §5.1's tlb_consistent discipline names).
-//  * Live-page-table footprint: the byte ranges occupied by the active L1
-//    table and the L2 tables it references, recomputed only when the L1 page's
-//    generation moves. Replaces the O(L1 entries) AddrInLivePageTable scan on
-//    every secure-world store with a binary search.
+//    by construction, so TLBIALL, TTBR writes and world switches (the events
+//    §5.1's tlb_consistent discipline names) leave it warm.
+//  * Live-page-table footprints: per address space, the byte ranges occupied
+//    by its L1 table and the L2 tables it references, in a small table
+//    indexed by a hash of TTBR0. An entry is rebuilt only when it belongs to
+//    another TTBR0 or its L1 page's generation moved, so switching between
+//    resident enclaves reuses each one's footprint. Replaces the O(L1
+//    entries) AddrInLivePageTable scan on every secure-world store with a
+//    binary search.
 //
 // All caches are bookkeeping: they are excluded from state equality, and
 // copying a MachineState yields fresh (empty) caches. The KOMODO_INTERP_CACHE
@@ -52,6 +55,8 @@ class InterpCaches {
  public:
   static constexpr size_t kDecodeEntries = 4096;  // power of two; 16 kB of code
   static constexpr size_t kTlbEntries = 128;      // power of two; 512 kB of VA
+  static constexpr unsigned kFootprintBits = 8;    // 256 address spaces
+  static constexpr size_t kFootprintEntries = size_t{1} << kFootprintBits;
 
   InterpCaches();
   // Copies carry the enabled flag but start cold: caches are bookkeeping, not
@@ -106,19 +111,21 @@ class InterpCaches {
     return FillTlb(mem, ttbr0, va, e);
   }
 
-  // AddrInLivePageTable(mem, ttbr0, addr) through the footprint cache.
+  // AddrInLivePageTable(mem, ttbr0, addr) through the footprint table.
   bool StoreHitsLivePageTable(const PhysMemory& mem, paddr ttbr0, paddr addr) {
-    if (!footprint_.valid || footprint_.ttbr0 != ttbr0 ||
-        mem.PageGenAt(footprint_.l1_first_idx) != footprint_.l1_first_gen ||
-        mem.PageGenAt(footprint_.l1_last_idx) != footprint_.l1_last_gen) {
-      RebuildFootprint(mem, ttbr0);
+    PtFootprint& f = footprints_[FootprintSlot(ttbr0)];
+    if (f.epoch != footprint_epoch_ || f.ttbr0 != ttbr0 ||
+        mem.PageGenAt(f.l1_first_idx) != f.l1_first_gen ||
+        mem.PageGenAt(f.l1_last_idx) != f.l1_last_gen) {
+      RebuildFootprint(mem, ttbr0, f);
     }
     ++stats_.pt_filter_fast;
-    return FootprintContains(addr);
+    return f.Contains(addr);
   }
 
-  // TLBIALL / TTBR write / world switch: drop every translation.
-  void InvalidateTlb();
+  // Drops every micro-TLB translation.
+  void InvalidateTlb() { ++tlb_epoch_; }
+  // Drops every entry of every cache.
   void InvalidateAll();
 
   // Physical word addresses with a live decode-cache entry (current epoch;
@@ -157,7 +164,7 @@ class InterpCaches {
   };
 
   struct PtFootprint {
-    bool valid = false;
+    uint64_t epoch = 0;  // valid only when equal to footprint_epoch_
     paddr ttbr0 = 0;
     // The footprint derives from the L1 table's contents alone; the
     // generations of the first/last page the 4 kB table touches gate reuse.
@@ -166,14 +173,22 @@ class InterpCaches {
     uint32_t l1_first_gen = 0;
     uint32_t l1_last_gen = 0;
     std::vector<std::pair<paddr, paddr>> ranges;  // sorted, merged [start,end)
+
+    bool Contains(paddr addr) const;
   };
 
   static constexpr uint32_t kNoTag = 0xffff'ffff;  // unaligned: never matches
 
   const Instruction* FillDecode(const PhysMemory& mem, paddr phys, DecodeEntry& e);
   WalkResult FillTlb(const PhysMemory& mem, paddr ttbr0, vaddr va, TlbEntry& e);
-  void RebuildFootprint(const PhysMemory& mem, paddr ttbr0);
-  bool FootprintContains(paddr addr) const;
+  void RebuildFootprint(const PhysMemory& mem, paddr ttbr0, PtFootprint& f);
+
+  // L1 tables fill page-aligned secure pages, so the index hashes the page
+  // number (the entry's tag is the full TTBR0); the multiplicative hash
+  // spreads address spaces built at a fixed page stride.
+  static size_t FootprintSlot(paddr ttbr0) {
+    return static_cast<uint32_t>((ttbr0 >> 12) * 0x9e37'79b1u) >> (32 - kFootprintBits);
+  }
 
   bool enabled_;
   // Invalidation is O(1): entries carry the epoch they were filled under and
@@ -183,9 +198,10 @@ class InterpCaches {
   // their runtime before this.
   uint64_t decode_epoch_ = 1;
   uint64_t tlb_epoch_ = 1;
+  uint64_t footprint_epoch_ = 1;
   std::vector<DecodeEntry> decode_;
   std::vector<TlbEntry> tlb_;
-  PtFootprint footprint_;
+  std::vector<PtFootprint> footprints_;
   InterpCacheStats stats_;
 };
 

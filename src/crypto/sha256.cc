@@ -2,6 +2,16 @@
 
 #include <cstring>
 
+#include "src/crypto/sha256_internal.h"
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define KOMODO_SHA_HAVE_X86 1
+#include <cpuid.h>
+#include <immintrin.h>
+#else
+#define KOMODO_SHA_HAVE_X86 0
+#endif
+
 namespace komodo::crypto {
 
 namespace {
@@ -40,7 +50,9 @@ void Sha256::Reset() {
   total_len_ = 0;
 }
 
-void Sha256::Compress(const uint8_t block[kSha256BlockBytes]) {
+namespace internal {
+
+void CompressPortable(uint32_t state[8], const uint8_t block[kSha256BlockBytes]) {
   uint32_t w[64];
   for (int i = 0; i < 16; ++i) {
     w[i] = (static_cast<uint32_t>(block[i * 4]) << 24) |
@@ -51,8 +63,8 @@ void Sha256::Compress(const uint8_t block[kSha256BlockBytes]) {
     w[i] = SmallSigma1(w[i - 2]) + w[i - 7] + SmallSigma0(w[i - 15]) + w[i - 16];
   }
 
-  uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+  uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
   for (int i = 0; i < 64; ++i) {
     const uint32_t t1 = h + BigSigma1(e) + Ch(e, f, g) + kRoundConstants[i] + w[i];
     const uint32_t t2 = BigSigma0(a) + Maj(a, b, c);
@@ -65,14 +77,96 @@ void Sha256::Compress(const uint8_t block[kSha256BlockBytes]) {
     b = a;
     a = t1 + t2;
   }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
+}
+
+bool ShaNiAvailable() {
+#if KOMODO_SHA_HAVE_X86
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) {
+    return false;
+  }
+  const bool ssse3 = (ecx & bit_SSSE3) != 0;
+  const bool sse41 = (ecx & bit_SSE4_1) != 0;
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) {
+    return false;
+  }
+  return ssse3 && sse41 && (ebx & bit_SHA) != 0;
+#else
+  return false;
+#endif
+}
+
+#if KOMODO_SHA_HAVE_X86
+// Intel's SHA extensions keep the eight state words as two vectors, ABEF and
+// CDGH; each SHA256RNDS2 runs two rounds, and SHA256MSG1/MSG2 extend the
+// message schedule four words at a time. Group g (rounds 4g..4g+3) consumes
+// schedule vector w[g % 4]; for g = 3..14 it finishes the vector group g + 1
+// needs, and for g = 1..12 it starts the one group g + 3 needs.
+__attribute__((target("sha,sse4.1,ssse3"))) void CompressShaNi(
+    uint32_t state[8], const uint8_t block[kSha256BlockBytes]) {
+  const __m128i kByteSwap = _mm_set_epi64x(0x0c0d0e0f08090a0bll, 0x0405060700010203ll);
+  const __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  const __m128i hgfe = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  const __m128i cdab = _mm_shuffle_epi32(dcba, 0xb1);
+  const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+  const __m128i abef_in = abef;
+  const __m128i cdgh_in = cdgh;
+
+  __m128i w[4] = {};
+#pragma GCC unroll 16  // constant indices keep w[] in registers
+  for (int g = 0; g < 16; ++g) {
+    if (g < 4) {
+      w[g] = _mm_shuffle_epi8(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(block + 16 * g)), kByteSwap);
+    }
+    __m128i msg = _mm_add_epi32(
+        w[g % 4], _mm_loadu_si128(reinterpret_cast<const __m128i*>(kRoundConstants + 4 * g)));
+    cdgh = _mm_sha256rnds2_epu32(cdgh, abef, msg);
+    if (g >= 3 && g <= 14) {
+      __m128i& next = w[(g + 1) % 4];
+      next = _mm_add_epi32(next, _mm_alignr_epi8(w[g % 4], w[(g + 3) % 4], 4));
+      next = _mm_sha256msg2_epu32(next, w[g % 4]);
+    }
+    msg = _mm_shuffle_epi32(msg, 0x0e);
+    abef = _mm_sha256rnds2_epu32(abef, cdgh, msg);
+    if (g >= 1 && g <= 12) {
+      w[(g + 3) % 4] = _mm_sha256msg1_epu32(w[(g + 3) % 4], w[g % 4]);
+    }
+  }
+
+  abef = _mm_add_epi32(abef, abef_in);
+  cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1b);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), _mm_blend_epi16(feba, dchg, 0xf0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), _mm_alignr_epi8(dchg, feba, 8));
+}
+#else
+void CompressShaNi(uint32_t state[8], const uint8_t block[kSha256BlockBytes]) {
+  CompressPortable(state, block);  // never selected: ShaNiAvailable() is false
+}
+#endif
+
+}  // namespace internal
+
+void Sha256::Compress(const uint8_t block[kSha256BlockBytes]) {
+  // Chosen once per process; both kernels compute the same function.
+  static const bool sha_ni = internal::ShaNiAvailable();
+  if (sha_ni) {
+    internal::CompressShaNi(state_.data(), block);
+  } else {
+    internal::CompressPortable(state_.data(), block);
+  }
 }
 
 void Sha256::Update(const uint8_t* data, size_t len) {

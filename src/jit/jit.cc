@@ -111,7 +111,7 @@ Engine::~Engine() {
 
 BlockEntry* Engine::LookupOrTranslate(const arm::MachineState& m, arm::paddr phys,
                                       arm::vaddr va, JitStats& st) {
-  BlockEntry& e = table_[(phys >> 2) & (kTableEntries - 1)];
+  BlockEntry& e = table_[Slot(phys)];
   if (e.kind != BlockKind::kEmpty && e.epoch == epoch_ && e.phys == phys &&
       e.va == va) {
     if (m.mem.PageGenAt(e.gen_idx) == e.gen) {

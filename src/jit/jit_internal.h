@@ -111,7 +111,8 @@ struct BlockEntry {
 
 class Engine {
  public:
-  static constexpr size_t kTableEntries = 4096;  // power of two
+  static constexpr unsigned kTableBits = 12;
+  static constexpr size_t kTableEntries = size_t{1} << kTableBits;
   static constexpr size_t kCodeBytes = 2 * 1024 * 1024;
 
   // nullptr if the executable mapping cannot be created.
@@ -126,6 +127,16 @@ class Engine {
                                 arm::vaddr va, JitStats& st);
 
   void InvalidateAll() { ++epoch_; }
+
+  // Table slot of the block at `phys`: a multiplicative (Fibonacci) hash of
+  // the word address. Block addresses are not uniform in their low bits —
+  // every catalog enclave's entry block sits at offset 0 of its code page —
+  // so a `(phys >> 2) & (kTableEntries - 1)` index repeats every 16 kB and
+  // makes resident enclaves evict each other's entry blocks. The multiply
+  // folds the page-number bits into the top bits the index keeps.
+  static size_t Slot(arm::paddr phys) {
+    return static_cast<uint32_t>((phys >> 2) * 0x9e37'79b1u) >> (32 - kTableBits);
+  }
 
   // Visits every live (current-epoch) table entry, in table order.
   template <typename Fn>

@@ -1,5 +1,6 @@
 #include "src/os/os.h"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -124,9 +125,9 @@ word Os::ReadInsecure(word pgnr, word word_offset) const {
 
 void Os::WriteInsecurePage(word pgnr, const std::vector<word>& words) {
   assert(words.size() <= arm::kWordsPerPage);
-  for (word i = 0; i < arm::kWordsPerPage; ++i) {
-    WriteInsecure(pgnr, i, i < words.size() ? words[i] : 0);
-  }
+  word page[arm::kWordsPerPage] = {};
+  std::copy(words.begin(), words.end(), page);
+  machine_.mem.WritePage(pgnr * arm::kPageSize, page);
 }
 
 void Os::WriteInsecureBytes(word pgnr, word byte_offset, const std::vector<uint8_t>& bytes) {

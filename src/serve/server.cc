@@ -86,8 +86,7 @@ Expected<word, ServeErr> Server::DestroySession(SessionId session) {
   }
   queue_ = std::move(rest);
   if (s.built) {
-    resident_pages_ -= s.enclave.SecurePageCount();
-    world_.os.DestroyEnclave(s.enclave);
+    Evict(s);
   }
   world_.os.FreeInsecurePage(s.shared_pgnr);
   sessions_.erase(it);
@@ -139,27 +138,21 @@ void Server::Evict(Session& s) {
   world_.os.DestroyEnclave(s.enclave);
   s.enclave = os::EnclaveHandle{};
   s.built = false;
+  lru_.erase(s.lru);
 }
 
 KomErr Server::EnsureBuilt(SessionId sid, Session& s) {
   if (s.built) {
     return KomErr::kSuccess;
   }
-  // LRU-evict idle built sessions until the new enclave fits the budget.
+  // LRU-evict built sessions until the new enclave fits the budget; `s`
+  // itself is not built, so it is not in the list.
   while (resident_pages_ + kEnclavePages > config_.secure_page_budget) {
-    SessionId victim = 0;
-    uint64_t oldest = ~0ull;
-    for (auto& [other_id, other] : sessions_) {
-      if (other_id != sid && other.built && other.last_used < oldest) {
-        oldest = other.last_used;
-        victim = other_id;
-      }
-    }
-    if (victim == 0) {
+    if (lru_.empty()) {
       // Nothing left to evict: the budget cannot fit even this one enclave.
       return KomErr::kInvalidArgument;
     }
-    Evict(sessions_.at(victim));
+    Evict(sessions_.at(lru_.front()));
     ++stats_.evictions;
   }
   auto built = world_.os.NewEnclave().Code(s.entry->code).SharedPage(s.shared_pgnr).Build();
@@ -168,6 +161,7 @@ KomErr Server::EnsureBuilt(SessionId sid, Session& s) {
   }
   s.enclave = *std::move(built);
   s.built = true;
+  s.lru = lru_.insert(lru_.end(), sid);
   resident_pages_ += s.enclave.SecurePageCount();
   ++s.builds;
   if (s.builds > 1) {
@@ -281,7 +275,9 @@ bool Server::PumpOne() {
   }
   queue_ = std::move(rest);
 
-  s.last_used = ++round_clock_;
+  if (s.built) {
+    lru_.splice(lru_.end(), lru_, s.lru);  // most recently used
+  }
   ++stats_.batches;
   stats_.batched_requests += batch.size();
   stats_.batch_size.Add(batch.size());

@@ -28,6 +28,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <list>
 #include <map>
 #include <string>
 #include <utility>
@@ -152,8 +153,8 @@ class Server {
     bool built = false;
     os::EnclaveHandle enclave;
     word shared_pgnr = 0;      // allocated once; survives rebuilds
-    uint64_t last_used = 0;    // LRU clock (scheduling rounds)
     uint64_t builds = 0;
+    std::list<SessionId>::iterator lru{};  // its place in lru_ while built
   };
 
   struct Pending {
@@ -164,9 +165,10 @@ class Server {
   };
 
   static Monitor::Config MonitorConfigFor(const Config& config);
-  // Evicts LRU-idle built sessions (never `sid` itself) until the enclave
-  // fits the budget, then builds. kSuccess or the first monitor error.
+  // Evicts the least recently used built sessions until the enclave fits
+  // the budget, then builds. kSuccess or the first monitor error.
   KomErr EnsureBuilt(SessionId sid, Session& s);
+  // Tears down a built session's enclave; its shared page survives.
   void Evict(Session& s);
   void ExecuteRound(SessionId sid, Session& s, std::vector<Pending>& batch);
   void Complete(const Pending& p, word value);
@@ -176,11 +178,13 @@ class Server {
   Config config_;
   os::World world_;
   std::map<SessionId, Session> sessions_;
+  // Built sessions, least recently scheduled first: eviction takes the front
+  // and a scheduling round moves its session to the back, both O(1).
+  std::list<SessionId> lru_;
   std::deque<Pending> queue_;
   std::map<RequestId, RequestResult> done_;
   SessionId next_session_ = 1;
   RequestId next_request_ = 1;
-  uint64_t round_clock_ = 0;
   word resident_pages_ = 0;
   ServerStats stats_;
 };

@@ -149,6 +149,71 @@ TEST_F(TlbCacheTest, InvalidateTlbDropsEverything) {
   EXPECT_EQ(caches.stats().tlb_hits, 0u);
 }
 
+// Address spaces that take turns on the core keep one page-table footprint
+// each (DESIGN.md §8): alternating between two TTBR0 values builds each
+// footprint once, yet an entry that sat unused while the other address space
+// ran still notices a new L1 descriptor through its L1 page's generation.
+TEST(PtFootprintTable, AlternatingAddressSpacesKeepTheirFootprints) {
+  MachineState m(64);
+  m.interp.set_enabled(true);
+  auto page = [](word n) { return kSecurePagesBase + n * kPageSize; };
+  const paddr code_page = page(0);
+  const paddr new_l2 = page(1);  // referenced by A's L1 table only later
+  struct AddressSpace {
+    paddr l1;
+    paddr l2;
+    paddr data;
+  };
+  const AddressSpace a{page(2), page(3), page(4)};
+  const AddressSpace b{page(5), page(6), page(7)};
+  auto map = [&](const AddressSpace& as, vaddr va, paddr target, bool w, bool x) {
+    m.mem.Write(as.l2 + ((va >> 12) & 0x3ff) * kWordSize,
+                MakeL2SmallPageDesc(target, w, x, false));
+  };
+  for (const AddressSpace& as : {a, b}) {
+    for (word k = 0; k < kL2TablesPerPage; ++k) {
+      m.mem.Write(as.l1 + k * kWordSize, MakeL1PageTableDesc(as.l2 + k * kL2TableBytes));
+    }
+    map(as, 0x8000, code_page, false, true);
+    map(as, 0xb000, as.data, true, false);
+  }
+  map(a, 0xc000, new_l2, true, false);
+  Assembler code(0x8000);
+  code.Str(R1, R3, 0);
+  m.mem.Write(code_page, code.Finish()[0]);
+
+  // One secure-world STR R1,[R3] to `va` under `ttbr0`, with a consistent
+  // TLB going in; returns whether the store left it consistent.
+  auto store_under = [&m](paddr ttbr0, vaddr va) {
+    m.cpsr.mode = Mode::kMonitor;
+    m.WriteTtbr0(ttbr0);
+    m.FlushTlb();
+    m.cpsr.mode = Mode::kUser;
+    m.pc = 0x8000;
+    m.r[3] = va;
+    EXPECT_EQ(Step(m).status, StepStatus::kOk);
+    return m.tlb_consistent;
+  };
+  for (int lap = 0; lap < 10; ++lap) {
+    EXPECT_TRUE(store_under(a.l1, 0xb000));
+    EXPECT_TRUE(store_under(b.l1, 0xb000));
+  }
+  EXPECT_EQ(m.interp.stats().pt_filter_rebuilds, 2u)
+      << "switching address spaces rebuilt a footprint that was still valid";
+
+  // A new L1 descriptor under A, poked as the monitor's InitL2PTable writes
+  // one: no invalidation call, only the generation bump. B runs in between.
+  m.mem.Write(a.l1 + 1 * kWordSize, MakeL1PageTableDesc(new_l2));
+  EXPECT_TRUE(store_under(b.l1, 0xb000));
+  EXPECT_FALSE(store_under(a.l1, 0xc000))
+      << "store into the newly referenced L2 table not noticed";
+  EXPECT_EQ(m.interp.stats().pt_filter_rebuilds, 3u);
+
+  m.interp.InvalidateAll();
+  EXPECT_TRUE(store_under(a.l1, 0xb000));
+  EXPECT_EQ(m.interp.stats().pt_filter_rebuilds, 4u);
+}
+
 // The full §5.1 discipline through interpreted execution, in both cache
 // modes: an enclave that maps its own L2 table user-writable and stores a new
 // descriptor through it. The store must (a) take effect for later walks and

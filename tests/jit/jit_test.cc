@@ -131,6 +131,38 @@ TEST(JitRun, LoopReentersCachedBlock) {
   EXPECT_EQ(m.jit.stats().block_invalidations, 0u);
 }
 
+TEST(JitRun, BlocksSixteenKbApartStayResidentTogether) {
+  if (!jit::Available()) {
+    GTEST_SKIP() << "no JIT on this host";
+  }
+  // Two blocks 16 kB apart in physical memory, entered alternately, the way
+  // resident enclaves' entry blocks at offset 0 of their code pages are. The
+  // block table must hold both: a low-bits index gives them one slot, and
+  // each entry would evict the other on every lap.
+  Assembler a(kCodeBase);
+  Assembler::Label top = a.NewLabel();
+  Assembler::Label far = a.NewLabel();
+  a.Bind(top);
+  a.Add(R0, R0, 1);
+  a.B(far);
+  while (a.CurrentAddr() < kCodeBase + 0x4000) {
+    a.EmitWord(0);  // never executed
+  }
+  a.Bind(far);
+  a.Add(R1, R1, 1);
+  a.Cmp(R1, 50);
+  a.B(top, Cond::kNe);
+  a.Svc();
+  ASSERT_EQ(a.AddrOf(far) - a.AddrOf(top), 0x4000u);
+  MachineState m = MakeMachine(a.Finish(), /*jitted=*/true);
+  EXPECT_EQ(RunUntilException(m, 1000), Exception::kSvc);
+  EXPECT_EQ(m.r[0], 50u);
+  EXPECT_EQ(m.r[1], 50u);
+  EXPECT_EQ(m.jit.stats().blocks_translated, 2u);
+  EXPECT_EQ(m.jit.stats().block_hits, 100u);
+  EXPECT_EQ(m.jit.stats().code_cache_flushes, 0u);
+}
+
 TEST(JitRun, BudgetExhaustionRetiresExactStepCount) {
   if (!jit::Available()) {
     GTEST_SKIP() << "no JIT on this host";

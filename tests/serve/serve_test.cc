@@ -7,7 +7,9 @@
 #include <string>
 #include <vector>
 
+#include "src/arm/machine.h"
 #include "src/enclave/programs.h"
+#include "src/jit/jit.h"
 #include "src/obs/json.h"
 #include "src/serve/server.h"
 
@@ -102,6 +104,52 @@ TEST(ServeTest, EvictionRebuildsFromMeasuredInitialState) {
   // its own resubmit rebuilds again and also restarts.
   EXPECT_EQ(server.Wait(*server.Submit(s2, 9))->value, 9u);
   EXPECT_LE(server.resident_pages(), c.secure_page_budget);
+
+  // Recency, not build order: s1 was built before s2, but using it again
+  // moves it behind s2, so s3's rebuild evicts s2 and s1 keeps its counter.
+  EXPECT_EQ(server.Wait(*server.Submit(s1, 5))->value, 9u);
+  EXPECT_EQ(server.Wait(*server.Submit(s3, 1))->value, 1u);
+  EXPECT_TRUE(server.session_built(s1));
+  EXPECT_FALSE(server.session_built(s2));
+  EXPECT_TRUE(server.session_built(s3));
+  EXPECT_EQ(server.stats().evictions, 4u);
+}
+
+TEST(ServeTest, ResidentRoundRobinReusesCachedTranslations) {
+  // 64 sessions that all fit the budget, served round robin once warm: the
+  // per-Enter host caches must keep every resident enclave's entry blocks
+  // (the JIT block table) and page-table footprint (the interpreter's
+  // footprint table) across the switches between enclaves.
+  Server::Config c;
+  c.secure_page_budget = 448;
+  c.nsecure_pages = c.secure_page_budget + 16;
+  c.queue_capacity = 128;
+  Server server(DefaultCatalog(), c);
+  std::vector<SessionId> sids;
+  for (int i = 0; i < 64; ++i) {
+    sids.push_back(*server.CreateSession(i % 2 == 0 ? "counter" : "echo"));
+  }
+  auto round = [&](word arg) {
+    for (const SessionId sid : sids) {
+      ASSERT_TRUE(server.Submit(sid, arg).ok());
+    }
+    server.Drain();
+  };
+  round(1);  // builds every enclave
+  const arm::MachineState& m = server.world().machine;
+  const jit::JitStats jit0 = m.jit.stats();
+  const uint64_t rebuilds0 = m.interp.stats().pt_filter_rebuilds;
+  const uint64_t enters0 = server.stats().enters;
+  for (word r = 0; r < 50; ++r) {
+    round(r);
+  }
+  const double enters = static_cast<double>(server.stats().enters - enters0);
+  ASSERT_EQ(enters, 64.0 * 50);
+  EXPECT_EQ(server.stats().evictions, 0u);
+  EXPECT_EQ(m.jit.stats().code_cache_flushes, jit0.code_cache_flushes);
+  EXPECT_LE(static_cast<double>(m.jit.stats().blocks_translated - jit0.blocks_translated) / enters,
+            0.25);
+  EXPECT_EQ(m.interp.stats().pt_filter_rebuilds, rebuilds0);
 }
 
 TEST(ServeTest, BudgetTooSmallForOneEnclaveFailsTyped) {
