@@ -166,6 +166,18 @@ cmp build/fuzz-smoke-1.out build/fuzz-smoke-2.out \
   || { echo "komodo-fuzz: nondeterministic campaign output" >&2; exit 1; }
 grep -q "^campaign-hash ${FUZZ_SMOKE_HASH}\$" build/fuzz-smoke-1.out \
   || { echo "komodo-fuzz: smoke campaign hash drifted from the pinned value" >&2; exit 1; }
+# Fresh worlds track no dirty pages, so with --no-reuse every carried memory
+# compare takes the generation scan instead of the dirty lists (DESIGN.md
+# §10); the two paths must reach the same verdict on every trace.
+./build/tools/komodo-fuzz "${FUZZ_ARGS[@]}" --no-reuse 2>/dev/null > build/fuzz-smoke-fresh.out
+cmp build/fuzz-smoke-1.out build/fuzz-smoke-fresh.out \
+  || { echo "komodo-fuzz: --no-reuse changed the campaign output" >&2; exit 1; }
+# 7.5x the smoke's calls per oracle at the default trace length.
+FUZZ_WIDE_HASH=f9452d68029e66a079c407a318396b494123ff93d3632cd92f08704677c90f31
+./build/tools/komodo-fuzz --seed 1 --calls 3000 --jobs 2 --out build 2>/dev/null \
+  > build/fuzz-wide.out
+grep -q "^campaign-hash ${FUZZ_WIDE_HASH}\$" build/fuzz-wide.out \
+  || { echo "komodo-fuzz: seed-1 3000-call campaign hash drifted from the pinned value" >&2; exit 1; }
 
 echo "=== [11/12] komodo-fuzz parallel determinism (--jobs 1 vs --jobs 8) ==="
 # The sharded campaign hash (DESIGN.md §11) is defined to be independent of

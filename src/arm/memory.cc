@@ -11,8 +11,6 @@ namespace komodo::arm {
 
 namespace {
 
-const word kZeroPage[kWordsPerPage] = {};
-
 size_t MappingBytes(size_t words) { return MappedWords::kDataOffset + words * kWordSize; }
 
 void* MapZeroed(size_t words) {
@@ -32,14 +30,6 @@ MappedWords::MappedWords(size_t words)
       data_(reinterpret_cast<word*>(static_cast<char*>(mapping_) + kDataOffset)),
       words_(words) {}
 
-MappedWords::MappedWords(const MappedWords& o) : MappedWords(o.words_) {
-  for (size_t i = 0; i < words_; i += kWordsPerPage) {
-    if (std::memcmp(o.data_ + i, kZeroPage, kPageSize) != 0) {
-      std::memcpy(data_ + i, o.data_ + i, kPageSize);
-    }
-  }
-}
-
 MappedWords::~MappedWords() {
   if (mapping_ != nullptr) {
     munmap(mapping_, MappingBytes(words_));
@@ -53,6 +43,21 @@ PhysMemory::PhysMemory(word nsecure_pages)
       secure_(static_cast<size_t>(nsecure_pages) * kWordsPerPage),
       page_gen_((kInsecureSize + kMonitorSize) / kPageSize + nsecure_pages, 0) {
   assert(nsecure_pages >= 1 && nsecure_pages <= kMaxSecurePages);
+}
+
+PhysMemory::PhysMemory(const PhysMemory& o) : PhysMemory(o.nsecure_pages_) {
+  resets_ = o.resets_;
+  page_gen_ = o.page_gen_;
+  track_dirty_ = o.track_dirty_;
+  dirty_map_ = o.dirty_map_;
+  dirty_list_ = o.dirty_list_;
+  // A page with generation 0 was never written, so the fresh mapping's zeros
+  // already match it.
+  for (size_t p = 0; p < page_gen_.size(); ++p) {
+    if (page_gen_[p] != 0) {
+      std::memcpy(PageWords(p), o.PageWords(p), kPageSize);
+    }
+  }
 }
 
 bool PhysMemory::operator==(const PhysMemory& o) const {
@@ -124,6 +129,7 @@ word* PhysMemory::PageWords(size_t page_index) {
 }
 
 void PhysMemory::EnableDirtyTracking() {
+  ++resets_;
   track_dirty_ = true;
   dirty_map_.assign(page_gen_.size(), 0);
   dirty_list_.clear();
@@ -139,6 +145,7 @@ size_t PhysMemory::ResetTo(const PhysMemory& snapshot) {
     dirty_map_[page_index] = 0;
   }
   dirty_list_.clear();
+  ++resets_;
   return restored;
 }
 
@@ -163,24 +170,66 @@ void PhysMemory::ReadPageBytes(paddr page_base, uint8_t* bytes_out) const {
 std::optional<size_t> MemoryCompare::FirstDifference(const PhysMemory& a, const PhysMemory& b) {
   const size_t pages = std::min(PagesInScope(a), PagesInScope(b));
   const bool carried = &a == a_ && &b == b_ && gen_a_.size() == pages;
-  for (size_t p = 0; p < pages; ++p) {
-    if (carried && a.page_gen_[p] == gen_a_[p] && b.page_gen_[p] == gen_b_[p]) {
-      continue;
+  // With a carry, a page can differ only if a store reached it on either side
+  // since; without one, only if a store ever reached it.
+  const auto moved = [&](size_t p) {
+    return carried ? a.page_gen_[p] != gen_a_[p] || b.page_gen_[p] != gen_b_[p]
+                   : (a.page_gen_[p] | b.page_gen_[p]) != 0;
+  };
+  const auto differs = [&](size_t p) {
+    return std::memcmp(a.PageWords(p), b.PageWords(p), kPageSize) != 0;
+  };
+  // Every page written since the carry is on a dirty list unless a reset
+  // restarted one of the lists since.
+  const bool listed = carried && a.track_dirty_ && b.track_dirty_ && a.resets_ == resets_a_ &&
+                      b.resets_ == resets_b_;
+  // Calls `f` once for each in-scope page on either dirty list.
+  const auto for_each_listed = [&](const auto& f) {
+    for (const PhysMemory* m : {&a, &b}) {
+      for (const uint32_t p : m->dirty_list_) {
+        if (p < pages && (m == &a || !a.dirty_map_[p])) {
+          f(p);
+        }
+      }
     }
-    const word* wa = a.PageWords(p);
-    const word* wb = b.PageWords(p);
-    if (std::memcmp(wa, wb, kPageSize) != 0) {
-      const word* first = std::mismatch(wa, wa + kWordsPerPage, wb).first;
-      return p * kWordsPerPage + static_cast<size_t>(first - wa);
+  };
+  size_t lowest = pages;  // the lowest differing page, if below `pages`
+  if (listed) {
+    // The lists are in store order, so every listed page is checked.
+    for_each_listed([&](size_t p) {
+      if (p < lowest && moved(p) && differs(p)) {
+        lowest = p;
+      }
+    });
+  } else {
+    for (size_t p = 0; p < pages; ++p) {
+      if (moved(p) && differs(p)) {
+        lowest = p;
+        break;
+      }
     }
+  }
+  if (lowest < pages) {
+    const word* wa = a.PageWords(lowest);
+    const word* first = std::mismatch(wa, wa + kWordsPerPage, b.PageWords(lowest)).first;
+    return lowest * kWordsPerPage + static_cast<size_t>(first - wa);
   }
   if (PagesInScope(a) != PagesInScope(b)) {
     return pages * kWordsPerPage;
   }
-  a_ = &a;
-  b_ = &b;
-  gen_a_.assign(a.page_gen_.begin(), a.page_gen_.begin() + static_cast<ptrdiff_t>(pages));
-  gen_b_.assign(b.page_gen_.begin(), b.page_gen_.begin() + static_cast<ptrdiff_t>(pages));
+  if (listed) {
+    for_each_listed([&](size_t p) {
+      gen_a_[p] = a.page_gen_[p];
+      gen_b_[p] = b.page_gen_[p];
+    });
+  } else {
+    a_ = &a;
+    b_ = &b;
+    gen_a_.assign(a.page_gen_.begin(), a.page_gen_.begin() + static_cast<ptrdiff_t>(pages));
+    gen_b_.assign(b.page_gen_.begin(), b.page_gen_.begin() + static_cast<ptrdiff_t>(pages));
+  }
+  resets_a_ = a.resets_;
+  resets_b_ = b.resets_;
   return std::nullopt;
 }
 

@@ -14,7 +14,9 @@
 // the interpreter's decode cache and micro-TLB validate their entries against
 // these generations, which makes them coherent against *any* writer
 // (interpreted stores, monitor C++ code, or test-harness pokes) without
-// explicit invalidation hooks. MemoryCompare leans on the same counters to
+// explicit invalidation hooks. A page whose generation is 0 was never written
+// and reads zero, so a copy copies only the pages with a non-zero generation.
+// MemoryCompare leans on the same counters, and on the dirty lists below, to
 // compare two memories in O(pages written) rather than O(memory).
 //
 // Snapshot-reset (DESIGN.md §11): with dirty tracking enabled, every store
@@ -43,8 +45,8 @@ enum class MemRegion { kInsecure, kMonitor, kSecurePages, kUnmapped };
 // A zero-initialised array of whole pages of words in an anonymous mapping of
 // its own, unmapped on destruction. The kernel zero-fills a page on first
 // touch, so construction writes nothing and pages never written cost no
-// resident memory. Copies are deep but skip all-zero pages, which a fresh
-// mapping already reads as zero. The data starts kDataOffset bytes into the
+// resident memory. It is not copyable: PhysMemory copies the pages its
+// generations say were written. The data starts kDataOffset bytes into the
 // mapping, off page alignment: page-aligned regions measured slower on
 // serve-resident (DESIGN.md §11).
 class MappedWords {
@@ -52,7 +54,7 @@ class MappedWords {
   static constexpr size_t kDataOffset = 64;
 
   explicit MappedWords(size_t words);
-  MappedWords(const MappedWords& o);
+  MappedWords(const MappedWords&) = delete;
   MappedWords(MappedWords&& o) noexcept
       : mapping_(o.mapping_), data_(o.data_), words_(o.words_) {
     o.mapping_ = nullptr;
@@ -83,7 +85,9 @@ class PhysMemory {
   // `nsecure_pages` is the bootloader-configured size of the secure page
   // region (GetPhysPages returns it).
   explicit PhysMemory(word nsecure_pages = kDefaultSecurePages);
-  PhysMemory(const PhysMemory&) = default;
+  // Deep, and O(pages ever written): a page with generation 0 is left to the
+  // fresh mapping's zero fill.
+  PhysMemory(const PhysMemory& o);
   PhysMemory(PhysMemory&&) = default;
   PhysMemory& operator=(const PhysMemory&) = delete;
   PhysMemory& operator=(PhysMemory&&) = delete;
@@ -127,7 +131,10 @@ class PhysMemory {
   }
 
   // Generation bookkeeping for the interpreter caches: every store bumps the
-  // containing page's counter. Unmapped addresses report the constant
+  // containing page's counter. Generation 0 means no store ever reached the
+  // page, in this memory or in any memory it was copied from, so the page
+  // reads zero (a page would have to take a multiple of 2^32 stores for its
+  // counter to read 0 again). Unmapped addresses report the constant
   // generation 0 (they can never be written). `PageIndexOf` resolves an
   // address to its stable global page index once, so cache entries revalidate
   // with a single indexed load (`PageGenAt`) instead of a region decode.
@@ -153,8 +160,9 @@ class PhysMemory {
 
   // --- Snapshot-reset support (DESIGN.md §11) --------------------------------
   // Starts recording which pages are written from this point on (clears any
-  // previously recorded dirty set). Tracking is off by default; nothing in a
-  // normal run pays more than one predictable branch per store.
+  // previously recorded dirty set, which counts as a reset for MemoryCompare).
+  // Tracking is off by default; nothing in a normal run pays more than one
+  // predictable branch per store.
   void EnableDirtyTracking();
   bool dirty_tracking() const { return track_dirty_; }
   // Pages written since EnableDirtyTracking / the last ResetTo, as global
@@ -217,6 +225,11 @@ class PhysMemory {
   }
 
   word nsecure_pages_;
+  // ResetTo and EnableDirtyTracking calls: each restarts the dirty list, so a
+  // MemoryCompare carry taken before one may miss pages it no longer lists.
+  // Sits in the padding after nsecure_pages_, so MachineState's field offsets,
+  // which the JIT bakes into emitted code, do not move.
+  uint32_t resets_ = 0;
   MappedWords insecure_;
   MappedWords monitor_;
   MappedWords secure_;
@@ -256,14 +269,19 @@ inline const word* PhysMemory::WordPtr(paddr addr, size_t* page_index) const {
 }
 
 // The one memory comparison (DESIGN.md §10): the lowest word at which two
-// memories differ, scanning pages in ascending order. After a call that finds
-// the two memories equal it carries both sides' page generations, and the
-// next call rescans only the pages whose generation has moved in either
-// memory since. That is sound because every store into a PhysMemory bumps
-// its page's generation and a PhysMemory is never assigned, so a page whose
-// generations have not moved still holds what compared equal. A fresh
-// MemoryCompare, or one handed a different pair of memories, compares every
-// page; the memories must outlive it. Generations are 32-bit: a page would
+// memories differ, in O(pages written) rather than O(memory). A page whose
+// generation is 0 on both sides was never written, so it reads zero on both
+// and a fresh compare skips it. After a call that finds the two memories
+// equal the compare carries both sides' page generations, and the next call
+// for the same pair rescans only the pages whose generation has moved in
+// either memory since. That is sound because every store into a PhysMemory
+// bumps its page's generation and a PhysMemory is never assigned, so a page
+// whose generations have not moved still holds what compared equal. When both
+// memories track dirty pages and neither was reset since the carry was taken,
+// every page written since is on one of the two dirty lists, so the call
+// walks those lists instead of every generation; otherwise it scans the
+// generations. A MemoryCompare handed a different pair of memories starts
+// afresh; the memories must outlive it. Generations are 32-bit: a page would
 // have to take 2^32 stores between two calls for the carry to miss one.
 class MemoryCompare {
  public:
@@ -286,10 +304,13 @@ class MemoryCompare {
   }
 
   Scope scope_;
-  // The pair the carried generations belong to, and each side's generation
-  // of every in-scope page when they last compared equal; empty until then.
+  // The pair the carried generations belong to, each side's reset count, and
+  // each side's generation of every in-scope page when they last compared
+  // equal; empty until then.
   const PhysMemory* a_ = nullptr;
   const PhysMemory* b_ = nullptr;
+  uint32_t resets_a_ = 0;
+  uint32_t resets_b_ = 0;
   std::vector<uint32_t> gen_a_;
   std::vector<uint32_t> gen_b_;
 };

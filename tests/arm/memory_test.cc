@@ -154,6 +154,29 @@ TEST(MemoryTest, MappedBackingReadsZeroAndCopiesDeep) {
   EXPECT_EQ(copy.Read(kInsecureBase + 0x2004), 7u);
   EXPECT_EQ(a.Read(kSecurePagesBase), 0u);
   EXPECT_NE(copy, a);
+
+  // A page stored to and then zeroed, and a page changed only by a reset,
+  // copy too, and so does a copy of a copy.
+  PhysMemory snapshot(8);
+  snapshot.Write(kMonitorBase + kPageSize + 8, 11);
+  PhysMemory b(8);
+  b.EnableDirtyTracking();
+  b.Write(kSecurePagesBase + 3 * kPageSize + 12, 12);
+  b.ZeroPage(kSecurePagesBase + 3 * kPageSize);
+  b.Write(kInsecureBase, 13);
+  b.MarkPagesDirty({static_cast<uint32_t>(b.PageIndexOf(kMonitorBase + kPageSize))});
+  b.ResetTo(snapshot);
+  ASSERT_EQ(b.Read(kMonitorBase + kPageSize + 8), 11u);
+  ASSERT_EQ(b.Read(kInsecureBase), 0u);
+  b.Write(kSecurePagesBase + 5 * kPageSize, 14);
+  const PhysMemory b_copy(b);
+  const PhysMemory b_copy_copy(b_copy);
+  for (const PhysMemory* m : {&b_copy, &b_copy_copy}) {
+    EXPECT_EQ(ScanFirstDifference(*m, b), std::nullopt);
+    EXPECT_EQ(m->Read(kMonitorBase + kPageSize + 8), 11u);
+    EXPECT_EQ(m->Read(kSecurePagesBase + 3 * kPageSize + 12), 0u);
+    EXPECT_EQ(m->Read(kSecurePagesBase + 5 * kPageSize), 14u);
+  }
 }
 
 TEST(MemoryTest, CompareReportsLowestWordAndGeometry) {
@@ -201,19 +224,15 @@ TEST(MemoryTest, CarriedCompareSeesAHealedDifferenceAndANewPair) {
   EXPECT_EQ(carry.FirstDifference(c, d), 5 * kWordsPerPage + 11);
 }
 
-// Two memories copied from one snapshot take random stores — one side or
-// both, word stores, whole-page writes, page zeroing and snapshot resets. The
-// carried compare must report exactly what a full scan reports after every
-// step, over all pages and over insecure RAM.
+// Two memories copied from one snapshot take random stores: one side or
+// both, word stores, whole-page writes, page zeroing, pages marked dirty
+// without a store, and resets of one side or both to one of two snapshots,
+// up to three ops between compares. The carried compare must report exactly
+// what a full scan reports after every step, over all pages and over
+// insecure RAM, and so must a compare that last saw the pair several steps
+// ago. A page changed only by a reset to the other snapshot is on neither
+// dirty list, so a carry must not outlive a reset.
 TEST(MemoryTest, CarriedCompareMatchesFullScanUnderRandomStores) {
-  PhysMemory snapshot(8);
-  snapshot.Write(kInsecureBase + 3 * kPageSize, 0x33);
-  snapshot.Write(kSecurePagesBase + 2 * kPageSize + 8, 0x44);
-  PhysMemory a(snapshot);
-  PhysMemory b(snapshot);
-  a.EnableDirtyTracking();
-  b.EnableDirtyTracking();
-
   // A few pages in every region, so differences arise and heal often.
   const std::vector<size_t> pages = {0,
                                      3,
@@ -223,50 +242,72 @@ TEST(MemoryTest, CarriedCompareMatchesFullScanUnderRandomStores) {
                                      kInsecurePages + kMonitorPages,
                                      kInsecurePages + kMonitorPages + 2,
                                      kInsecurePages + kMonitorPages + 7};
+  PhysMemory snapshot(8);
+  snapshot.Write(kInsecureBase + 3 * kPageSize, 0x33);
+  snapshot.Write(kSecurePagesBase + 2 * kPageSize + 8, 0x44);
+  PhysMemory other(snapshot);
+  for (const size_t page : pages) {
+    other.Write(PageAddr(page) + 4, static_cast<word>(page));
+  }
+  PhysMemory a(snapshot);
+  PhysMemory b(snapshot);
+  a.EnableDirtyTracking();
+  b.EnableDirtyTracking();
+
   std::mt19937 rng(20261017);
   const auto below = [&rng](size_t n) { return static_cast<size_t>(rng() % n); };
   MemoryCompare all;
   MemoryCompare insecure(MemoryCompare::Scope::kInsecure);
+  MemoryCompare now_and_then;
   size_t differed = 0;
   size_t healed = 0;
   bool was_different = false;
   for (int step = 0; step < 300; ++step) {
-    const paddr page = PageAddr(pages[below(pages.size())]);
-    const size_t sides = below(3);  // 0: a, 1: b, 2: both
-    const auto apply = [&](PhysMemory& m) {
-      switch (below(8)) {
-        case 0: {
-          word in[kWordsPerPage] = {};
-          in[below(4)] = static_cast<word>(below(2));
-          m.WritePage(page, in);
-          break;
+    for (size_t ops = 1 + below(3); ops > 0; --ops) {
+      const size_t page_index = pages[below(pages.size())];
+      const paddr page = PageAddr(page_index);
+      const size_t sides = below(3);  // 0: a, 1: b, 2: both
+      const auto apply = [&](PhysMemory& m) {
+        switch (below(10)) {
+          case 0: {
+            word in[kWordsPerPage] = {};
+            in[below(4)] = static_cast<word>(below(2));
+            m.WritePage(page, in);
+            break;
+          }
+          case 1:
+            m.ZeroPage(page);
+            break;
+          case 2:
+            m.ResetTo(below(2) == 0 ? snapshot : other);
+            break;
+          case 3:
+            m.MarkPagesDirty({static_cast<uint32_t>(page_index)});
+            break;
+          default:
+            m.Write(page + static_cast<paddr>(below(4)) * kWordSize, static_cast<word>(below(2)));
+            break;
         }
-        case 1:
-          m.ZeroPage(page);
-          break;
-        case 2:
-          m.ResetTo(snapshot);
-          break;
-        default:
-          m.Write(page + static_cast<paddr>(below(4)) * kWordSize, static_cast<word>(below(2)));
-          break;
+      };
+      std::mt19937 replay = rng;  // "both" applies the same op to each side
+      if (sides != 1) {
+        apply(a);
       }
-    };
-    std::mt19937 replay = rng;  // "both" applies the same step to each side
-    if (sides != 1) {
-      apply(a);
-    }
-    if (sides == 2) {
-      rng = replay;
-    }
-    if (sides != 0) {
-      apply(b);
+      if (sides == 2) {
+        rng = replay;
+      }
+      if (sides != 0) {
+        apply(b);
+      }
     }
 
     const std::optional<size_t> expected = ScanFirstDifference(a, b);
     ASSERT_EQ(all.FirstDifference(a, b), expected) << "step " << step;
     ASSERT_EQ(MemoryCompare().FirstDifference(a, b), expected) << "step " << step;
     ASSERT_EQ(insecure.FirstDifference(a, b), InsecurePart(expected)) << "step " << step;
+    if (below(4) == 0) {
+      ASSERT_EQ(now_and_then.FirstDifference(a, b), expected) << "step " << step;
+    }
     differed += expected.has_value() ? 1 : 0;
     healed += was_different && !expected.has_value() ? 1 : 0;
     was_different = expected.has_value();
@@ -274,6 +315,20 @@ TEST(MemoryTest, CarriedCompareMatchesFullScanUnderRandomStores) {
   // The walk must exercise both outcomes, and heal differences along the way.
   EXPECT_GT(differed, 30u);
   EXPECT_GT(healed, 5u);
+
+  // Generation 0 means never written, so the page reads zero, and a copy
+  // holds every page of its source.
+  word words[kWordsPerPage];
+  for (const PhysMemory* m : {&a, &b}) {
+    for (size_t page = 0; page < PageCount(*m); ++page) {
+      if (m->PageGenAt(page) == 0) {
+        m->ReadPage(PageAddr(page), words);
+        ASSERT_TRUE(std::all_of(words, words + kWordsPerPage, [](word w) { return w == 0; }))
+            << "page " << page;
+      }
+    }
+    EXPECT_EQ(ScanFirstDifference(PhysMemory(*m), *m), std::nullopt);
+  }
 }
 
 }  // namespace
