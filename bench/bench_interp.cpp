@@ -10,6 +10,13 @@
 // here; the differential suite compares whole machines). On hosts without
 // JIT support the jit column degenerates to a second cached run.
 //
+// On a JIT host the SHA-256 rows also gate the probe stubs (DESIGN.md §13):
+// together, their translated loads and stores may take the runtime helpers
+// at most once per 10,000 JIT-retired steps. Every helper access is a micro-TLB
+// miss, a fault or a store that needs NoteStore, so only the first touch of
+// each page should pay it; a probe that never hit would pass every
+// bisimulation test but fail here. The count is deterministic.
+//
 // Emits BENCH_interp.json in the working directory so the perf trajectory is
 // tracked PR over PR. `--smoke` runs tiny iteration counts for CI.
 #include <chrono>
@@ -46,8 +53,16 @@ struct RunStats {
   uint64_t steps = 0;
   uint64_t cycles = 0;
   uint64_t jit_steps = 0;  // steps retired inside translated blocks
+  uint64_t helper_accesses = 0;  // translated accesses the probes sent to a helper
   double seconds = 0;
 };
+
+RunStats Measure(const arm::MachineState& m, uint64_t steps0, uint64_t cycles0,
+                 Clock::time_point t0, Clock::time_point t1) {
+  const jit::JitStats& js = m.jit.stats();
+  return {m.steps_retired - steps0, m.cycles.total() - cycles0, js.jit_steps,
+          js.helper_accesses, Seconds(t0, t1)};
+}
 
 // Builds a SHA-256 enclave and notarises `iters` documents of `doc_len`
 // bytes (the hashing core of the Fig. 5 notary workload, fully interpreted).
@@ -73,8 +88,7 @@ RunStats RunNotary(Config cfg, size_t doc_len, int iters) {
     }
   }
   const auto t1 = Clock::now();
-  return {w.machine.steps_retired - steps0, w.machine.cycles.total() - cycles0,
-          w.machine.jit.stats().jit_steps, Seconds(t0, t1)};
+  return Measure(w.machine, steps0, cycles0, t0, t1);
 }
 
 // Enter/exit with a trivial enclave: the SMC round-trip cost in host time.
@@ -95,8 +109,7 @@ RunStats RunSmcRoundTrip(Config cfg, int iters) {
     }
   }
   const auto t1 = Clock::now();
-  return {w.machine.steps_retired - steps0, w.machine.cycles.total() - cycles0,
-          w.machine.jit.stats().jit_steps, Seconds(t0, t1)};
+  return Measure(w.machine, steps0, cycles0, t0, t1);
 }
 
 struct Comparison {
@@ -111,6 +124,9 @@ struct Comparison {
   double JitSps() const { return static_cast<double>(jit.steps) / jit.seconds; }
   double Speedup() const { return uncached.seconds / cached.seconds; }
   double JitSpeedup() const { return cached.seconds / jit.seconds; }
+  bool IsSha() const { return doc_len > 0; }
+
+  size_t doc_len = 0;  // 0 = the SMC round trip
 };
 
 void CheckInvisible(const Comparison& c) {
@@ -127,6 +143,35 @@ void CheckInvisible(const Comparison& c) {
                    static_cast<unsigned long long>(other->cycles));
       std::abort();
     }
+  }
+}
+
+// The probe gate (file comment), over the JIT configuration of the SHA-256
+// rows together: at most one helper access per 10,000 JIT-retired steps.
+// Each row's fresh world misses once per page it touches, so a short row
+// alone can sit above the bound with every probe hitting.
+void CheckProbesHit(const std::vector<Comparison>& rows) {
+  constexpr uint64_t kStepsPerHelperAccess = 10'000;
+  uint64_t helper_accesses = 0;
+  uint64_t jit_steps = 0;
+  std::printf("\n=== JIT accesses served by the runtime helpers ===\n");
+  for (const Comparison& c : rows) {
+    std::printf("%-16s %12llu helper accesses over %llu jit steps\n", c.name.c_str(),
+                static_cast<unsigned long long>(c.jit.helper_accesses),
+                static_cast<unsigned long long>(c.jit.jit_steps));
+    if (c.IsSha()) {
+      helper_accesses += c.jit.helper_accesses;
+      jit_steps += c.jit.jit_steps;
+    }
+  }
+  if (jit::Available() && helper_accesses * kStepsPerHelperAccess > jit_steps) {
+    std::fprintf(stderr,
+                 "FATAL: SHA-256 rows: %llu translated accesses took the helpers over %llu "
+                 "jit steps (more than 1 per %llu): the probe stubs are not hitting\n",
+                 static_cast<unsigned long long>(helper_accesses),
+                 static_cast<unsigned long long>(jit_steps),
+                 static_cast<unsigned long long>(kStepsPerHelperAccess));
+    std::abort();
   }
 }
 
@@ -150,6 +195,9 @@ void EmitJson(const std::vector<Comparison>& rows, bool smoke, const char* path)
                     ? 0.0
                     : static_cast<double>(c.jit.jit_steps) / static_cast<double>(c.jit.steps),
                 "fraction");
+    json.Result(c.name, "jit_steps", static_cast<double>(c.jit.jit_steps), "count");
+    json.Result(c.name, "jit_helper_accesses", static_cast<double>(c.jit.helper_accesses),
+                "count");
   }
   json.Write(path);
 }
@@ -187,6 +235,7 @@ int main(int argc, char** argv) {
     Comparison c;
     c.name = s.name;
     c.iters = s.iters;
+    c.doc_len = s.doc_len;
     if (s.doc_len == 0) {
       c.uncached = komodo::RunSmcRoundTrip(Config::kUncached, s.iters);
       c.cached = komodo::RunSmcRoundTrip(Config::kCached, s.iters);
@@ -211,6 +260,7 @@ int main(int argc, char** argv) {
   const Comparison& smc = rows.back();
   std::printf("\nSMC round-trip: %.0f ns cached, %.0f ns uncached (per Enter/exit)\n",
               smc.cached.seconds / smc.iters * 1e9, smc.uncached.seconds / smc.iters * 1e9);
+  komodo::CheckProbesHit(rows);
 
   komodo::EmitJson(rows, smoke, "BENCH_interp.json");
   return 0;

@@ -1,0 +1,142 @@
+#!/usr/bin/env python3
+"""Attributes pcsample's program-counter samples to functions.
+
+    python3 scripts/pcsample/classify.py pcsample.<pid>.pcs [--top N]
+
+Reads the samples and the matching pcsample.<pid>.maps (see pcsample.c) and
+prints the share of samples per bucket, largest first:
+
+  * a function of the sampled program or of a shared library it loaded,
+    named through `nm` (libc's functions are prefixed "libc:");
+  * "[jit code cache]": an executable anonymous mapping, which in komodo
+    binaries is the JIT's code cache (translated blocks and probe stubs);
+  * "[<file>]" for a mapped file without a symbol at that address, the
+    kernel's label (e.g. "[vdso]") for its own mappings, and "[unmapped]"
+    for a PC no recorded mapping covers.
+
+A summary line splits the samples into the program, libc, other libraries,
+the JIT code cache and the rest.
+"""
+
+import argparse
+import bisect
+import collections
+import os
+import subprocess
+import sys
+
+
+def read_maps(path):
+    """Executable mappings as (start, end, file_offset, name or None).
+
+    The name is a path, a kernel label such as [vdso], or None for an
+    anonymous mapping."""
+    maps = []
+    with open(path) as f:
+        for line in f:
+            parts = line.split(maxsplit=5)
+            if len(parts) < 5 or "x" not in parts[1]:
+                continue
+            start, end = (int(x, 16) for x in parts[0].split("-"))
+            name = parts[5].strip() if len(parts) == 6 else None
+            maps.append((start, end, int(parts[2], 16), name))
+    maps.sort()
+    return maps
+
+
+def is_position_independent(path):
+    """True for ET_DYN objects (shared libraries, PIE executables)."""
+    with open(path, "rb") as f:
+        header = f.read(18)
+    return len(header) == 18 and int.from_bytes(header[16:18], "little") == 3
+
+
+class Symbols:
+    """Sorted function symbols of one ELF file, by link-time address."""
+
+    def __init__(self, path):
+        self.addrs, self.names = [], []
+        for flags in (["--defined-only"], ["-D", "--defined-only"]):
+            out = subprocess.run(["nm", "-C", "-n", *flags, path], capture_output=True,
+                                 text=True).stdout
+            for line in out.splitlines():
+                parts = line.split(maxsplit=2)
+                if len(parts) == 3 and parts[1] in "tTwWiI":
+                    self.addrs.append(int(parts[0], 16))
+                    self.names.append(parts[2])
+            if self.addrs:
+                break  # stripped libraries only have dynamic symbols
+        order = sorted(range(len(self.addrs)), key=self.addrs.__getitem__)
+        self.addrs = [self.addrs[i] for i in order]
+        self.names = [self.names[i] for i in order]
+        self.pie = is_position_independent(path)
+
+    def lookup(self, addr):
+        i = bisect.bisect_right(self.addrs, addr) - 1
+        return self.names[i] if i >= 0 else None
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("samples", help="a pcsample.<pid>.pcs file")
+    ap.add_argument("--top", type=int, default=30, help="buckets to print (default 30)")
+    args = ap.parse_args()
+    maps_path = args.samples[: -len(".pcs")] + ".maps"
+    maps = read_maps(maps_path)
+    starts = [m[0] for m in maps]
+    with open(args.samples) as f:
+        pcs = [int(line, 16) for line in f if line.strip()]
+    if not pcs:
+        sys.exit("no samples in " + args.samples)
+
+    exe = None
+    for _, _, _, name in maps:
+        if name is not None and ".so" not in os.path.basename(name):
+            exe = name
+            break
+    symbols = {}
+    buckets = collections.Counter()
+    kinds = collections.Counter()
+    for pc in pcs:
+        i = bisect.bisect_right(starts, pc) - 1
+        if i < 0 or pc >= maps[i][1]:
+            buckets["[unmapped]"] += 1
+            kinds["other"] += 1
+            continue
+        start, _, offset, name = maps[i]
+        if name is None:
+            buckets["[jit code cache]"] += 1
+            kinds["jit code cache"] += 1
+            continue
+        if not name.startswith("/"):
+            buckets[name] += 1
+            kinds["other"] += 1
+            continue
+        if name not in symbols:
+            symbols[name] = Symbols(name)
+        syms = symbols[name]
+        # Text segments are mapped at their file offset, so a PC's link-time
+        # address is its offset into the file (position-independent objects)
+        # or the PC itself (fixed-address executables).
+        addr = pc - start + offset if syms.pie else pc
+        func = syms.lookup(addr)
+        base = os.path.basename(name)
+        if base.startswith("libc.so") or base.startswith("libc-"):
+            kind, label = "libc", "libc:" + (func or "?")
+        elif name == exe:
+            kind, label = "program", func or "[%s]" % base
+        else:
+            kind, label = "other libraries", "%s:%s" % (base, func or "?")
+        buckets[label] += 1
+        kinds[kind] += 1
+
+    total = len(pcs)
+    print("%d samples (%.3f thread-seconds at 100 us)" % (total, total * 1e-4))
+    print("  " + ", ".join("%s %.1f%%" % (k, 100.0 * v / total)
+                           for k, v in kinds.most_common()))
+    for label, n in buckets.most_common(args.top):
+        print("%6.2f%% %8d  %s" % (100.0 * n / total, n, label))
+
+
+if __name__ == "__main__":
+    main()

@@ -68,6 +68,10 @@ WalkResult InterpCaches::FillTlb(const PhysMemory& mem, paddr ttbr0, vaddr va,
     e.page_base = PageBase(res.phys);
     e.user_write = res.user_write;
     e.executable = res.executable;
+    e.gen_idx = mem.PageIndexOf(e.page_base);
+    e.host = mem.PageHost(e.gen_idx);
+    e.inline_store = res.user_write && e.host != nullptr && IsPageAligned(ttbr0) &&
+                     !Footprint(mem, ttbr0).Overlaps(e.page_base, e.page_base + kPageSize);
   }
   return res;
 }
@@ -114,6 +118,14 @@ bool InterpCaches::PtFootprint::Contains(paddr addr) const {
       ranges.begin(), ranges.end(), addr,
       [](paddr a, const std::pair<paddr, paddr>& r) { return a < r.first; });
   return it != ranges.begin() && addr < std::prev(it)->second;
+}
+
+bool InterpCaches::PtFootprint::Overlaps(paddr lo, paddr hi) const {
+  // First range that ends past lo; it overlaps iff it starts before hi.
+  auto it = std::upper_bound(
+      ranges.begin(), ranges.end(), lo,
+      [](paddr a, const std::pair<paddr, paddr>& r) { return a < r.second; });
+  return it != ranges.end() && it->first < hi;
 }
 
 void InterpCaches::InvalidateAll() {

@@ -13,7 +13,10 @@
 //    the L1/L2 descriptor pages the walk read. Any store into those pages —
 //    interpreted, monitor C++, or test-harness poke — invalidates the entry
 //    by construction, so TLBIALL, TTBR writes and world switches (the events
-//    §5.1's tlb_consistent discipline names) leave it warm.
+//    §5.1's tlb_consistent discipline names) leave it warm. Translated code
+//    reads the entries too: the JIT's probe stubs apply TlbWalk's hit rule
+//    in emitted x64 (DESIGN.md §13), so the entry layout is part of the
+//    JIT's contract.
 //  * Live-page-table footprints: per address space, the byte ranges occupied
 //    by its L1 table and the L2 tables it references, in a small table
 //    indexed by a hash of TTBR0. An entry is rebuilt only when it belongs to
@@ -53,6 +56,7 @@ struct InterpCacheStats {
 
 class InterpCaches {
  public:
+  static constexpr uint32_t kNoTag = 0xffff'ffff;  // unaligned: never matches
   static constexpr size_t kDecodeEntries = 4096;  // power of two; 16 kB of code
   static constexpr size_t kTlbEntries = 128;      // power of two; 512 kB of VA
   static constexpr unsigned kFootprintBits = 8;    // 256 address spaces
@@ -91,6 +95,48 @@ class InterpCaches {
     return FillDecode(mem, phys, e);
   }
 
+  // One micro-TLB entry. The JIT's probe stubs (src/jit) read these fields
+  // from emitted code at the offsets jit_internal.h takes with offsetof:
+  // reorder or retype a field only together with the stubs. 64 bytes, so an
+  // entry's index scales by a shift.
+  struct TlbEntry {
+    vaddr vpn = kNoTag;  // va >> 12; kNoTag = empty
+    paddr ttbr0 = 0;
+    uint64_t epoch = 0;  // valid only when equal to tlb_epoch_
+    // Pages whose contents the walk read (as generation-array indices), with
+    // their generations at fill time; a mismatch on either means the
+    // descriptors may have changed.
+    size_t l1_gen_idx = PhysMemory::kNoPage;
+    size_t l2_gen_idx = PhysMemory::kNoPage;
+    uint32_t l1_gen = 0;
+    uint32_t l2_gen = 0;
+    // The mapped page's first word in host memory (null if the descriptor
+    // names no mapped page) and its generation index. The JIT's store stub
+    // writes through `host`: the memory is the machine's own, which is only
+    // const here because a walk never changes it.
+    const word* host = nullptr;
+    size_t gen_idx = PhysMemory::kNoPage;
+    paddr page_base = 0;
+    bool user_write = false;
+    bool executable = false;
+    // A user store to this page needs no NoteStore: the mapping is writable
+    // and the page lies outside the live page-table footprint. Recorded only
+    // when TTBR0 is page-aligned, because then the L1 table is exactly the
+    // page whose generation l1_gen checks, so the footprint (a function of
+    // the L1 table alone) cannot change while the entry stays valid.
+    bool inline_store = false;
+  };
+  static_assert(sizeof(TlbEntry) == 64, "the JIT's probe stubs scale the TLB index by 64");
+
+  // What the JIT's probe stubs need of the micro-TLB: the entry array, the
+  // epoch that validates an entry, and the hit counter a probe hit bumps.
+  struct TlbProbe {
+    const TlbEntry* entries;
+    uint64_t epoch;
+    uint64_t* hits;
+  };
+  TlbProbe Probe() { return {tlb_.data(), tlb_epoch_, &stats_.tlb_hits}; }
+
   // WalkPageTable(mem, ttbr0, va) through the micro-TLB. Bit-identical to an
   // uncached walk; only successful (user-readable) walks are cached.
   WalkResult TlbWalk(const PhysMemory& mem, paddr ttbr0, vaddr va) {
@@ -113,14 +159,8 @@ class InterpCaches {
 
   // AddrInLivePageTable(mem, ttbr0, addr) through the footprint table.
   bool StoreHitsLivePageTable(const PhysMemory& mem, paddr ttbr0, paddr addr) {
-    PtFootprint& f = footprints_[FootprintSlot(ttbr0)];
-    if (f.epoch != footprint_epoch_ || f.ttbr0 != ttbr0 ||
-        mem.PageGenAt(f.l1_first_idx) != f.l1_first_gen ||
-        mem.PageGenAt(f.l1_last_idx) != f.l1_last_gen) {
-      RebuildFootprint(mem, ttbr0, f);
-    }
     ++stats_.pt_filter_fast;
-    return f.Contains(addr);
+    return Footprint(mem, ttbr0).Contains(addr);
   }
 
   // Drops every micro-TLB translation.
@@ -147,22 +187,6 @@ class InterpCaches {
     Instruction insn;
   };
 
-  struct TlbEntry {
-    vaddr vpn = kNoTag;  // va >> 12; kNoTag = empty
-    uint64_t epoch = 0;  // valid only when equal to tlb_epoch_
-    paddr ttbr0 = 0;
-    // Pages whose contents the walk read (as generation-array indices), with
-    // their generations at fill time; a mismatch on either means the
-    // descriptors may have changed.
-    size_t l1_gen_idx = PhysMemory::kNoPage;
-    size_t l2_gen_idx = PhysMemory::kNoPage;
-    uint32_t l1_gen = 0;
-    uint32_t l2_gen = 0;
-    paddr page_base = 0;
-    bool user_write = false;
-    bool executable = false;
-  };
-
   struct PtFootprint {
     uint64_t epoch = 0;  // valid only when equal to footprint_epoch_
     paddr ttbr0 = 0;
@@ -175,9 +199,19 @@ class InterpCaches {
     std::vector<std::pair<paddr, paddr>> ranges;  // sorted, merged [start,end)
 
     bool Contains(paddr addr) const;
+    bool Overlaps(paddr lo, paddr hi) const;  // any byte of [lo, hi)
   };
 
-  static constexpr uint32_t kNoTag = 0xffff'ffff;  // unaligned: never matches
+  // The valid footprint of `ttbr0`, rebuilt first if stale.
+  const PtFootprint& Footprint(const PhysMemory& mem, paddr ttbr0) {
+    PtFootprint& f = footprints_[FootprintSlot(ttbr0)];
+    if (f.epoch != footprint_epoch_ || f.ttbr0 != ttbr0 ||
+        mem.PageGenAt(f.l1_first_idx) != f.l1_first_gen ||
+        mem.PageGenAt(f.l1_last_idx) != f.l1_last_gen) {
+      RebuildFootprint(mem, ttbr0, f);
+    }
+    return f;
+  }
 
   const Instruction* FillDecode(const PhysMemory& mem, paddr phys, DecodeEntry& e);
   WalkResult FillTlb(const PhysMemory& mem, paddr ttbr0, vaddr va, TlbEntry& e);

@@ -149,6 +149,15 @@ class PhysMemory {
   }
   uint32_t PageGen(paddr addr) const { return PageGenAt(PageIndexOf(addr)); }
 
+  // Raw views for the JIT's probe stubs (DESIGN.md §13), which serve a load
+  // or store from emitted code: the first word of page `page_index` in host
+  // memory (null for kNoPage), and the generation array, which an inline
+  // store bumps exactly as Write does.
+  const word* PageHost(size_t page_index) const {
+    return page_index == kNoPage ? nullptr : PageWords(page_index);
+  }
+  uint32_t* page_gens() { return page_gen_.data(); }
+
   // Bulk helpers used by loaders, page initialisation and hashing.
   void ReadPage(paddr page_base, word out[kWordsPerPage]) const;
   void WritePage(paddr page_base, const word in[kWordsPerPage]);

@@ -22,6 +22,8 @@ namespace komodo::jit {
 
 bool Available() { return KOMODO_JIT_HAVE_X64 != 0; }
 
+const arm::InterpCaches::TlbEntry kMissTlb[arm::InterpCaches::kTlbEntries] = {};
+
 namespace {
 
 // Mirrors interp_cache.cc's KOMODO_INTERP_CACHE gate: default on, any of
@@ -95,6 +97,17 @@ std::unique_ptr<Engine> Engine::Create() {
   }
   std::unique_ptr<Engine> eng(new Engine());
   eng->buf_ = static_cast<uint8_t*>(p);
+  std::vector<uint8_t> stubs;
+  size_t entry[4];
+  EmitProbeStubs(stubs, entry);
+  std::memcpy(eng->buf_, stubs.data(), stubs.size());
+  for (int k = 0; k < 4; ++k) {
+    eng->probes_[k] = eng->buf_ + entry[k];
+  }
+  // Blocks are written next to the stubs while the stubs run; keep them off
+  // the stubs' cache lines.
+  eng->stub_bytes_ = (stubs.size() + 63) & ~size_t{63};
+  eng->used_ = eng->stub_bytes_;
   return eng;
 #else
   return nullptr;
@@ -134,12 +147,13 @@ BlockEntry* Engine::LookupOrTranslate(const arm::MachineState& m, arm::paddr phy
     return &e;
   }
   if (used_ + cb.code.size() > kCodeBytes) {
-    // Code buffer exhausted: orphan everything and start over.
+    // Code buffer exhausted: orphan every block and start over after the
+    // probe stubs, which stay.
     ++epoch_;
     e.epoch = epoch_;
-    used_ = 0;
+    used_ = stub_bytes_;
     ++st.code_cache_flushes;
-    if (cb.code.size() > kCodeBytes) {
+    if (stub_bytes_ + cb.code.size() > kCodeBytes) {
       e.kind = BlockKind::kEmpty;
       return nullptr;
     }
@@ -183,7 +197,29 @@ RunOutcome TryRunBlock(arm::MachineState& m, uint64_t max_steps) {
     ++st.fallback_steps;
     return out;
   }
-  JitRt rt{&m, e->phys, e->phys + 4 * e->len_words, 0, 0};
+  JitRt rt{};
+  rt.m = &m;
+  rt.block_phys_lo = e->phys;
+  rt.block_phys_hi = e->phys + 4 * e->len_words;
+  rt.ttbr0 = m.ttbr0;
+  rt.gens = m.mem.page_gens();
+  rt.code_gen_idx = e->gen_idx;
+  for (int k = 0; k < 4; ++k) {
+    rt.probes[k] = eng->probe(k);
+  }
+  // The probes may hit only where TranslateAddress would take the cached
+  // secure-user walk; stores also need PhysMemory::Write's dirty tracking
+  // off, since an inline store does not record its page.
+  rt.load_tlb = kMissTlb;
+  rt.store_tlb = kMissTlb;
+  if (m.cpsr.mode == arm::Mode::kUser && m.CurrentWorld() == arm::World::kSecure &&
+      m.tlb_consistent && m.interp.enabled()) {
+    const arm::InterpCaches::TlbProbe tlb = m.interp.Probe();
+    rt.load_tlb = tlb.entries;
+    rt.store_tlb = m.mem.dirty_tracking() ? kMissTlb : tlb.entries;
+    rt.tlb_epoch = tlb.epoch;
+    rt.tlb_hits = tlb.hits;
+  }
   const uint64_t steps_before = m.steps_retired;
   const uint64_t code = e->fn(&m, &rt);
   out.ran = true;

@@ -46,6 +46,8 @@ struct JitStats {
   uint64_t fallback_steps = 0;       // steps handed back to the interpreter
   uint64_t jit_steps = 0;            // steps retired inside compiled blocks
   uint64_t code_cache_flushes = 0;   // whole-cache wipes (buffer exhausted)
+  uint64_t helper_accesses = 0;      // memory accesses a probe stub sent to a
+                                     // runtime helper (miss, fault, NoteStore)
 };
 
 class Engine;  // code cache + translator; private to the jit library

@@ -1,8 +1,9 @@
-// Runtime helpers translated blocks call back into. Each one mirrors the
-// corresponding slice of execute.cc's Step(): same translation routine, same
-// fault kinds and preferred return addresses, same live-page-table store
-// side effect — so a memory access behaves bit-identically whether the
-// instruction was interpreted or translated.
+// Runtime helpers translated blocks call back into when a probe stub misses
+// (DESIGN.md §13). Each one mirrors the corresponding slice of execute.cc's
+// Step(): same translation routine, same fault kinds and preferred return
+// addresses, same live-page-table store side effect — so a memory access
+// behaves bit-identically whether the instruction was interpreted or
+// translated, and whether the probe served it or not.
 #include <cstdint>
 
 #include "src/arm/execute.h"
@@ -38,10 +39,13 @@ void AfterStore(JitRt* rt, arm::paddr phys) {
   }
 }
 
+void CountHelperAccess(JitRt* rt) { ++rt->m->jit.mutable_stats().helper_accesses; }
+
 }  // namespace
 
 extern "C" uint64_t komodo_jit_load_word(JitRt* rt, uint32_t va, uint32_t insn_addr) {
   arm::MachineState& m = *rt->m;
+  CountHelperAccess(rt);
   if (!arm::IsWordAligned(va)) {
     return TakeFault(rt, arm::Exception::kDataAbort, insn_addr);
   }
@@ -55,6 +59,7 @@ extern "C" uint64_t komodo_jit_load_word(JitRt* rt, uint32_t va, uint32_t insn_a
 extern "C" uint64_t komodo_jit_store_word(JitRt* rt, uint32_t va, uint32_t value,
                                           uint32_t insn_addr) {
   arm::MachineState& m = *rt->m;
+  CountHelperAccess(rt);
   if (!arm::IsWordAligned(va)) {
     return TakeFault(rt, arm::Exception::kDataAbort, insn_addr);
   }
@@ -69,6 +74,7 @@ extern "C" uint64_t komodo_jit_store_word(JitRt* rt, uint32_t va, uint32_t value
 
 extern "C" uint64_t komodo_jit_load_byte(JitRt* rt, uint32_t va, uint32_t insn_addr) {
   arm::MachineState& m = *rt->m;
+  CountHelperAccess(rt);
   const arm::Translation tr = arm::TranslateAddress(m, va, arm::Access::kRead);
   if (!tr.ok) {
     return TakeFault(rt, arm::Exception::kDataAbort, insn_addr);
@@ -81,6 +87,7 @@ extern "C" uint64_t komodo_jit_load_byte(JitRt* rt, uint32_t va, uint32_t insn_a
 extern "C" uint64_t komodo_jit_store_byte(JitRt* rt, uint32_t va, uint32_t value,
                                           uint32_t insn_addr) {
   arm::MachineState& m = *rt->m;
+  CountHelperAccess(rt);
   const arm::Translation tr = arm::TranslateAddress(m, va, arm::Access::kWrite);
   if (!tr.ok) {
     return TakeFault(rt, arm::Exception::kDataAbort, insn_addr);

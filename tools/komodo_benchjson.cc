@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -68,6 +69,31 @@ void ValidateBench(const JsonValue& root, const std::string& file) {
     RequireMember(r, where, "metric", JsonValue::Kind::kString);
     RequireMember(r, where, "value", JsonValue::Kind::kNumber);
     RequireMember(r, where, "unit", JsonValue::Kind::kString);
+  }
+  // bench_interp rows: helper accesses happen inside translated blocks, so
+  // they cannot outnumber the JIT-retired steps, short of LDM/STMs whose
+  // every transfer misses (up to 16 per step); the rows sit far below.
+  std::map<std::string, std::pair<const JsonValue*, const JsonValue*>> jit_rows;
+  for (const JsonValue& r : results->items) {
+    const JsonValue* name = r.IsObject() ? r.Find("name") : nullptr;
+    const JsonValue* metric = r.IsObject() ? r.Find("metric") : nullptr;
+    const JsonValue* value = r.IsObject() ? r.Find("value") : nullptr;
+    if (name == nullptr || !name->IsString() || metric == nullptr || !metric->IsString() ||
+        value == nullptr || !value->IsNumber()) {
+      continue;
+    }
+    if (metric->str == "jit_helper_accesses") {
+      jit_rows[name->str].first = value;
+    } else if (metric->str == "jit_steps") {
+      jit_rows[name->str].second = value;
+    }
+  }
+  for (const auto& [name, row] : jit_rows) {
+    if (row.first != nullptr && row.second == nullptr) {
+      Fail(file + " " + name, "jit_helper_accesses without jit_steps");
+    } else if (row.first != nullptr && row.first->number > row.second->number) {
+      Fail(file + " " + name, "jit_helper_accesses exceeds jit_steps");
+    }
   }
 }
 
