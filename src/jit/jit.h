@@ -41,7 +41,9 @@ bool Available();
 
 struct JitStats {
   uint64_t blocks_translated = 0;    // basic blocks compiled to x64
-  uint64_t block_hits = 0;           // dispatches that entered compiled code
+  uint64_t block_hits = 0;           // entries into compiled code, chained included
+  uint64_t chained = 0;              // entries by a chained transfer, which skip
+                                     // the dispatcher (DESIGN.md §13)
   uint64_t block_invalidations = 0;  // generation-stale blocks retranslated
   uint64_t fallback_steps = 0;       // steps handed back to the interpreter
   uint64_t jit_steps = 0;            // steps retired inside compiled blocks

@@ -38,29 +38,38 @@ bool FitsDisp8(int32_t disp) { return disp >= -128 && disp <= 127; }
 
 }  // namespace
 
-void X64Emitter::Disp(int32_t disp) {
-  if (FitsDisp8(disp)) {
+// mod=00 (no displacement) when disp is 0, except for an rbp/r13 base, whose
+// mod=00 encoding means something else (rip-relative, or no base in a SIB).
+uint8_t X64Emitter::Mod(int base, int32_t disp) {
+  if (disp == 0 && (base & 7) != RBP) {
+    return 0x00;
+  }
+  return FitsDisp8(disp) ? 0x40 : 0x80;
+}
+
+void X64Emitter::Disp(uint8_t mod, int32_t disp) {
+  if (mod == 0x40) {
     B(static_cast<uint8_t>(disp));
-  } else {
+  } else if (mod == 0x80) {
     B32(static_cast<uint32_t>(disp));
   }
 }
 
 void X64Emitter::ModRmDisp(int reg, int base, int32_t disp) {
-  const uint8_t mod = FitsDisp8(disp) ? 0x40 : 0x80;
+  const uint8_t mod = Mod(base, disp);
   B(static_cast<uint8_t>(mod | ((reg & 7) << 3) | (base & 7)));
   if ((base & 7) == RSP) {
     B(0x24);  // SIB: no index, base = rsp/r12
   }
-  Disp(disp);
+  Disp(mod, disp);
 }
 
 void X64Emitter::ModRmIndex(int reg, int base, int index, int32_t disp) {
   assert((index & 7) != RSP);
-  const uint8_t mod = FitsDisp8(disp) ? 0x40 : 0x80;
+  const uint8_t mod = Mod(base, disp);
   B(static_cast<uint8_t>(mod | ((reg & 7) << 3) | RSP));  // rm=100: SIB
   B(static_cast<uint8_t>(0x80 | ((index & 7) << 3) | (base & 7)));  // scale*4
-  Disp(disp);
+  Disp(mod, disp);
 }
 
 void X64Emitter::PushR64(int r) {
@@ -93,6 +102,18 @@ void X64Emitter::CallMem(int base, int32_t disp) {
   ModRmDisp(2, base, disp);  // /2 = call
 }
 
+void X64Emitter::JmpMem(int base, int32_t disp) {
+  Rex(false, 0, base);
+  B(0xff);
+  ModRmDisp(4, base, disp);  // /4 = jmp
+}
+
+void X64Emitter::JmpReg(int r) {
+  Rex(false, 0, r);
+  B(0xff);
+  B(static_cast<uint8_t>(0xe0 | (r & 7)));  // mod=11 /4
+}
+
 size_t X64Emitter::JccForward(uint8_t cc) {
   B(0x0f);
   B(static_cast<uint8_t>(0x80 | cc));
@@ -117,9 +138,29 @@ void X64Emitter::BindForward(size_t fixup) {
 }
 
 void X64Emitter::JmpBack(size_t target) {
+  const int64_t rel8 = static_cast<int64_t>(target) - static_cast<int64_t>(buf_.size() + 2);
+  if (rel8 >= -128) {
+    B(0xeb);
+    B(static_cast<uint8_t>(rel8));
+    return;
+  }
   B(0xe9);
   B32(static_cast<uint32_t>(target - (buf_.size() + 4)));
 }
+
+void X64Emitter::JccBack(uint8_t cc, size_t target) {
+  const int64_t rel8 = static_cast<int64_t>(target) - static_cast<int64_t>(buf_.size() + 2);
+  if (rel8 >= -128) {
+    B(static_cast<uint8_t>(0x70 | cc));
+    B(static_cast<uint8_t>(rel8));
+    return;
+  }
+  B(0x0f);
+  B(static_cast<uint8_t>(0x80 | cc));
+  B32(static_cast<uint32_t>(target - (buf_.size() + 4)));
+}
+
+void X64Emitter::Data32(uint32_t v) { B32(v); }
 
 void X64Emitter::MovRegImm64(int r, uint64_t v) {
   Rex(true, 0, r);
@@ -165,6 +206,12 @@ void X64Emitter::LoadMem64(int dst, int base, int32_t disp) {
 
 void X64Emitter::StoreMem32(int base, int32_t disp, int src) {
   Rex(false, src, base);
+  B(0x89);
+  ModRmDisp(src, base, disp);
+}
+
+void X64Emitter::StoreMem64(int base, int32_t disp, int src) {
+  Rex(true, src, base);
   B(0x89);
   ModRmDisp(src, base, disp);
 }
@@ -325,6 +372,18 @@ void X64Emitter::CmpRegMem64(int reg, int base, int32_t disp) {
   ModRmDisp(reg, base, disp);
 }
 
+void X64Emitter::CmpMem32Imm(int base, int32_t disp, uint32_t imm) {
+  Rex(false, 0, base);
+  const int32_t simm = static_cast<int32_t>(imm);
+  B(simm >= -128 && simm <= 127 ? 0x83 : 0x81);
+  ModRmDisp(7, base, disp);  // /7 = cmp
+  if (simm >= -128 && simm <= 127) {
+    B(static_cast<uint8_t>(imm));
+  } else {
+    B32(imm);
+  }
+}
+
 void X64Emitter::IncMem64(int base, int32_t disp) {
   Rex(true, 0, base);
   B(0xff);
@@ -338,15 +397,15 @@ void X64Emitter::IncIndex32(int base, int index) {
   ModRmIndex(0, base, index, 0);  // /0 = inc
 }
 
-void X64Emitter::AddMem64Imm(int base, int32_t disp, uint32_t imm) {
+void X64Emitter::AluMem64Imm(Alu op, int base, int32_t disp, uint32_t imm) {
   Rex(true, 0, base);
   if (imm <= 127) {
     B(0x83);
-    ModRmDisp(0, base, disp);  // /0 = add
+    ModRmDisp(static_cast<uint8_t>(op), base, disp);
     B(static_cast<uint8_t>(imm));
   } else {
     B(0x81);
-    ModRmDisp(0, base, disp);
+    ModRmDisp(static_cast<uint8_t>(op), base, disp);
     B32(imm);
   }
 }

@@ -3,11 +3,11 @@
 // Emits into a plain byte vector; the engine copies finished blocks into the
 // executable code cache. Only the addressing shapes the translator uses are
 // provided: register-register ALU, [base + disp] and [base + index*4 + disp]
-// memory operands (an 8-bit displacement when it fits, else 32-bit; no SIB
-// special cases beyond indexed forms), byte moves for the Psr flag bytes,
-// setcc, forward jumps with fixups, backward jumps to a known offset,
-// absolute 64-bit calls, and calls through a pointer in memory (the probe
-// stubs, DESIGN.md §13). The emitter itself is
+// memory operands (no displacement for 0, an 8-bit one when it fits, else
+// 32-bit; no SIB special cases beyond indexed forms), byte moves for the Psr
+// flag bytes, setcc, forward jumps with fixups, backward jumps to a known
+// offset, absolute 64-bit calls, and calls and jumps through a pointer in
+// memory (the stubs, DESIGN.md §13). The emitter itself is
 // portable C++ and compiles on every host; only *executing* its output is
 // x86-64 specific (see jit.cc's Available()).
 #ifndef SRC_JIT_X64_EMITTER_H_
@@ -83,11 +83,16 @@ class X64Emitter {
   void Ret();
   void CallReg(int r);  // call r64
   void CallMem(int base, int32_t disp);  // call qword [base + disp]
+  void JmpMem(int base, int32_t disp);   // jmp qword [base + disp]
+  void JmpReg(int r);                    // jmp r64
   // Forward jumps: emit with a rel32 placeholder, patch at the target.
   size_t JccForward(uint8_t cc);
   size_t JmpForward();
   void BindForward(size_t fixup);
-  void JmpBack(size_t target);  // jmp to an already-emitted offset
+  // Jumps to an already-emitted offset, rel8 when it reaches.
+  void JmpBack(size_t target);
+  void JccBack(uint8_t cc, size_t target);
+  void Data32(uint32_t v);  // a raw little-endian word in the code stream
 
   // --- Moves ----------------------------------------------------------------
   void MovRegImm64(int r, uint64_t v);  // movabs
@@ -98,6 +103,7 @@ class X64Emitter {
   void LoadMem32(int dst, int base, int32_t disp);    // mov r32, [base+disp]
   void LoadMem64(int dst, int base, int32_t disp);    // mov r64, [base+disp]
   void StoreMem32(int base, int32_t disp, int src);   // mov [base+disp], r32
+  void StoreMem64(int base, int32_t disp, int src);   // mov [base+disp], r64
   void StoreMemImm32(int base, int32_t disp, uint32_t imm);
   void LoadMemZx8(int dst, int base, int32_t disp);   // movzx r32, byte [..]
   void LoadMem8(int dst, int base, int32_t disp);     // mov r8low, byte [..]
@@ -123,7 +129,8 @@ class X64Emitter {
   void CmpReg8Mem8(int reg, int base, int32_t disp);  // cmp r8low, byte [..]
   void CmpRegMem32(int reg, int base, int32_t disp);  // cmp r32, [..]
   void CmpRegMem64(int reg, int base, int32_t disp);  // cmp r64, [..]
-  void AddMem64Imm(int base, int32_t disp, uint32_t imm);  // add qword [..], imm
+  void CmpMem32Imm(int base, int32_t disp, uint32_t imm);  // cmp dword [..], imm
+  void AluMem64Imm(Alu op, int base, int32_t disp, uint32_t imm);  // op qword [..], imm
   void IncMem64(int base, int32_t disp);                   // inc qword [..]
   void IncIndex32(int base, int index);                    // inc dword [base+index*4]
 
@@ -137,12 +144,14 @@ class X64Emitter {
   void B64(uint64_t v);
   // REX prefix covering reg (R) and rm/base (B); emitted only when needed.
   void Rex(bool w, int reg, int rm);
-  // ModRM for [base + disp] (mod=01 with disp8 when it fits, else mod=10
-  // with disp32); handles the RSP/R12 SIB escape.
+  // ModRM for [base + disp] (mod=00 with no displacement for disp 0, mod=01
+  // with disp8 when it fits, else mod=10 with disp32); handles the RSP/R12
+  // SIB escape.
   void ModRmDisp(int reg, int base, int32_t disp);
   // ModRM+SIB for [base + index*4 + disp], displacement sized as above.
   void ModRmIndex(int reg, int base, int index, int32_t disp);
-  void Disp(int32_t disp);  // the displacement ModRmDisp/ModRmIndex chose
+  static uint8_t Mod(int base, int32_t disp);  // the mod bits for [base + disp]
+  void Disp(uint8_t mod, int32_t disp);        // the displacement `mod` calls for
 
   std::vector<uint8_t> buf_;
 };
