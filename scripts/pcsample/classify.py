@@ -3,24 +3,38 @@
 
     python3 scripts/pcsample/classify.py pcsample.<pid>.pcs [--top N]
 
-Reads the samples and the matching pcsample.<pid>.maps (see pcsample.c) and
-prints the share of samples per bucket, largest first:
+Reads the samples and the matching pcsample.<pid>.maps (see pcsample.c).
+
+The sampler's timers run on the monotonic clock, so a thread blocked in a
+system call is sampled too: at the instruction after its `syscall`, or at
+the `syscall` itself when the kernel restarts the call after the signal
+handler (a futex wait does). Such a sample (0f 05 just before or at its PC,
+read from the mapped file) counts as "[blocked]": the header gives its share
+of all samples, and every other share is of the samples that were not
+blocked.
+
+Each remaining sample goes to a bucket, printed largest first:
 
   * a function of the sampled program or of a shared library it loaded,
-    named through `nm` (libc's functions are prefixed "libc:");
+    named through `nm` (libc's functions are prefixed "libc:"). Stripped
+    libraries such as libc export only some of their functions, so a PC
+    past the end (`nm -S` size) of the nearest exported one is printed as
+    its link-time address in the object, e.g. "libc:+0x11ea40", not under
+    that symbol's name;
   * "[jit code cache]": an executable anonymous mapping, which in komodo
-    binaries is the JIT's code cache (translated blocks and probe stubs);
+    binaries is the JIT's code cache (translated blocks and stubs);
   * "[<file>]" for a mapped file without a symbol at that address, the
     kernel's label (e.g. "[vdso]") for its own mappings, and "[unmapped]"
     for a PC no recorded mapping covers.
 
-A summary line splits the samples into the program, libc, other libraries,
-the JIT code cache and the rest.
+A summary line splits the samples that were not blocked into the program,
+libc, other libraries, the JIT code cache and the rest.
 """
 
 import argparse
 import bisect
 import collections
+import functools
 import os
 import subprocess
 import sys
@@ -55,25 +69,51 @@ class Symbols:
     """Sorted function symbols of one ELF file, by link-time address."""
 
     def __init__(self, path):
-        self.addrs, self.names = [], []
+        self.path = path
+        self.addrs, self.sizes, self.names = [], [], []
         for flags in (["--defined-only"], ["-D", "--defined-only"]):
-            out = subprocess.run(["nm", "-C", "-n", *flags, path], capture_output=True,
+            out = subprocess.run(["nm", "-C", "-n", "-S", *flags, path], capture_output=True,
                                  text=True).stdout
             for line in out.splitlines():
+                # "addr size type name", or "addr type name" without a size.
                 parts = line.split(maxsplit=2)
+                size = None
+                if len(parts) == 3 and len(parts[1]) > 1:
+                    parts = line.split(maxsplit=3)
+                    size = int(parts.pop(1), 16)
                 if len(parts) == 3 and parts[1] in "tTwWiI":
                     self.addrs.append(int(parts[0], 16))
+                    self.sizes.append(size)
                     self.names.append(parts[2])
             if self.addrs:
                 break  # stripped libraries only have dynamic symbols
         order = sorted(range(len(self.addrs)), key=self.addrs.__getitem__)
         self.addrs = [self.addrs[i] for i in order]
+        self.sizes = [self.sizes[i] for i in order]
         self.names = [self.names[i] for i in order]
         self.pie = is_position_independent(path)
 
     def lookup(self, addr):
+        """The function containing addr, "+0x<addr>" past the nearest one's
+        size, or None before the first."""
         i = bisect.bisect_right(self.addrs, addr) - 1
-        return self.names[i] if i >= 0 else None
+        if i < 0:
+            return None
+        if self.sizes[i] is not None and addr >= self.addrs[i] + max(self.sizes[i], 1):
+            return "+0x%x" % addr
+        return self.names[i]
+
+
+@functools.lru_cache(maxsize=None)
+def in_syscall(path, file_offset):
+    """True if a `syscall` (0f 05) in path ends or starts at file_offset."""
+    try:
+        with open(path, "rb") as f:
+            f.seek(max(file_offset - 2, 0))
+            around = f.read(4 if file_offset >= 2 else 2)
+    except OSError:
+        return False
+    return around[:2] == b"\x0f\x05" or around[2:] == b"\x0f\x05"
 
 
 def main():
@@ -97,6 +137,7 @@ def main():
     symbols = {}
     buckets = collections.Counter()
     kinds = collections.Counter()
+    blocked = 0
     for pc in pcs:
         i = bisect.bisect_right(starts, pc) - 1
         if i < 0 or pc >= maps[i][1]:
@@ -111,6 +152,9 @@ def main():
         if not name.startswith("/"):
             buckets[name] += 1
             kinds["other"] += 1
+            continue
+        if in_syscall(name, pc - start + offset):
+            blocked += 1
             continue
         if name not in symbols:
             symbols[name] = Symbols(name)
@@ -131,9 +175,13 @@ def main():
         kinds[kind] += 1
 
     total = len(pcs)
-    print("%d samples (%.3f thread-seconds at 100 us)" % (total, total * 1e-4))
-    print("  " + ", ".join("%s %.1f%%" % (k, 100.0 * v / total)
-                           for k, v in kinds.most_common()))
+    print("%d samples (%.3f thread-seconds at 100 us), [blocked] in a system call %d (%.1f%%)"
+          % (total, total * 1e-4, blocked, 100.0 * blocked / total))
+    total -= blocked
+    if total == 0:
+        sys.exit("every sample was blocked")
+    print("  of the other %d: " % total + ", ".join(
+        "%s %.1f%%" % (k, 100.0 * v / total) for k, v in kinds.most_common()))
     for label, n in buckets.most_common(args.top):
         print("%6.2f%% %8d  %s" % (100.0 * n / total, n, label))
 

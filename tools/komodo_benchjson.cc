@@ -70,10 +70,8 @@ void ValidateBench(const JsonValue& root, const std::string& file) {
     RequireMember(r, where, "value", JsonValue::Kind::kNumber);
     RequireMember(r, where, "unit", JsonValue::Kind::kString);
   }
-  // bench_interp rows: helper accesses happen inside translated blocks, so
-  // they cannot outnumber the JIT-retired steps, short of LDM/STMs whose
-  // every transfer misses (up to 16 per step); the rows sit far below.
-  std::map<std::string, std::pair<const JsonValue*, const JsonValue*>> jit_rows;
+  // Per row (result name), each metric's value.
+  std::map<std::string, std::map<std::string, double>> rows;
   for (const JsonValue& r : results->items) {
     const JsonValue* name = r.IsObject() ? r.Find("name") : nullptr;
     const JsonValue* metric = r.IsObject() ? r.Find("metric") : nullptr;
@@ -82,17 +80,39 @@ void ValidateBench(const JsonValue& root, const std::string& file) {
         value == nullptr || !value->IsNumber()) {
       continue;
     }
-    if (metric->str == "jit_helper_accesses") {
-      jit_rows[name->str].first = value;
-    } else if (metric->str == "jit_steps") {
-      jit_rows[name->str].second = value;
-    }
+    rows[name->str][metric->str] = value->number;
   }
-  for (const auto& [name, row] : jit_rows) {
-    if (row.first != nullptr && row.second == nullptr) {
-      Fail(file + " " + name, "jit_helper_accesses without jit_steps");
-    } else if (row.first != nullptr && row.first->number > row.second->number) {
-      Fail(file + " " + name, "jit_helper_accesses exceeds jit_steps");
+  for (const auto& [name, metrics] : rows) {
+    const std::string where = file + " " + name;
+    // bench_interp rows: helper accesses and dispatches happen inside
+    // translated code, so neither can outnumber the JIT-retired steps, short
+    // of LDM/STMs whose every transfer misses (up to 16 per step); the rows
+    // sit far below.
+    const auto jit_steps = metrics.find("jit_steps");
+    for (const char* count : {"jit_helper_accesses", "jit_dispatches"}) {
+      const auto it = metrics.find(count);
+      if (it == metrics.end()) {
+        continue;
+      }
+      if (jit_steps == metrics.end()) {
+        Fail(where, std::string(count) + " without jit_steps");
+      } else if (it->second > jit_steps->second) {
+        Fail(where, std::string(count) + " exceeds jit_steps");
+      }
+    }
+    // A repeated measurement (bench::Spread): the median must lie within its
+    // _min and _max siblings, and neither comes alone.
+    for (const auto& [metric, value] : metrics) {
+      const auto min = metrics.find(metric + "_min");
+      const auto max = metrics.find(metric + "_max");
+      if (min == metrics.end() && max == metrics.end()) {
+        continue;
+      }
+      if (min == metrics.end() || max == metrics.end()) {
+        Fail(where, metric + " has only one of _min and _max");
+      } else if (!(min->second <= value && value <= max->second)) {
+        Fail(where, metric + " lies outside its _min and _max");
+      }
     }
   }
 }
