@@ -25,9 +25,11 @@ namespace {
 
 namespace fs = std::filesystem;
 
+// X-macro lists (src/core/call_list.inc) are code too: the monitor's
+// dispatch expressions live in one.
 bool IsSourceFile(const fs::path& p) {
   const std::string ext = p.extension().string();
-  return ext == ".cc" || ext == ".h" || ext == ".cpp";
+  return ext == ".cc" || ext == ".h" || ext == ".cpp" || ext == ".inc";
 }
 
 int CountLines(const fs::path& file) {
