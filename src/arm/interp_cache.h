@@ -42,17 +42,13 @@
 #include "src/arm/page_table.h"
 #include "src/arm/types.h"
 #include "src/fuzz/inject.h"
+#include "src/obs/counters.h"
 
 namespace komodo::arm {
 
-struct InterpCacheStats {
-  uint64_t decode_hits = 0;
-  uint64_t decode_misses = 0;
-  uint64_t tlb_hits = 0;
-  uint64_t tlb_misses = 0;
-  uint64_t pt_filter_fast = 0;     // NoteStore checks answered by the footprint
-  uint64_t pt_filter_rebuilds = 0; // footprint recomputations
-};
+// Generated from KOMODO_INTERP_CACHE_COUNTERS, so every field reaches the
+// per-call metrics.
+using InterpCacheStats = obs::InterpCacheCounters;
 
 class InterpCaches {
  public:

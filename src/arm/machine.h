@@ -171,6 +171,12 @@ struct MachineState {
   size_t ResetTo(const MachineState& snapshot);
 };
 
+// The tracer's snapshot of `m`'s counters (DESIGN.md §9). Reads the fields
+// directly, never through the monitor's MonitorOps, so it charges no cycle.
+inline obs::MachineSnap ObsSnap(const MachineState& m) {
+  return {m.cycles.total(), m.steps_retired, m.tlb_flushes, m.interp.stats(), m.jit.stats()};
+}
+
 }  // namespace komodo::arm
 
 #endif  // SRC_ARM_MACHINE_H_

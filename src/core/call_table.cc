@@ -9,25 +9,6 @@
 
 namespace komodo {
 
-obs::MachineSnap Monitor::ObsSnap() const {
-  const arm::InterpCacheStats& cs = machine_.interp.stats();
-  const jit::JitStats& js = machine_.jit.stats();
-  obs::MachineSnap s;
-  s.cycles = machine_.cycles.total();
-  s.steps = machine_.steps_retired;
-  s.decode_hits = cs.decode_hits;
-  s.decode_misses = cs.decode_misses;
-  s.tlb_hits = cs.tlb_hits;
-  s.tlb_misses = cs.tlb_misses;
-  s.tlb_flushes = machine_.tlb_flushes;
-  s.jit_blocks_translated = js.blocks_translated;
-  s.jit_block_hits = js.block_hits;
-  s.jit_block_invalidations = js.block_invalidations;
-  s.jit_fallback_steps = js.fallback_steps;
-  s.jit_steps = js.jit_steps;
-  return s;
-}
-
 Monitor::CallResult Monitor::Dispatch(const CallCtx& ctx) {
   if (!obs_.enabled()) {
     return DispatchImpl(ctx);
@@ -35,11 +16,11 @@ Monitor::CallResult Monitor::Dispatch(const CallCtx& ctx) {
   const CallInfo* info = FindSmc(ctx.call);
   const char* name = info ? info->name : "UnknownSmc";
   const int nargs = info ? info->arity : 4;
-  const obs::Observability::Pending pending =
-      obs_.BeginCall(obs::EventKind::kSmcBegin, ctx.call, name, ctx.args.data(), nargs, ObsSnap());
+  const obs::Observability::Pending pending = obs_.BeginCall(
+      obs::EventKind::kSmcBegin, ctx.call, name, ctx.args.data(), nargs, arm::ObsSnap(machine_));
   const CallResult res = DispatchImpl(ctx);
   obs_.EndCall(obs::EventKind::kSmcEnd, ctx.call, name, ToWord(res.err), res.val, pending,
-               ObsSnap());
+               arm::ObsSnap(machine_));
   return res;
 }
 
@@ -68,11 +49,11 @@ Monitor::SvcResult Monitor::DispatchSvc(const SvcCtx& ctx) {
   const CallInfo* info = FindSvc(ctx.call);
   const char* name = info ? info->name : "UnknownSvc";
   const int nargs = info ? info->arity : 3;
-  const obs::Observability::Pending pending =
-      obs_.BeginCall(obs::EventKind::kSvcBegin, ctx.call, name, ctx.args.data(), nargs, ObsSnap());
+  const obs::Observability::Pending pending = obs_.BeginCall(
+      obs::EventKind::kSvcBegin, ctx.call, name, ctx.args.data(), nargs, arm::ObsSnap(machine_));
   const SvcResult res = DispatchSvcImpl(ctx);
   obs_.EndCall(obs::EventKind::kSvcEnd, ctx.call, name, ToWord(res.err),
-               res.exits ? res.exit_retval : res.val, pending, ObsSnap());
+               res.exits ? res.exit_retval : res.val, pending, arm::ObsSnap(machine_));
   return res;
 }
 
@@ -81,8 +62,6 @@ Monitor::SvcResult Monitor::DispatchSvcImpl(const SvcCtx& ctx) {
   const word a2 = ctx.args[1];
   const word a3 = ctx.args[2];
   const PageNr as_page = ctx.as_page;
-  const PageNr disp_page = ctx.disp_page;
-  (void)disp_page;  // reserved for future SVCs; no current impl consumes it
   switch (ctx.call) {
 #define KOM_SMC(name, nr, arity, argnames, insec, contents, impl, spec, errors)
 #define KOM_SVC(name, nr, arity, argnames, impl, spec, errors) \

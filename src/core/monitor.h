@@ -103,7 +103,6 @@ class Monitor {
   struct SvcCtx {
     word call = 0;
     std::array<word, 3> args{};
-    PageNr disp_page = kInvalidPage;
     PageNr as_page = kInvalidPage;
   };
   // Return err/val written to the enclave's r0/r1; `exit_retval` is set when
@@ -122,9 +121,6 @@ class Monitor {
   // call_list.inc); Dispatch/DispatchSvc wrap these with tracing.
   CallResult DispatchImpl(const CallCtx& ctx);
   SvcResult DispatchSvcImpl(const SvcCtx& ctx);
-  // Snapshot of the machine's cycle/step/cache counters for the tracer.
-  // Reads state directly (never through ops_), so it charges nothing.
-  obs::MachineSnap ObsSnap() const;
   // Records a tracer instant; takes no snapshot while tracing is off.
   void ObsInstant(obs::EventKind kind, word code, const char* name,
                   KomErr err = KomErr::kSuccess);
@@ -146,7 +142,7 @@ class Monitor {
 
   // --- SVC handlers (Table 1, bottom half) --------------------------------------
   // Stages the SvcCtx from the live user registers and dispatches it.
-  SvcResult HandleSvc(PageNr disp_page, PageNr as_page);
+  SvcResult HandleSvc(PageNr as_page);
   SvcResult SvcExit(word retval);
   SvcResult SvcGetRandom();
   SvcResult SvcAttest(PageNr as_page, vaddr data_va, vaddr mac_out_va);

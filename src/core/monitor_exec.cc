@@ -120,7 +120,7 @@ arm::Exception Monitor::RunUser() {
 
 void Monitor::ObsInstant(obs::EventKind kind, word code, const char* name, KomErr err) {
   if (obs_.enabled()) {
-    obs_.Instant(kind, code, name, ObsSnap(), ToWord(err));
+    obs_.Instant(kind, code, name, arm::ObsSnap(machine_), ToWord(err));
   }
 }
 
@@ -229,7 +229,7 @@ Monitor::CallResult Monitor::RunEnclave(PageNr disp_page, PageNr as_page, word p
       case Exception::kSvc: {
         // The machine is now in (secure) supervisor mode; user registers are
         // live in the shared register file.
-        const SvcResult res = HandleSvc(disp_page, as_page);
+        const SvcResult res = HandleSvc(as_page);
         if (res.exits) {
           // Exit does not save context: the thread stays re-enterable (§4).
           return TeardownToOs(KomErr::kSuccess, res.exit_retval);
@@ -297,12 +297,11 @@ void Monitor::RestoreEnclaveContext(PageNr disp_page, word* resume_pc, Psr* user
 
 // --- SVC handlers -------------------------------------------------------------------
 
-Monitor::SvcResult Monitor::HandleSvc(PageNr disp_page, PageNr as_page) {
+Monitor::SvcResult Monitor::HandleSvc(PageNr as_page) {
   ops_.ChargeAlu(8);  // dispatch chain
   SvcCtx ctx;
   ctx.call = ops_.GetReg(Reg::R0);
   ctx.args = {ops_.GetReg(Reg::R1), ops_.GetReg(Reg::R2), ops_.GetReg(Reg::R3)};
-  ctx.disp_page = disp_page;
   ctx.as_page = as_page;
   // Per-call dispatch is table-driven (src/core/call_table.*); DispatchSvc
   // also attaches the tracer when enabled.

@@ -21,9 +21,7 @@ WorldPool::Lease WorldPool::Acquire(word pages) {
     Lease::Slot slot = std::move(bucket.free.back());
     bucket.free.pop_back();
     ++stats_.resets;
-    stats_.pages_restored += slot.world->machine.ResetTo(*slot.snapshot);
-    slot.world->monitor.ResetForReuse();
-    slot.world->os.ResetForReuse();
+    stats_.pages_restored += slot.world->ResetTo(*slot.snapshot);
     return Lease(this, std::move(slot));
   }
   Lease::Slot slot;

@@ -10,10 +10,11 @@
 //   * at first construction the world's memory turns on dirty-page tracking
 //     and a full copy of the post-boot MachineState is captured (one shared
 //     copy per world geometry, since boot is deterministic);
-//   * Acquire hands out a pooled world after MachineState::ResetTo(snapshot)
-//     — which rewrites only the pages the previous trace dirtied and
-//     invalidates the interpreter caches — plus Monitor::ResetForReuse and
-//     Os::ResetForReuse for the C++-side bookkeeping.
+//   * Acquire hands out a pooled world after os::World::ResetTo(snapshot):
+//     MachineState::ResetTo, which rewrites only the pages the previous trace
+//     dirtied and invalidates the interpreter caches, plus
+//     Monitor::ResetForReuse and Os::ResetForReuse for the C++-side
+//     bookkeeping.
 //
 // The result is state-equal to a fresh construction (pinned by
 // tests/fuzz/parallel_campaign_test.cc) at a small fraction of the cost.

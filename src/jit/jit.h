@@ -27,6 +27,8 @@
 #include <memory>
 #include <vector>
 
+#include "src/obs/counters.h"
+
 namespace komodo::arm {
 struct MachineState;
 enum class Exception : uint8_t;
@@ -39,18 +41,9 @@ namespace komodo::jit {
 // every dispatch falls back to the interpreter; nothing else changes.
 bool Available();
 
-struct JitStats {
-  uint64_t blocks_translated = 0;    // basic blocks compiled to x64
-  uint64_t block_hits = 0;           // entries into compiled code, chained included
-  uint64_t chained = 0;              // entries by a chained transfer, which skip
-                                     // the dispatcher (DESIGN.md §13)
-  uint64_t block_invalidations = 0;  // generation-stale blocks retranslated
-  uint64_t fallback_steps = 0;       // steps handed back to the interpreter
-  uint64_t jit_steps = 0;            // steps retired inside compiled blocks
-  uint64_t code_cache_flushes = 0;   // whole-cache wipes (buffer exhausted)
-  uint64_t helper_accesses = 0;      // memory accesses a probe stub sent to a
-                                     // runtime helper (miss, fault, NoteStore)
-};
+// Generated from KOMODO_JIT_COUNTERS, so every field reaches the per-call
+// metrics.
+using JitStats = obs::JitCounters;
 
 class Engine;  // code cache + translator; private to the jit library
 

@@ -181,16 +181,14 @@ void Observability::EndCall(EventKind kind, uint32_t call, const char* name, uin
   MachineSnap& c = s.cost;
   c.cycles += snap.cycles - b.cycles;
   c.steps += snap.steps - b.steps;
-  c.decode_hits += snap.decode_hits - b.decode_hits;
-  c.decode_misses += snap.decode_misses - b.decode_misses;
-  c.tlb_hits += snap.tlb_hits - b.tlb_hits;
-  c.tlb_misses += snap.tlb_misses - b.tlb_misses;
   c.tlb_flushes += snap.tlb_flushes - b.tlb_flushes;
-  c.jit_blocks_translated += snap.jit_blocks_translated - b.jit_blocks_translated;
-  c.jit_block_hits += snap.jit_block_hits - b.jit_block_hits;
-  c.jit_block_invalidations += snap.jit_block_invalidations - b.jit_block_invalidations;
-  c.jit_fallback_steps += snap.jit_fallback_steps - b.jit_fallback_steps;
-  c.jit_steps += snap.jit_steps - b.jit_steps;
+#define KOMODO_FOLD_INTERP_CACHE(name) \
+  c.interp_cache.name += snap.interp_cache.name - b.interp_cache.name;
+  KOMODO_INTERP_CACHE_COUNTERS(KOMODO_FOLD_INTERP_CACHE)
+#undef KOMODO_FOLD_INTERP_CACHE
+#define KOMODO_FOLD_JIT(name) c.jit.name += snap.jit.name - b.jit.name;
+  KOMODO_JIT_COUNTERS(KOMODO_FOLD_JIT)
+#undef KOMODO_FOLD_JIT
 }
 
 void Observability::Instant(EventKind kind, uint32_t code, const char* name,
@@ -265,6 +263,27 @@ void WriteCallArgs(JsonWriter& w, const TraceEvent& begin, const TraceEvent& end
   w.EndObject();
 }
 
+// One JSON object per counter group, a key per listed counter (counters.h).
+#define KOMODO_COUNTER_KV(name) w.KV(#name, c.name);
+void WriteCountersJson(JsonWriter& w, const Counters& c) {
+  w.BeginObject();
+  KOMODO_TRACE_COUNTERS(KOMODO_COUNTER_KV)
+  w.EndObject();
+}
+
+void WriteCountersJson(JsonWriter& w, const InterpCacheCounters& c) {
+  w.BeginObject();
+  KOMODO_INTERP_CACHE_COUNTERS(KOMODO_COUNTER_KV)
+  w.EndObject();
+}
+
+void WriteCountersJson(JsonWriter& w, const JitCounters& c) {
+  w.BeginObject();
+  KOMODO_JIT_COUNTERS(KOMODO_COUNTER_KV)
+  w.EndObject();
+}
+#undef KOMODO_COUNTER_KV
+
 void WriteCallStatsJson(JsonWriter& w, const std::map<uint32_t, CallStats>& stats) {
   w.BeginArray();
   for (const auto& [call, s] : stats) {
@@ -278,38 +297,13 @@ void WriteCallStatsJson(JsonWriter& w, const std::map<uint32_t, CallStats>& stat
     w.KV("steps", s.cost.steps);
     w.KV("wall_ns", s.wall_ns);
     w.Key("interp_cache");
-    w.BeginObject();
-    w.KV("decode_hits", s.cost.decode_hits);
-    w.KV("decode_misses", s.cost.decode_misses);
-    w.KV("tlb_hits", s.cost.tlb_hits);
-    w.KV("tlb_misses", s.cost.tlb_misses);
-    w.EndObject();
+    WriteCountersJson(w, s.cost.interp_cache);
     w.Key("jit");
-    w.BeginObject();
-    w.KV("blocks_translated", s.cost.jit_blocks_translated);
-    w.KV("block_hits", s.cost.jit_block_hits);
-    w.KV("block_invalidations", s.cost.jit_block_invalidations);
-    w.KV("fallback_steps", s.cost.jit_fallback_steps);
-    w.KV("jit_steps", s.cost.jit_steps);
-    w.EndObject();
+    WriteCountersJson(w, s.cost.jit);
     w.KV("tlb_flushes", s.cost.tlb_flushes);
     w.EndObject();
   }
   w.EndArray();
-}
-
-void WriteCountersJson(JsonWriter& w, const Counters& c) {
-  w.BeginObject();
-  w.KV("events_recorded", c.events_recorded);
-  w.KV("events_dropped", c.events_dropped);
-  w.KV("smc_calls", c.smc_calls);
-  w.KV("svc_calls", c.svc_calls);
-  w.KV("enclave_entries", c.enclave_entries);
-  w.KV("enclave_resumes", c.enclave_resumes);
-  w.KV("enclave_exits", c.enclave_exits);
-  w.KV("exceptions", c.exceptions);
-  w.KV("tlb_flushes", c.tlb_flushes);
-  w.EndObject();
 }
 
 }  // namespace

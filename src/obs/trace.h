@@ -12,10 +12,12 @@
 // guarantees (and from the trace-determinism test).
 //
 // The library is standalone by design (no dependency on src/arm or
-// src/core): callers pass a MachineSnap of the counters they want attributed
-// — the monitor snapshots its cycle counter, retired steps, interpreter
-// cache stats and TLB-flush count around each dispatched call. Instrument
-// once, at the call-table dispatch; everything else follows.
+// src/core): callers pass a MachineSnap (counters.h) of the counters they
+// want attributed — the monitor takes arm::ObsSnap of its machine (cycle
+// counter, retired steps, TLB-flush count, interpreter-cache and JIT stats)
+// around each dispatched call. Every counter in the document is declared
+// once, in counters.h's lists. Instrument once, at the call-table dispatch;
+// everything else follows.
 //
 // Activation: construct-time from the environment (KOMODO_TRACE=on|1|true,
 // ring capacity via KOMODO_TRACE_BUF), or programmatically via Enable().
@@ -38,6 +40,8 @@
 #include <string>
 #include <vector>
 
+#include "src/obs/counters.h"
+
 namespace komodo::obs {
 
 class JsonWriter;
@@ -55,24 +59,6 @@ enum class EventKind : uint8_t {
 };
 
 const char* EventKindName(EventKind kind);
-
-// A snapshot of the machine-side monotonic counters the tracer attributes to
-// calls. Taken by the monitor (which can see the machine); deltas between
-// the begin and end snapshots of a call become that call's cost.
-struct MachineSnap {
-  uint64_t cycles = 0;         // simulated cycle counter
-  uint64_t steps = 0;          // retired interpreted instructions
-  uint64_t decode_hits = 0;    // interpreter decode-cache stats
-  uint64_t decode_misses = 0;
-  uint64_t tlb_hits = 0;       // interpreter micro-TLB stats
-  uint64_t tlb_misses = 0;
-  uint64_t tlb_flushes = 0;    // architectural TLBIALL count
-  uint64_t jit_blocks_translated = 0;  // block-JIT stats (DESIGN.md §13)
-  uint64_t jit_block_hits = 0;
-  uint64_t jit_block_invalidations = 0;
-  uint64_t jit_fallback_steps = 0;
-  uint64_t jit_steps = 0;      // steps retired inside translated blocks
-};
 
 struct TraceEvent {
   uint64_t seq = 0;       // monotonic, survives ring wrap (drop detection)
@@ -123,15 +109,7 @@ struct CallStats {
 };
 
 struct Counters {
-  uint64_t events_recorded = 0;
-  uint64_t events_dropped = 0;  // ring-wrap overwrites
-  uint64_t smc_calls = 0;
-  uint64_t svc_calls = 0;
-  uint64_t enclave_entries = 0;
-  uint64_t enclave_resumes = 0;
-  uint64_t enclave_exits = 0;
-  uint64_t exceptions = 0;
-  uint64_t tlb_flushes = 0;
+  KOMODO_TRACE_COUNTERS(KOMODO_COUNTER_FIELD)
 };
 
 // komodo-metrics-v1 histogram serializer. Exposed so layers above the

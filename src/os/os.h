@@ -118,9 +118,9 @@ class Os {
   Os(arm::MachineState& m, Monitor& monitor);
 
   // Restores the OS model's own bookkeeping (secure-page free list,
-  // insecure-page bump allocator) to its freshly constructed state. Paired
-  // with MachineState::ResetTo + Monitor::ResetForReuse when a world is
-  // recycled between fuzz traces.
+  // insecure-page bump allocator) to its freshly constructed state. Called
+  // by World::ResetTo when a world is recycled (fuzz pools, the model
+  // checker).
   void ResetForReuse();
 
   // Issues an SMC: stages the call in r0-r4, traps to monitor mode, runs the

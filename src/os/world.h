@@ -20,6 +20,17 @@ struct World {
     monitor.Boot();
     machine.pc = 0x1000;  // the OS kernel "executes" from insecure RAM
   }
+
+  // Restores the world to `snapshot`, a copy of this world's machine taken
+  // after boot with dirty tracking on (DESIGN.md §11): the machine
+  // (MachineState::ResetTo), then the monitor's and the OS model's host-side
+  // state. Returns the memory pages restored.
+  size_t ResetTo(const arm::MachineState& snapshot) {
+    const size_t restored = machine.ResetTo(snapshot);
+    monitor.ResetForReuse();
+    os.ResetForReuse();
+    return restored;
+  }
 };
 
 }  // namespace komodo::os

@@ -298,20 +298,9 @@ std::string Server::ExportMetrics() const {
   obs.WriteMetricsMembers(w);
   w.Key("serve");
   w.BeginObject();
-  w.KV("sessions_created", stats_.sessions_created);
-  w.KV("sessions_destroyed", stats_.sessions_destroyed);
-  w.KV("requests_submitted", stats_.requests_submitted);
-  w.KV("requests_completed", stats_.requests_completed);
-  w.KV("requests_failed", stats_.requests_failed);
-  w.KV("queue_full_rejections", stats_.queue_full_rejections);
-  w.KV("queue_depth_hwm", stats_.queue_depth_hwm);
-  w.KV("enters", stats_.enters);
-  w.KV("resumes", stats_.resumes);
-  w.KV("world_switches", stats_.world_switches);
-  w.KV("batches", stats_.batches);
-  w.KV("batched_requests", stats_.batched_requests);
-  w.KV("evictions", stats_.evictions);
-  w.KV("rebuilds", stats_.rebuilds);
+#define KOMODO_SERVE_KV(name) w.KV(#name, stats_.name);
+  KOMODO_SERVE_COUNTERS(KOMODO_SERVE_KV)
+#undef KOMODO_SERVE_KV
   w.KV("resident_pages", static_cast<uint64_t>(resident_pages_));
   w.Key("request_latency_cycles");
   obs::WriteHistogramJson(w, stats_.request_latency_cycles);

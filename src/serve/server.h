@@ -34,6 +34,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/obs/counters.h"
 #include "src/obs/trace.h"
 #include "src/os/expected.h"
 #include "src/os/world.h"
@@ -78,20 +79,7 @@ struct RequestResult {
 };
 
 struct ServerStats {
-  uint64_t sessions_created = 0;
-  uint64_t sessions_destroyed = 0;
-  uint64_t requests_submitted = 0;
-  uint64_t requests_completed = 0;
-  uint64_t requests_failed = 0;
-  uint64_t queue_full_rejections = 0;
-  uint64_t queue_depth_hwm = 0;  // high-water mark of the submission queue
-  uint64_t enters = 0;
-  uint64_t resumes = 0;
-  uint64_t world_switches = 0;  // enters + resumes
-  uint64_t batches = 0;         // scheduling rounds that executed
-  uint64_t batched_requests = 0;  // requests serviced by those rounds
-  uint64_t evictions = 0;
-  uint64_t rebuilds = 0;  // builds after the first (post-eviction/timeout)
+  KOMODO_SERVE_COUNTERS(KOMODO_COUNTER_FIELD)
   obs::Histogram request_latency_cycles;
   obs::Histogram batch_size;
 };

@@ -36,9 +36,7 @@ void ConcreteWorld::PreparePath(const std::vector<VerifyOp>& path) {
   // last probe dirtied (still listed). Re-mark the former so the boot reset
   // restores both.
   world_.machine.mem.MarkPagesDirty(path_pages_);
-  world_.machine.ResetTo(*boot_);
-  world_.monitor.ResetForReuse();
-  world_.os.ResetForReuse();
+  world_.ResetTo(*boot_);
 
   for (const VerifyOp& op : path) {
     if (op.irq) {
@@ -77,7 +75,6 @@ void ConcreteWorld::Execute(const VerifyOp& op, word* err, word* val) {
   Monitor::SvcCtx ctx;
   ctx.call = op.call;
   ctx.args = {op.args[0], op.args[1], op.args[2]};
-  ctx.disp_page = kInvalidPage;
   ctx.as_page = op.as_page;
   const Monitor::SvcResult r = world_.monitor.DispatchSvc(ctx);
   *err = ToWord(r.err);

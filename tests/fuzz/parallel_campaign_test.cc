@@ -147,10 +147,7 @@ TEST(SnapshotReset, ResetToEqualsFreshConstruction) {
   ASSERT_FALSE(w.machine.mem.dirty_pages().empty());
   ASSERT_FALSE(w.machine.mem == snapshot.mem);
 
-  const size_t restored = w.machine.ResetTo(snapshot);
-  EXPECT_GT(restored, 0u);
-  w.monitor.ResetForReuse();
-  w.os.ResetForReuse();
+  EXPECT_GT(w.ResetTo(snapshot), 0u);
 
   os::World fresh(pages, FuzzMonitorConfig());
   EXPECT_TRUE(w.machine.mem == fresh.machine.mem);

@@ -12,11 +12,13 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/obs/counters.h"
 #include "src/obs/json.h"
 
 namespace {
@@ -45,6 +47,20 @@ bool RequireMember(const JsonValue& v, const std::string& where, const char* key
     *out = m;
   }
   return true;
+}
+
+// Requires a number under each of `keys`: a counter list's expansion
+// (src/obs/counters.h), so the validator follows the emitters.
+void RequireNumbers(const JsonValue& v, const std::string& where,
+                    std::initializer_list<const char*> keys) {
+  for (const char* key : keys) {
+    RequireMember(v, where, key, JsonValue::Kind::kNumber);
+  }
+}
+
+// True when both are numbers and the first is the larger.
+bool Exceeds(const JsonValue* a, const JsonValue* b) {
+  return a != nullptr && b != nullptr && a->IsNumber() && b->IsNumber() && a->number > b->number;
 }
 
 // komodo-bench-v1: {"schema","bench","config":{},"results":[{name,metric,value,unit}]}
@@ -160,8 +176,22 @@ void ValidateCallStatsArray(const JsonValue& arr, const std::string& where) {
     }
     RequireMember(s, w, "steps", JsonValue::Kind::kNumber);
     RequireMember(s, w, "wall_ns", JsonValue::Kind::kNumber);
-    RequireMember(s, w, "interp_cache", JsonValue::Kind::kObject);
-    RequireMember(s, w, "jit", JsonValue::Kind::kObject);
+    const JsonValue* interp_cache = nullptr;
+    if (RequireMember(s, w, "interp_cache", JsonValue::Kind::kObject, &interp_cache)) {
+      RequireNumbers(*interp_cache, w + ".interp_cache",
+                     {KOMODO_INTERP_CACHE_COUNTERS(KOMODO_COUNTER_NAME)});
+    }
+    const JsonValue* jit = nullptr;
+    if (RequireMember(s, w, "jit", JsonValue::Kind::kObject, &jit)) {
+      RequireNumbers(*jit, w + ".jit", {KOMODO_JIT_COUNTERS(KOMODO_COUNTER_NAME)});
+      // A chained entry is a block hit, and a JIT-retired step is a step.
+      if (Exceeds(jit->Find("chained"), jit->Find("block_hits"))) {
+        Fail(w, "jit.chained exceeds jit.block_hits");
+      }
+      if (Exceeds(jit->Find("jit_steps"), s.Find("steps"))) {
+        Fail(w, "jit.jit_steps exceeds steps");
+      }
+    }
     RequireMember(s, w, "tlb_flushes", JsonValue::Kind::kNumber);
   }
 }
@@ -169,13 +199,7 @@ void ValidateCallStatsArray(const JsonValue& arr, const std::string& where) {
 // Optional "serve" section a komodo-serve daemon embeds in its metrics
 // document: the queue/eviction/batching counters plus two histograms.
 void ValidateServeSection(const JsonValue& serve, const std::string& where) {
-  for (const char* key :
-       {"sessions_created", "sessions_destroyed", "requests_submitted", "requests_completed",
-        "requests_failed", "queue_full_rejections", "queue_depth_hwm", "enters", "resumes",
-        "world_switches", "batches", "batched_requests", "evictions", "rebuilds",
-        "resident_pages"}) {
-    RequireMember(serve, where, key, JsonValue::Kind::kNumber);
-  }
+  RequireNumbers(serve, where, {KOMODO_SERVE_COUNTERS(KOMODO_COUNTER_NAME) "resident_pages"});
   const JsonValue* latency = nullptr;
   if (RequireMember(serve, where, "request_latency_cycles", JsonValue::Kind::kObject, &latency)) {
     ValidateHistogram(*latency, where + ".request_latency_cycles");
@@ -200,11 +224,7 @@ void ValidateServeSection(const JsonValue& serve, const std::string& where) {
 void ValidateMetrics(const JsonValue& root, const std::string& file) {
   const JsonValue* counters = nullptr;
   if (RequireMember(root, file, "counters", JsonValue::Kind::kObject, &counters)) {
-    for (const char* key : {"events_recorded", "events_dropped", "smc_calls", "svc_calls",
-                            "enclave_entries", "enclave_resumes", "enclave_exits", "exceptions",
-                            "tlb_flushes"}) {
-      RequireMember(*counters, file + " counters", key, JsonValue::Kind::kNumber);
-    }
+    RequireNumbers(*counters, file + " counters", {KOMODO_TRACE_COUNTERS(KOMODO_COUNTER_NAME)});
   }
   const JsonValue* smc = nullptr;
   if (RequireMember(root, file, "smc", JsonValue::Kind::kArray, &smc)) {
