@@ -120,6 +120,29 @@ cmp build/serve-load-1.out build/serve-load-2.out \
   || { echo "komodo-serve: nondeterministic load run" >&2; exit 1; }
 echo "${SERVE_LOAD_SHA256}  build/serve-load-1.out" | sha256sum --check --quiet - \
   || { echo "komodo-serve: load transcript drifted from the pinned sha256" >&2; exit 1; }
+# Results live in a ring of request slots (DESIGN.md §14), so memory stays
+# bounded however long the daemon runs: 700,000 requests, run twice with
+# identical stdout, may peak at no more than 1.25x the resident memory of a
+# 400-request run like the pinned one.
+python3 - <<'EOF'
+import os, subprocess, sys
+def peak_kb(args, out):
+    with open(out, "wb") as f:
+        proc = subprocess.Popen(["./build/tools/komodo-serve", "--load", *args], stdout=f)
+        _, status, usage = os.wait4(proc.pid, 0)
+    if os.waitstatus_to_exitcode(status) != 0:
+        sys.exit("komodo-serve --load " + " ".join(args) + " failed")
+    return usage.ru_maxrss
+small = peak_kb(["--sessions", "40", "--requests", "400", "--budget", "28"],
+                "build/serve-load-3.out")
+big = max(peak_kb(["--sessions", "16", "--requests", "700000", "--budget", "140"],
+                  f"build/serve-load-long-{i}.out") for i in (1, 2))
+if big > 1.25 * small:
+    sys.exit(f"komodo-serve: 700,000 requests peaked at {big} kB, over 1.25x the"
+             f" 400-request run's {small} kB")
+EOF
+cmp build/serve-load-long-1.out build/serve-load-long-2.out \
+  || { echo "komodo-serve: nondeterministic 700,000-request load run" >&2; exit 1; }
 
 echo "=== [8/12] komodo-lint: shipped programs + fixtures ==="
 ./build/tools/komodo-lint --check-shipped

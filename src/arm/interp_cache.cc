@@ -87,17 +87,25 @@ void InterpCaches::RebuildFootprint(const PhysMemory& mem, paddr ttbr0, PtFootpr
   f.l1_last_gen = mem.PageGenAt(f.l1_last_idx);
   f.ranges.clear();
   f.ranges.emplace_back(ttbr0, l1_end);
-  for (word l1_index = 0; l1_index < kL1Entries; ++l1_index) {
-    const paddr l1_addr = ttbr0 + l1_index * kWordSize;
-    if (!mem.IsValidPhys(l1_addr)) {
-      continue;
+  // Scan the table a page at a time through the page's host words. Memory
+  // regions are page-aligned, so a page without host words is unmapped
+  // throughout and adds nothing, as IsValidPhys skipped each of its words.
+  // The word count rounds up, so the loop ends for any TTBR0.
+  paddr addr = ttbr0;
+  for (word left = kL1Entries; left != 0;) {
+    const word offset = addr & (kPageSize - 1);
+    const word words = std::min(left, (kPageSize - offset + kWordSize - 1) / kWordSize);
+    if (const word* host = mem.PageHost(mem.PageIndexOf(addr))) {
+      const word* table = host + offset / kWordSize;
+      for (word i = 0; i < words; ++i) {
+        if (IsL1PageTableDesc(table[i])) {
+          const paddr l2_table = L1DescTableBase(table[i]);
+          f.ranges.emplace_back(l2_table, l2_table + kL2TableBytes);
+        }
+      }
     }
-    const word l1_desc = mem.Read(l1_addr);
-    if (!IsL1PageTableDesc(l1_desc)) {
-      continue;
-    }
-    const paddr l2_table = L1DescTableBase(l1_desc);
-    f.ranges.emplace_back(l2_table, l2_table + kL2TableBytes);
+    addr += words * kWordSize;
+    left -= words;
   }
   // Sort and merge in place so membership is one binary search.
   std::sort(f.ranges.begin(), f.ranges.end());

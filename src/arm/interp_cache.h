@@ -159,6 +159,13 @@ class InterpCaches {
     return Footprint(mem, ttbr0).Contains(addr);
   }
 
+  // The sorted, merged [start, end) physical ranges of the live page tables
+  // under `ttbr0` that StoreHitsLivePageTable tests a store against.
+  const std::vector<std::pair<paddr, paddr>>& PageTableFootprint(const PhysMemory& mem,
+                                                                 paddr ttbr0) {
+    return Footprint(mem, ttbr0).ranges;
+  }
+
   // Drops every micro-TLB translation.
   void InvalidateTlb() { ++tlb_epoch_; }
   // Drops every entry of every cache.

@@ -5,9 +5,6 @@
 namespace komodo::arm {
 
 namespace {
-constexpr word kL1TypeMask = 0x3;
-constexpr word kL1TypePageTable = 0x1;
-constexpr word kL1TableBaseMask = 0xffff'fc00;
 constexpr word kNsBit = 1u << 3;
 
 constexpr word kL2SmallBit = 1u << 1;
@@ -25,10 +22,6 @@ word MakeL1PageTableDesc(paddr l2_table_base) {
   assert((l2_table_base & ~kL1TableBaseMask) == 0);
   return (l2_table_base & kL1TableBaseMask) | kL1TypePageTable;
 }
-
-bool IsL1PageTableDesc(word desc) { return (desc & kL1TypeMask) == kL1TypePageTable; }
-
-paddr L1DescTableBase(word desc) { return desc & kL1TableBaseMask; }
 
 word MakeL2SmallPageDesc(paddr page_base, bool writable, bool executable, bool ns) {
   assert(IsPageAligned(page_base));

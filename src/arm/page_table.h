@@ -27,9 +27,12 @@ inline constexpr word kL2TablesPerPage = kPageSize / kL2TableBytes;  // 4
 
 // First-level "page table" (coarse) descriptor: bits[1:0]=0b01, NS at bit 3,
 // second-level table base at bits[31:10].
+inline constexpr word kL1TypeMask = 0x3;
+inline constexpr word kL1TypePageTable = 0x1;
+inline constexpr word kL1TableBaseMask = 0xffff'fc00;
 word MakeL1PageTableDesc(paddr l2_table_base);
-bool IsL1PageTableDesc(word desc);
-paddr L1DescTableBase(word desc);
+inline bool IsL1PageTableDesc(word desc) { return (desc & kL1TypeMask) == kL1TypePageTable; }
+inline paddr L1DescTableBase(word desc) { return desc & kL1TableBaseMask; }
 inline constexpr word kL1FaultDesc = 0;
 
 // Second-level "small page" descriptor: bit[1]=1, XN at bit[0], AP[1:0] at

@@ -15,6 +15,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace komodo::jit {
@@ -74,8 +75,10 @@ class X64Emitter {
     kSar = 7,
   };
 
-  const std::vector<uint8_t>& code() const { return buf_; }
   size_t size() const { return buf_.size(); }
+  void Reserve(size_t bytes) { buf_.reserve(bytes); }
+  // Moves the emitted bytes out, leaving the emitter empty.
+  std::vector<uint8_t> TakeCode() { return std::move(buf_); }
 
   // --- Stack / control ------------------------------------------------------
   void PushR64(int r);

@@ -1,6 +1,7 @@
 #include "src/serve/server.h"
 
 #include <algorithm>
+#include <array>
 #include <utility>
 
 #include "src/obs/json.h"
@@ -13,6 +14,8 @@ namespace {
 // thread + code/data/stack pages), used to pre-charge the budget before the
 // actual handle exists. All catalog programs fit the conventional layout.
 constexpr word kEnclavePages = 7;
+
+static_assert((kRequestWindow & (kRequestWindow - 1)) == 0, "an id's slot is its low bits");
 
 }  // namespace
 
@@ -51,7 +54,11 @@ Monitor::Config Server::MonitorConfigFor(const Config& config) {
 Server::Server(ProgramCatalog catalog, const Config& config)
     : catalog_(std::move(catalog)),
       config_(config),
-      world_(config.nsecure_pages, MonitorConfigFor(config)) {}
+      world_(config.nsecure_pages, MonitorConfigFor(config)) {
+  static_assert(sizeof(Slot) == 32, "a slot is a pending request or a result, not both");
+  ring_.reserve(kRequestWindow);
+  ring_.emplace_back();  // id 0's slot; the first issued id is 1
+}
 
 Expected<SessionId, ServeErr> Server::CreateSession(const std::string& program) {
   const CatalogEntry* entry = catalog_.Find(program);
@@ -75,16 +82,14 @@ Expected<word, ServeErr> Server::DestroySession(SessionId session) {
   }
   Session& s = it->second;
   word dropped = 0;
-  std::deque<Pending> rest;
-  for (const Pending& p : queue_) {
-    if (p.session == session) {
-      Fail(p, RequestFailure::kSessionDestroyed, 0, KomErr::kSuccess);
-      ++dropped;
-    } else {
-      rest.push_back(p);
-    }
+  RequestId id = s.head;
+  while (id != 0) {
+    const RequestId next = SlotOf(id).queued.next;
+    Finish(id, RequestFailure::kSessionDestroyed, 0, KomErr::kSuccess);
+    ++dropped;
+    id = next;
   }
-  queue_ = std::move(rest);
+  SkipFinished();
   if (s.built) {
     Evict(s);
   }
@@ -95,34 +100,75 @@ Expected<word, ServeErr> Server::DestroySession(SessionId session) {
 }
 
 Expected<RequestId, ServeErr> Server::Submit(SessionId session, word arg) {
-  if (sessions_.find(session) == sessions_.end()) {
+  const auto it = sessions_.find(session);
+  if (it == sessions_.end()) {
     return ServeErr::kUnknownSession;
   }
-  if (queue_.size() >= config_.queue_capacity) {
+  if (next_request_ == 0 && !SlotOf(0).pending) {
+    // The id counter wrapped. Id 0 is never issued but keeps its place in
+    // the window: its slot forgets the result it held, as an issued id would
+    // overwrite it.
+    SlotOf(0).id = 0;
+    next_request_ = 1;
+  }
+  const RequestId rid = next_request_;
+  const size_t index = rid & (kRequestWindow - 1);
+  if (index == ring_.size()) {
+    ring_.emplace_back();  // within the reserved capacity
+  }
+  Slot& slot = ring_[index];
+  if (pending_ >= config_.queue_capacity || slot.pending) {
     ++stats_.queue_full_rejections;
     return ServeErr::kQueueFull;
   }
-  const RequestId rid = next_request_++;
-  queue_.push_back({rid, session, arg, world_.machine.cycles.total()});
+  slot.id = rid;
+  slot.pending = true;
+  slot.queued = Queued{session, arg, 0, world_.machine.cycles.total()};
+  Session& s = it->second;
+  if (s.tail != 0) {
+    SlotOf(s.tail).queued.next = rid;
+  } else {
+    s.head = rid;
+  }
+  s.tail = rid;
+  ++next_request_;
+  ++pending_;
   ++stats_.requests_submitted;
-  stats_.queue_depth_hwm = std::max<uint64_t>(stats_.queue_depth_hwm, queue_.size());
+  stats_.queue_depth_hwm = std::max<uint64_t>(stats_.queue_depth_hwm, pending_);
   return rid;
 }
 
+const Server::Slot* Server::Find(RequestId request) const {
+  const size_t index = request & (kRequestWindow - 1);
+  if (request == 0 || index >= ring_.size() || ring_[index].id != request) {
+    return nullptr;
+  }
+  return &ring_[index];
+}
+
+void Server::SkipFinished() {
+  while (oldest_ != next_request_) {
+    const Slot* slot = Find(oldest_);
+    if (slot != nullptr && slot->pending) {
+      return;
+    }
+    ++oldest_;
+  }
+}
+
 const RequestResult* Server::Poll(RequestId request) const {
-  const auto it = done_.find(request);
-  return it == done_.end() ? nullptr : &it->second;
+  const Slot* slot = Find(request);
+  return slot != nullptr && !slot->pending ? &slot->result : nullptr;
 }
 
 Expected<RequestResult, ServeErr> Server::Wait(RequestId request) {
   while (true) {
-    if (const RequestResult* r = Poll(request)) {
-      return *r;
-    }
-    const bool queued = std::any_of(queue_.begin(), queue_.end(),
-                                    [&](const Pending& p) { return p.id == request; });
-    if (!queued) {
+    const Slot* slot = Find(request);
+    if (slot == nullptr) {
       return ServeErr::kUnknownRequest;
+    }
+    if (!slot->pending) {
+      return slot->result;
     }
     PumpOne();
   }
@@ -170,47 +216,45 @@ KomErr Server::EnsureBuilt(SessionId sid, Session& s) {
   return KomErr::kSuccess;
 }
 
-void Server::Complete(const Pending& p, word value) {
+void Server::Finish(RequestId request, RequestFailure failure, word value, KomErr err) {
+  Slot& slot = SlotOf(request);
   RequestResult r;
-  r.ok = true;
-  r.value = value;
-  r.latency_cycles = world_.machine.cycles.total() - p.submit_cycles;
-  stats_.request_latency_cycles.Add(r.latency_cycles);
-  ++stats_.requests_completed;
-  done_.emplace(p.id, r);
-}
-
-void Server::Fail(const Pending& p, RequestFailure failure, word value, KomErr err) {
-  RequestResult r;
-  r.ok = false;
+  r.ok = failure == RequestFailure::kNone;
   r.failure = failure;
   r.value = value;
   r.err = err;
-  r.latency_cycles = world_.machine.cycles.total() - p.submit_cycles;
-  ++stats_.requests_failed;
-  done_.emplace(p.id, r);
+  r.latency_cycles = world_.machine.cycles.total() - slot.queued.submit_cycles;
+  if (r.ok) {
+    stats_.request_latency_cycles.Add(r.latency_cycles);
+    ++stats_.requests_completed;
+  } else {
+    ++stats_.requests_failed;
+  }
+  slot.pending = false;
+  slot.result = r;
+  --pending_;
 }
 
-void Server::ExecuteRound(SessionId sid, Session& s, std::vector<Pending>& batch) {
+void Server::ExecuteRound(SessionId sid, Session& s, std::span<const RequestId> batch) {
   const KomErr build_err = EnsureBuilt(sid, s);
   if (build_err != KomErr::kSuccess) {
-    for (const Pending& p : batch) {
-      Fail(p, RequestFailure::kBuildFailed, 0, build_err);
+    for (const RequestId id : batch) {
+      Finish(id, RequestFailure::kBuildFailed, 0, build_err);
     }
     return;
   }
 
   auto& os = world_.os;
   os::EnterResult r;
+  const word n = static_cast<word>(batch.size());
   if (s.entry->batch_abi) {
-    const word n = static_cast<word>(batch.size());
     os.WriteInsecure(s.shared_pgnr, 0, n);
     for (word i = 0; i < n; ++i) {
-      os.WriteInsecure(s.shared_pgnr, 1 + i, batch[i].arg);
+      os.WriteInsecure(s.shared_pgnr, 1 + i, SlotOf(batch[i]).queued.arg);
     }
     r = os.Enter(s.enclave.thread);
   } else {
-    r = os.Enter(s.enclave.thread, batch[0].arg);
+    r = os.Enter(s.enclave.thread, SlotOf(batch[0]).queued.arg);
   }
   ++stats_.enters;
   ++stats_.world_switches;
@@ -226,8 +270,8 @@ void Server::ExecuteRound(SessionId sid, Session& s, std::vector<Pending>& batch
     if (slices >= config_.timeout_slices) {
       // The thread is wedged mid-run; destroy the enclave so the session can
       // be rebuilt fresh on its next request.
-      for (const Pending& p : batch) {
-        Fail(p, RequestFailure::kTimeout, 0, KomErr::kInterrupted);
+      for (const RequestId id : batch) {
+        Finish(id, RequestFailure::kTimeout, 0, KomErr::kInterrupted);
       }
       Evict(s);
       return;
@@ -239,49 +283,49 @@ void Server::ExecuteRound(SessionId sid, Session& s, std::vector<Pending>& batch
   }
 
   if (r.exited()) {
-    for (word i = 0; i < static_cast<word>(batch.size()); ++i) {
+    for (word i = 0; i < n; ++i) {
       const word value = s.entry->batch_abi ? os.ReadInsecure(s.shared_pgnr, 33 + i)
                                             : r.payload;
-      Complete(batch[i], value);
-    }
-  } else if (r.faulted()) {
-    for (const Pending& p : batch) {
-      Fail(p, RequestFailure::kEnclaveFault, r.payload, r.err);
+      Finish(batch[i], RequestFailure::kNone, value, KomErr::kSuccess);
     }
   } else {
-    for (const Pending& p : batch) {
-      Fail(p, RequestFailure::kMonitorDenied, r.payload, r.err);
+    const RequestFailure failure =
+        r.faulted() ? RequestFailure::kEnclaveFault : RequestFailure::kMonitorDenied;
+    for (const RequestId id : batch) {
+      Finish(id, failure, r.payload, r.err);
     }
   }
 }
 
 bool Server::PumpOne() {
-  if (queue_.empty()) {
+  if (pending_ == 0) {
     return false;
   }
-  const SessionId sid = queue_.front().session;
+  SkipFinished();
+  const SessionId sid = SlotOf(oldest_).queued.session;
   Session& s = sessions_.at(sid);
-  const size_t max_batch =
-      (config_.batching && s.entry->batch_abi) ? static_cast<size_t>(kServeBatchMax) : 1;
+  const word max_batch = (config_.batching && s.entry->batch_abi) ? kServeBatchMax : 1;
 
-  std::vector<Pending> batch;
-  std::deque<Pending> rest;
-  for (const Pending& p : queue_) {
-    if (p.session == sid && batch.size() < max_batch) {
-      batch.push_back(p);
-    } else {
-      rest.push_back(p);
-    }
+  // The oldest pending request heads its session's FIFO; take the batch off
+  // the front before the round overwrites the slots with results.
+  std::array<RequestId, kServeBatchMax> batch;
+  word n = 0;
+  RequestId id = s.head;
+  for (; id != 0 && n < max_batch; id = SlotOf(id).queued.next) {
+    batch[n++] = id;
   }
-  queue_ = std::move(rest);
+  s.head = id;
+  if (id == 0) {
+    s.tail = 0;
+  }
 
   if (s.built) {
     lru_.splice(lru_.end(), lru_, s.lru);  // most recently used
   }
   ++stats_.batches;
-  stats_.batched_requests += batch.size();
-  stats_.batch_size.Add(batch.size());
-  ExecuteRound(sid, s, batch);
+  stats_.batched_requests += n;
+  stats_.batch_size.Add(n);
+  ExecuteRound(sid, s, std::span(batch.data(), n));
   return true;
 }
 

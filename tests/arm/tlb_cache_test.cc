@@ -8,6 +8,10 @@
 // stays intact alongside it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "src/arm/assembler.h"
 #include "src/arm/execute.h"
 #include "src/arm/interp_cache.h"
@@ -212,6 +216,64 @@ TEST(PtFootprintTable, AlternatingAddressSpacesKeepTheirFootprints) {
   m.interp.InvalidateAll();
   EXPECT_TRUE(store_under(a.l1, 0xb000));
   EXPECT_EQ(m.interp.stats().pt_filter_rebuilds, 4u);
+}
+
+// The footprint, rebuilt through each table page's host words, equals a scan
+// of the table's 1,024 words one at a time through IsValidPhys and Read:
+// for a table that straddles two pages, one whose second half lies past the
+// end of mapped memory, and a page-aligned one. The words hold seeded values,
+// a quarter of which carry the page-table descriptor type.
+TEST(PtFootprintTable, RebuildMatchesPerWordScan) {
+  constexpr word kPages = 64;
+  PhysMemory mem(kPages);
+  auto page = [](word n) { return kSecurePagesBase + n * kPageSize; };
+  uint64_t x = 0x9e3779b97f4a7c15ull;
+  for (const word n : {word{2}, word{3}, word{4}, word{kPages - 1}}) {
+    for (word i = 0; i < kWordsPerPage; ++i) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+      mem.Write(page(n) + i * kWordSize, static_cast<word>(x));
+    }
+  }
+  auto per_word_scan = [&mem](paddr ttbr0) {
+    std::vector<std::pair<paddr, paddr>> ranges{{ttbr0, ttbr0 + kL1Entries * kWordSize}};
+    for (word i = 0; i < kL1Entries; ++i) {
+      const paddr addr = ttbr0 + i * kWordSize;
+      if (mem.IsValidPhys(addr) && IsL1PageTableDesc(mem.Read(addr))) {
+        const paddr l2 = L1DescTableBase(mem.Read(addr));
+        ranges.emplace_back(l2, l2 + kL2TableBytes);
+      }
+    }
+    std::sort(ranges.begin(), ranges.end());
+    std::vector<std::pair<paddr, paddr>> merged;
+    for (const auto& r : ranges) {
+      if (!merged.empty() && r.first <= merged.back().second) {
+        merged.back().second = std::max(merged.back().second, r.second);
+      } else {
+        merged.push_back(r);
+      }
+    }
+    return merged;
+  };
+  InterpCaches caches;
+  caches.set_enabled(true);
+  const paddr straddles = page(2) + kPageSize / 2;
+  const paddr runs_past_memory = page(kPages - 1) + kPageSize / 2;
+  const paddr aligned = page(4);
+  ASSERT_FALSE(mem.IsValidPhys(page(kPages)));
+  for (const paddr ttbr0 : {straddles, runs_past_memory, aligned}) {
+    SCOPED_TRACE(ttbr0);
+    const std::vector<std::pair<paddr, paddr>> expected = per_word_scan(ttbr0);
+    EXPECT_GT(expected.size(), 50u);  // the seeded words did make descriptors
+    EXPECT_EQ(caches.PageTableFootprint(mem, ttbr0), expected);
+  }
+  EXPECT_EQ(caches.stats().pt_filter_rebuilds, 3u);
+
+  // A new descriptor in the straddling table's second page is seen too.
+  mem.Write(page(3) + 4 * kWordSize, MakeL1PageTableDesc(page(40)));
+  EXPECT_EQ(caches.PageTableFootprint(mem, straddles), per_word_scan(straddles));
+  EXPECT_EQ(caches.stats().pt_filter_rebuilds, 4u);
 }
 
 // The full §5.1 discipline through interpreted execution, in both cache
