@@ -280,6 +280,20 @@ else
     > build-tsan/fuzz-smoke-jobs8.out
   cmp build-tsan/fuzz-smoke-serial.out build-tsan/fuzz-smoke-jobs8.out \
     || { echo "komodo-fuzz: --jobs changed the campaign output under TSan" >&2; exit 1; }
+  echo "=== TSan komodo-fuzz evolve smoke ==="
+  # The round barrier under the race detector: each round hands every world
+  # pool to a new worker thread, and campaigns run on worker threads even at
+  # --jobs 1. Both runs must reach the plain build's pinned hash.
+  TSAN_EVOLVE_ARGS=(--mode evolve --seed 20260807 --calls 400 --trace-len 30
+                    --shards 4 --rounds 3 --max-corpus 32 --out build-tsan)
+  ./build-tsan/tools/komodo-fuzz "${TSAN_EVOLVE_ARGS[@]}" --jobs 1 2>/dev/null \
+    > build-tsan/fuzz-evolve-serial.out
+  ./build-tsan/tools/komodo-fuzz "${TSAN_EVOLVE_ARGS[@]}" --jobs 8 2>/dev/null \
+    > build-tsan/fuzz-evolve-jobs8.out
+  cmp build-tsan/fuzz-evolve-serial.out build-tsan/fuzz-evolve-jobs8.out \
+    || { echo "komodo-fuzz: --jobs changed the evolve campaign output under TSan" >&2; exit 1; }
+  grep -q "^campaign-hash ${EVOLVE_HASH}\$" build-tsan/fuzz-evolve-serial.out \
+    || { echo "komodo-fuzz: TSan evolve hash differs from plain build" >&2; exit 1; }
 fi
 
 # clang-tidy is optional: the reference container only ships gcc.

@@ -2,29 +2,32 @@
 // master seed, runs each through its oracle, and reports the canonically
 // first failure with both the original and the shrunk witness.
 //
-// Work is split into `shards` deterministically seeded shards per oracle
-// ((seed, shard) -> an independent trace-seed stream), executed by `jobs`
-// worker threads each owning a snapshot-reset WorldPool. Every shard keeps
-// its own SHA-256 over the traces it generated and the verdicts it saw; the
-// campaign hash folds the per-shard digests in canonical (oracle, shard)
-// order, so it is byte-identical for any `jobs` — including jobs=1 — and
-// changes only with the options that define the work (seed, calls,
-// trace_len, oracle set, inject, shards). Timing never enters the hash.
+// One round loop runs both modes. Each round splits every oracle's work into
+// `shards` deterministically seeded shards ((seed, shard) -> an independent
+// trace-seed stream), executed by `jobs` worker threads each owning a
+// snapshot-reset WorldPool; a per-(oracle, shard) call ledger gives each
+// shard its share of the budget. Every shard keeps its own SHA-256 over the
+// traces it generated and the verdicts it saw; the campaign hash folds the
+// per-shard digests in canonical (round, oracle, shard) order, so it is
+// byte-identical for any `jobs` — including jobs=1 — and changes only with
+// the options that define the work (seed, calls, trace_len, oracle set,
+// inject, shards, and evolve's rounds and max_corpus). Timing never enters
+// the hash.
 //
-// A failing shard stops at its first failure; all other shards still run to
-// completion, so the hash stays a pure function of the options. The reported
-// failure is the canonically first one (lowest oracle, then shard, then
-// trace index), not whichever worker happened to hit one first.
+// A failing shard stops its round at its first failure; all other shards
+// still run to completion, so the hash stays a pure function of the options.
+// The reported failure is the canonically first one (lowest round, then
+// oracle, then shard), not whichever worker happened to hit one first.
 //
-// Evolve mode (DESIGN.md §15) layers coverage-guided corpus evolution on the
-// same skeleton: the per-oracle call budget splits across `rounds`
-// synchronous generations; within a round every shard draws candidates from
-// its own seed stream — fresh traces, or deterministic mutations of the
-// round-start corpus snapshot — and measures each candidate's coverage
-// (PageDb shapes, obs events, interp/JIT residency). Shards never share
-// mid-round state; discoveries merge at the round barrier in canonical task
-// order, which keeps coverage, corpus and the v3 campaign hash jobs-
-// invariant. Every corpus entry is a replayable `komodo-fuzz-trace v1`.
+// A blind campaign is the one-round case: fresh traces from the master
+// seed's shard streams, hashed under the v2 header. Evolve mode (DESIGN.md
+// §15) runs `rounds` rounds, each from its own EvolveRoundSeed, and every
+// shard draws fresh traces or deterministic mutations of the round-start
+// corpus snapshot and measures each trace's coverage (PageDb shapes, obs
+// events, interp/JIT residency). Shards never share mid-round state;
+// discoveries merge at the round barrier in canonical task order, which
+// keeps coverage, corpus and the v3 campaign hash jobs-invariant. Every
+// corpus entry is a replayable `komodo-fuzz-trace v1`.
 #ifndef SRC_FUZZ_CAMPAIGN_H_
 #define SRC_FUZZ_CAMPAIGN_H_
 
@@ -41,8 +44,8 @@
 namespace komodo::fuzz {
 
 enum class CampaignMode {
-  kBlind,   // stateless trace stream (v2 hash; byte-compatible with PR 5)
-  kEvolve,  // coverage-guided corpus evolution (v3 hash)
+  kBlind,   // one round of fresh traces, no corpus (v2 hash)
+  kEvolve,  // coverage-guided corpus evolution over `rounds` rounds (v3 hash)
 };
 
 struct CampaignOptions {

@@ -10,13 +10,6 @@ namespace komodo::fuzz {
 
 namespace {
 
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
 // Order-sensitive chained fold — a structural serialization, not a bag hash.
 void Fold(uint64_t* h, uint64_t v) { *h = SplitMix64(*h ^ v); }
 

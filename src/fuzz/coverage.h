@@ -66,6 +66,15 @@ class CoverageMap {
   std::unordered_set<uint64_t> keys_;
 };
 
+// The splitmix64 finaliser: the one 64-bit mixer behind coverage keys and the
+// campaign's seed streams.
+inline uint64_t SplitMix64(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
 // Key domains. Every key is SplitMix-style mixed so unrelated facts cannot
 // collide by arithmetic accident; the domain tag keeps e.g. a decode address
 // from aliasing an obs triple.
