@@ -78,10 +78,6 @@ bool UsesRn(Op op) {
 
 bool ConsumesCarry(Op op) { return op == Op::kAdc || op == Op::kSbc || op == Op::kRsc; }
 
-bool IsCompare(Op op) {
-  return op == Op::kTst || op == Op::kTeq || op == Op::kCmp || op == Op::kCmn;
-}
-
 class Interp {
  public:
   Interp(const Cfg& cfg, const TaintOptions& options) : cfg_(cfg), options_(options) {}
@@ -364,10 +360,10 @@ class Interp {
           result = AbsVal::Const(v, t);
         }
 
-        if (insn.set_flags || IsCompare(insn.op)) {
+        if (insn.set_flags || arm::IsCompare(insn.op)) {
           s.flags = t;
         }
-        if (!IsCompare(insn.op) && insn.rd != arm::PC) {
+        if (!arm::IsCompare(insn.op) && insn.rd != arm::PC) {
           s.regs[insn.rd] = result;
         }
         break;

@@ -292,9 +292,7 @@ StepResult Step(MachineState& m) {
           break;
       }
 
-      const bool is_compare =
-          insn.op == Op::kTst || insn.op == Op::kTeq || insn.op == Op::kCmp || insn.op == Op::kCmn;
-
+      const bool is_compare = IsCompare(insn.op);
       if (insn.set_flags && insn.rd == PC && !is_compare) {
         // Exception return idiom (MOVS PC, LR / SUBS PC, LR, #imm).
         if (!IsPrivileged(m)) {

@@ -50,12 +50,6 @@ constexpr word kDpOpcode(Op op) {
   }
 }
 
-bool IsDataProcessing(Op op) { return kDpOpcode(op) != 0xff; }
-
-bool IsCompareOp(Op op) {
-  return op == Op::kTst || op == Op::kTeq || op == Op::kCmp || op == Op::kCmn;
-}
-
 Op DpOpFromOpcode(word opcode) {
   static constexpr Op kTable[16] = {Op::kAnd, Op::kEor, Op::kSub, Op::kRsb, Op::kAdd, Op::kAdc,
                                     Op::kSbc, Op::kRsc, Op::kTst, Op::kTeq, Op::kCmp, Op::kCmn,
@@ -112,7 +106,7 @@ word Encode(const Instruction& insn) {
 
   if (IsDataProcessing(insn.op)) {
     word bits = cond | (kDpOpcode(insn.op) << 21);
-    if (insn.set_flags || IsCompareOp(insn.op)) {
+    if (insn.set_flags || IsCompare(insn.op)) {
       bits |= 1u << 20;
     }
     bits |= static_cast<word>(insn.rn) << 16;
@@ -375,7 +369,7 @@ std::optional<Instruction> Decode(word bits) {
       }
     }
     insn.op = DpOpFromOpcode(opcode);
-    if (IsCompareOp(insn.op) && !s_bit) {
+    if (IsCompare(insn.op) && !s_bit) {
       return std::nullopt;  // would be misc space; already handled above
     }
     insn.set_flags = s_bit;
@@ -494,23 +488,7 @@ word BranchTargetAddr(word insn_addr, const Instruction& insn) {
 }
 
 bool IsExceptionReturn(const Instruction& insn) {
-  switch (insn.op) {
-    case Op::kAnd:
-    case Op::kEor:
-    case Op::kSub:
-    case Op::kRsb:
-    case Op::kAdd:
-    case Op::kAdc:
-    case Op::kSbc:
-    case Op::kRsc:
-    case Op::kOrr:
-    case Op::kMov:
-    case Op::kBic:
-    case Op::kMvn:
-      return insn.set_flags && insn.rd == PC;
-    default:
-      return false;
-  }
+  return IsDataProcessing(insn.op) && !IsCompare(insn.op) && insn.set_flags && insn.rd == PC;
 }
 
 bool WritesPcIndirectly(const Instruction& insn) {
@@ -521,23 +499,11 @@ bool WritesPcIndirectly(const Instruction& insn) {
       return insn.rd == PC;
     case Op::kLdm:
       return (insn.reg_list & (1u << PC)) != 0;
-    case Op::kAnd:
-    case Op::kEor:
-    case Op::kSub:
-    case Op::kRsb:
-    case Op::kAdd:
-    case Op::kAdc:
-    case Op::kSbc:
-    case Op::kRsc:
-    case Op::kOrr:
-    case Op::kMov:
-    case Op::kBic:
-    case Op::kMvn:
+    default:
       // Compares never write rd; the exception-return idiom is classified
       // separately (it is a privileged instruction, not a plain branch).
-      return insn.rd == PC && !insn.set_flags;
-    default:
-      return false;
+      return IsDataProcessing(insn.op) && !IsCompare(insn.op) && insn.rd == PC &&
+             !insn.set_flags;
   }
 }
 

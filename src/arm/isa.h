@@ -63,6 +63,13 @@ enum class Op : uint8_t {
   kMrc,
 };
 
+// The sixteen data-processing ops, which lead the enum.
+constexpr bool IsDataProcessing(Op op) { return op <= Op::kMvn; }
+
+// TST, TEQ, CMP and CMN: data-processing ops that only set the flags and
+// never write rd.
+constexpr bool IsCompare(Op op) { return op >= Op::kTst && op <= Op::kCmn; }
+
 enum class ShiftKind : uint8_t { kLsl = 0, kLsr = 1, kAsr = 2, kRor = 3 };
 
 // Flexible second operand of data-processing instructions: either a rotated

@@ -84,8 +84,7 @@ arm::Instruction RandomFlatInsn(crypto::HashDrbg& drbg) {
   if (kind < 6) {  // data-processing
     insn.op = static_cast<Op>(drbg.Below(16));  // kAnd..kMvn
     insn.set_flags = drbg.Below(2) != 0;
-    if (insn.op == Op::kTst || insn.op == Op::kTeq || insn.op == Op::kCmp ||
-        insn.op == Op::kCmn) {
+    if (IsCompare(insn.op)) {
       insn.set_flags = true;
     }
     insn.rd = rd;

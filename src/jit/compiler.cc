@@ -62,14 +62,6 @@ const arm::CycleCosts& kCosts = arm::kCortexA7Costs;
 constexpr size_t kReserveBase = 64;
 constexpr size_t kReservePerInsn = 96;
 
-bool IsDataProcessing(Op op) {
-  return static_cast<uint8_t>(op) <= static_cast<uint8_t>(Op::kMvn);
-}
-
-bool IsCompare(Op op) {
-  return op == Op::kTst || op == Op::kTeq || op == Op::kCmp || op == Op::kCmn;
-}
-
 bool IsLogical(Op op) {
   switch (op) {
     case Op::kAnd:
@@ -89,27 +81,14 @@ bool IsLogical(Op op) {
 // True if the instruction ends a basic block by writing the PC. The
 // exception-return idiom never reaches here (not Jitable).
 bool IsTerminator(const Instruction& i) {
-  switch (i.op) {
-    case Op::kB:
-    case Op::kBl:
-    case Op::kBx:
-      return true;
-    case Op::kLdr:
-      return i.rd == arm::PC;
-    case Op::kLdm:
-      return ((i.reg_list >> arm::PC) & 1) != 0;
-    default:
-      break;
-  }
-  return IsDataProcessing(i.op) && !IsCompare(i.op) && i.rd == arm::PC &&
-         !i.set_flags;
+  return i.op == Op::kB || i.op == Op::kBl || arm::WritesPcIndirectly(i);
 }
 
 // The hot subset the translator handles; everything else falls back to the
 // interpreter per instruction. PC-as-operand forms that read the *raw* PC in
 // the interpreter (ReadReg(PC) mid-step) are excluded rather than modelled.
 bool Jitable(const Instruction& i) {
-  if (IsDataProcessing(i.op)) {
+  if (arm::IsDataProcessing(i.op)) {
     return !arm::IsExceptionReturn(i);
   }
   switch (i.op) {
@@ -519,7 +498,7 @@ BlockCompiler::CarrySrc BlockCompiler::EmitOperand2(const Instruction& i, word v
 
 void BlockCompiler::EmitDataProcessing(const Instruction& i, word va) {
   Charge(kCosts.alu);
-  const bool compare = IsCompare(i.op);
+  const bool compare = arm::IsCompare(i.op);
   const bool flags = i.set_flags || compare;
   const bool logical = IsLogical(i.op);
   const CarrySrc cs = EmitOperand2(i, va, flags && logical);

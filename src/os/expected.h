@@ -3,11 +3,16 @@
 // EnclaveBuilder and the serve layer's session API, which both return either
 // a fully constructed value or a typed error — never a half-filled
 // out-parameter.
+//
+// It holds a plain T and E, and E{} (KomErr::kSuccess, ServeErr::kNone)
+// means ok, so an error is never built from E{}. A 4-byte T and E then
+// return together in one register; a separate engaged flag would be stored
+// as one byte and reloaded with the value as 8, a store-forwarding stall on
+// every call.
 #ifndef SRC_OS_EXPECTED_H_
 #define SRC_OS_EXPECTED_H_
 
 #include <cassert>
-#include <optional>
 #include <type_traits>
 #include <utility>
 
@@ -16,26 +21,28 @@ namespace komodo {
 template <typename T, typename E>
 class [[nodiscard]] Expected {
   static_assert(!std::is_same_v<T, E>, "value and error types must differ");
-  static_assert(std::is_default_constructible_v<E>);
+  static_assert(std::is_default_constructible_v<T> && std::is_default_constructible_v<E>);
 
  public:
   Expected(T value) : value_(std::move(value)) {}  // NOLINT(*-explicit-*)
-  Expected(E error) : error_(error) {}             // NOLINT(*-explicit-*)
+  Expected(E error) : error_(error) {              // NOLINT(*-explicit-*)
+    assert(error != E{});
+  }
 
-  bool ok() const { return value_.has_value(); }
+  bool ok() const { return error_ == E{}; }
   explicit operator bool() const { return ok(); }
 
   T& value() & {
     assert(ok());
-    return *value_;
+    return value_;
   }
   const T& value() const& {
     assert(ok());
-    return *value_;
+    return value_;
   }
   T&& value() && {
     assert(ok());
-    return *std::move(value_);
+    return std::move(value_);
   }
 
   T& operator*() & { return value(); }
@@ -51,7 +58,7 @@ class [[nodiscard]] Expected {
   }
 
  private:
-  std::optional<T> value_;
+  T value_{};
   E error_{};
 };
 
