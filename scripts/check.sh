@@ -1,14 +1,26 @@
 #!/usr/bin/env bash
 # Pre-merge gate: tier-1 build + tests, ASan+UBSan and TSan builds of the
-# fuzz path, the komodo-lint static analysis of every shipped enclave
-# program, and the komodo-verify exhaustive small-world and 6-page closures
-# at their pinned hashes. Any failure — including a single lint finding —
-# fails the script.
+# fuzz and verify paths, the komodo-lint static analysis of every shipped
+# enclave program, and the komodo-verify exhaustive small-world, 6-page and
+# 7-page closures at their pinned hashes. Any failure — including a single
+# lint finding — fails the script.
 #
 # Usage: scripts/check.sh [--skip-sanitizers]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+
+# Runs a command that must exit with status $1, its stderr discarded and its
+# stdout left to the caller; fails the gate with the command line otherwise.
+expect_exit() {
+  local want="$1" rc=0
+  shift
+  "$@" 2>/dev/null || rc=$?
+  if [[ "$rc" != "$want" ]]; then
+    echo "expected exit $want, got $rc: $*" >&2
+    exit 1
+  fi
+}
 
 # Prefer Ninja for fresh build trees; an already-configured tree keeps
 # whatever generator it was created with.
@@ -148,13 +160,14 @@ echo "=== [8/12] komodo-lint: shipped programs + fixtures ==="
 ./build/tools/komodo-lint --check-shipped
 ./build/tools/komodo-lint --check-fixtures
 
-echo "=== [9/12] komodo-verify: exhaustive small-world and 6-page closures ==="
+echo "=== [9/12] komodo-verify: exhaustive small-world, 6-page and 7-page closures ==="
 # The model checker (DESIGN.md §12) must close the default small world with
-# all three obligations holding, byte-identically across runs, and at the
-# pinned closure hash — any drift in the PageDb serialization, the symmetry
-# quotient, or a spec guard shows up here before it reaches a reviewer.
-# Re-pin the hash (and the EXPERIMENTS.md table) when a change to the spec
-# or canon serialization is *intended*.
+# all three obligations holding, byte-identically across runs and job counts
+# (workers commit states in queue order), and at the pinned closure hash —
+# any drift in the PageDb serialization, the symmetry quotient, or a spec
+# guard shows up here before it is merged. Re-pin the hash (and the
+# EXPERIMENTS.md table) when a change to the spec or canon serialization is
+# *intended*.
 VERIFY_CLOSURE_HASH=99065585178cb71f885bfa8ba99bf856dc77b6245624a671f044a030b2640e31
 ./build/tools/komodo-verify --world small \
   --bench-out build/bench/BENCH_verify.json 2>/dev/null > build/verify-small-1.out
@@ -162,16 +175,28 @@ VERIFY_CLOSURE_HASH=99065585178cb71f885bfa8ba99bf856dc77b6245624a671f044a030b264
 cmp <(grep -v -e '^wrote ' -e '^$' build/verify-small-1.out) \
     <(grep -v '^$' build/verify-small-2.out) \
   || { echo "komodo-verify: nondeterministic exploration output" >&2; exit 1; }
+./build/tools/komodo-verify --world small --jobs 1 2>/dev/null > build/verify-small-jobs1.out
+cmp build/verify-small-2.out build/verify-small-jobs1.out \
+  || { echo "komodo-verify: --jobs changed the exploration output" >&2; exit 1; }
 grep -q "^closure-hash ${VERIFY_CLOSURE_HASH}\$" build/verify-small-1.out \
   || { echo "komodo-verify: closure hash drifted from the pinned value" >&2; exit 1; }
 ./build/tools/komodo-benchjson build/bench/BENCH_verify.json
-# The 6-page world (2 addrspaces) is pinned the same way: its counts and
-# closure hash. It takes ~13 s on a 4-vCPU x86-64 VM.
+# The 6-page and 7-page worlds (2 addrspaces) are pinned the same way: their
+# counts and closure hashes. At the default --jobs on a 4-vCPU x86-64 VM
+# they take ~5 s and ~40 s.
 ./build/tools/komodo-verify --pages 6 --max-addrspaces 2 2>/dev/null > build/verify-6.out
 printf '%s\n' 'states 21517' 'transitions 15325556' 'clipped 2410' \
   'closure-hash eaab469ea56a70cfbceb97ce4b1258876fd40bbf3cdcd30ae99126ac719dea15' PASS \
   | cmp - <(grep -E '^(states|transitions|clipped|closure-hash|PASS)' build/verify-6.out) \
   || { echo "komodo-verify: 6-page closure drifted from the pinned values" >&2; exit 1; }
+./build/tools/komodo-verify --pages 7 --max-addrspaces 2 2>/dev/null > build/verify-7.out
+printf '%s\n' 'states 129538' 'transitions 117530580' 'clipped 25934' \
+  'closure-hash 8287ef3afca952663619b7f00cdfffd6f507aa4c9479c184add5241b3bd1f38f' PASS \
+  | cmp - <(grep -E '^(states|transitions|clipped|closure-hash|PASS)' build/verify-7.out) \
+  || { echo "komodo-verify: 7-page closure drifted from the pinned values" >&2; exit 1; }
+# The injected-failure run the TSan leg compares its 8-worker run against.
+expect_exit 1 ./build/tools/komodo-verify --world small --inject remove-skip-refcount \
+  --jobs 1 > build/verify-inject-jobs1.out
 
 echo "=== [10/12] komodo-fuzz smoke (fixed seed, all oracles, pinned v2 hash) ==="
 # A short fixed-seed campaign per oracle (DESIGN.md §10). Run twice; stdout —
@@ -236,6 +261,8 @@ fi
 if ./build/tools/komodo-fuzz --seed abc 2>/dev/null; then
   echo "komodo-fuzz: accepted malformed --seed abc" >&2; exit 1
 fi
+# Evolve-only flags are a usage error in a blind campaign, not ignored.
+expect_exit 2 ./build/tools/komodo-fuzz --seed 1 --calls 10 --rounds 2
 
 if [[ "$SKIP_SANITIZERS" == 1 ]]; then
   echo "=== sanitizers: skipped (--skip-sanitizers) ==="
@@ -272,7 +299,7 @@ else
   # race-free, and the parallel run must still reproduce the serial hash.
   cmake -B build-tsan -S . $(generator_for build-tsan) \
     -DKOMODO_SANITIZE=thread >/dev/null
-  cmake --build build-tsan -j "$JOBS" --target komodo-fuzz
+  cmake --build build-tsan -j "$JOBS" --target komodo-fuzz komodo-verify
   TSAN_FUZZ_ARGS=(--seed 20260807 --calls 150 --trace-len 40 --out build-tsan)
   ./build-tsan/tools/komodo-fuzz "${TSAN_FUZZ_ARGS[@]}" --jobs 1 2>/dev/null \
     > build-tsan/fuzz-smoke-serial.out
@@ -294,6 +321,18 @@ else
     || { echo "komodo-fuzz: --jobs changed the evolve campaign output under TSan" >&2; exit 1; }
   grep -q "^campaign-hash ${EVOLVE_HASH}\$" build-tsan/fuzz-evolve-serial.out \
     || { echo "komodo-fuzz: TSan evolve hash differs from plain build" >&2; exit 1; }
+  echo "=== TSan komodo-verify parallel closure ==="
+  # Eight workers over the shared frontier and the in-order commit: the
+  # closure must reach the pinned hash, and an injected failure, found while
+  # other workers hold later states, must print what one worker prints.
+  ./build-tsan/tools/komodo-verify --world small --jobs 8 2>/dev/null \
+    > build-tsan/verify-small-jobs8.out
+  grep -q "^closure-hash ${VERIFY_CLOSURE_HASH}\$" build-tsan/verify-small-jobs8.out \
+    || { echo "komodo-verify: TSan closure hash differs from plain build" >&2; exit 1; }
+  expect_exit 1 ./build-tsan/tools/komodo-verify --world small --inject remove-skip-refcount \
+    --jobs 8 > build-tsan/verify-inject-jobs8.out
+  cmp build/verify-inject-jobs1.out build-tsan/verify-inject-jobs8.out \
+    || { echo "komodo-verify: TSan --jobs 8 failure differs from plain --jobs 1" >&2; exit 1; }
 fi
 
 # clang-tidy is optional: the reference container only ships gcc.

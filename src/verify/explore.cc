@@ -1,7 +1,12 @@
 #include "src/verify/explore.h"
 
+#include <algorithm>
+#include <condition_variable>
 #include <deque>
+#include <map>
+#include <mutex>
 #include <sstream>
+#include <thread>
 #include <utility>
 
 #include "src/core/call_table.h"
@@ -145,6 +150,37 @@ struct State {
   spec::PageDb db;
 };
 
+// Registry-driven call plan, fixed for the whole run and shared read-only by
+// every worker.
+struct PlannedCall {
+  const CallInfo* info;
+  std::vector<VerifyOp> vectors;  // as_page filled per state for SVCs
+  std::set<std::string> declared;
+};
+
+// A successor one expansion found. A repeat of a key earlier in the same
+// expansion is dropped: committing it would change nothing.
+struct Successor {
+  std::string key;
+  VerifyOp op;
+  std::optional<spec::PageDb> db;  // empty: over the addrspace bound, clipped
+};
+
+// One call's share of an expansion.
+struct CallTally {
+  uint64_t transitions = 0;
+  std::vector<word> errors;  // distinct non-success error words
+};
+
+// Everything expanding one state found, up to its first failing transition:
+// what the serial loop would have folded into the result at that state.
+struct Expansion {
+  std::string harness_error;
+  std::vector<CallTally> calls;  // plan order
+  std::optional<Counterexample> failure;
+  std::vector<Successor> successors;  // plan order
+};
+
 Counterexample MakeWitness(const WorldSpec& spec, const std::vector<VerifyOp>& path,
                            const VerifyOp& failing, std::string detail) {
   Counterexample cex;
@@ -177,6 +213,132 @@ Counterexample MakeWitness(const WorldSpec& spec, const std::vector<VerifyOp>& p
   return cex;
 }
 
+// Checks every planned transition out of `st` on the worker's own world and
+// records, in plan order, what the commit needs: stops at the first failure.
+Expansion Expand(const WorldSpec& spec, const std::vector<PlannedCall>& plan,
+                 ConcreteWorld& world, const State& st) {
+  Expansion x;
+  world.PreparePath(st.path);
+
+  // Harness sanity: the replayed machine must extract to exactly the
+  // abstract state we are about to reason over, or every conclusion below
+  // would be about a different state than the one recorded. This
+  // extraction takes no cache: it decodes every page, so each explored
+  // state cross-checks the cached extraction that produced it.
+  {
+    world.ResetToMid();
+    std::optional<spec::PageDb> mid = spec::TryExtractPageDb(world.machine());
+    if (!mid.has_value() || !(*mid == st.db)) {
+      x.harness_error =
+          "mid-state extraction diverges from the explored abstract state "
+          "(path depth " +
+          std::to_string(st.path.size()) + ")";
+      return x;
+    }
+  }
+
+  const std::vector<PageNr> as_pages = SvcAddrspaces(st.db);
+  std::set<std::string> seen;
+  x.calls.resize(plan.size());
+  for (size_t c = 0; c < plan.size(); ++c) {
+    const PlannedCall& pc = plan[c];
+    CallTally& tally = x.calls[c];
+    for (const VerifyOp& proto : pc.vectors) {
+      // SMCs run once; SVCs run once per candidate issuing addrspace.
+      const size_t variants = pc.info->kind == CallKind::kSvc ? as_pages.size() : 1;
+      for (size_t v = 0; v < variants; ++v) {
+        VerifyOp op = proto;
+        if (op.is_svc) {
+          op.as_page = as_pages[v];
+        }
+
+        ObligationResult res = CheckTransition(world, st.db, op);
+        ++tally.transitions;
+        if (!res.ok) {
+          x.failure = MakeWitness(spec, st.path, op, res.detail);
+          return x;
+        }
+
+        // Obligation 3: every error the implementation actually returns
+        // must be declared in the registry row.
+        if (res.impl_err != kErrSuccess) {
+          if (std::find(tally.errors.begin(), tally.errors.end(), res.impl_err) ==
+              tally.errors.end()) {
+            tally.errors.push_back(res.impl_err);
+          }
+          const std::string err_name = KomErrName(res.impl_err);
+          if (pc.declared.find(err_name) == pc.declared.end()) {
+            x.failure = MakeWitness(spec, st.path, op,
+                                    std::string(pc.info->name) +
+                                        " returned undeclared error " + err_name);
+            return x;
+          }
+        }
+
+        if (!res.successor.has_value()) {
+          continue;
+        }
+        std::string key = CanonicalKey(*res.successor);
+        if (!seen.insert(key).second) {
+          continue;
+        }
+        // A new key stays in a set for the rest of the run: drop the slack
+        // its appends left.
+        key.shrink_to_fit();
+        Successor next{std::move(key), op, std::nullopt};
+        if (CountAddrspaces(*res.successor) <= spec.max_addrspaces) {
+          next.db = std::move(*res.successor);
+        }
+        x.successors.push_back(std::move(next));
+      }
+    }
+  }
+  return x;
+}
+
+// The BFS bookkeeping, touched only under the explorer's lock.
+struct Closure {
+  std::set<std::string> visited;
+  std::set<std::string> clipped_keys;
+  std::deque<State> frontier;
+};
+
+// Folds the expansion of `st` into the result, as the serial loop did at this
+// point of the queue: per-call stats, then the failure, then each successor's
+// visited or clipped insert and queue append. False when the run ends here.
+bool Commit(Expansion& x, const State& st, ExploreResult& result, Closure& closure) {
+  if (!x.harness_error.empty()) {
+    result.harness_error = std::move(x.harness_error);
+    return false;
+  }
+  for (size_t c = 0; c < x.calls.size(); ++c) {
+    CallStats& stats = result.calls[c];
+    stats.transitions += x.calls[c].transitions;
+    result.transitions += x.calls[c].transitions;
+    for (const word err : x.calls[c].errors) {
+      stats.errors.insert(KomErrName(err));
+    }
+  }
+  if (x.failure.has_value()) {
+    result.failure = std::move(x.failure);
+    return false;
+  }
+  for (Successor& s : x.successors) {
+    if (!s.db.has_value()) {
+      if (closure.clipped_keys.insert(std::move(s.key)).second) {
+        ++result.clipped;
+      }
+    } else if (closure.visited.insert(std::move(s.key)).second) {
+      State next;
+      next.path = st.path;
+      next.path.push_back(s.op);
+      next.db = std::move(*s.db);
+      closure.frontier.push_back(std::move(next));
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 ExploreResult Explore(const WorldSpec& spec) {
@@ -193,18 +355,12 @@ ExploreResult Explore(const WorldSpec& spec) {
   }
   fuzz::ScopedInject scoped_inject(spec.inject);
 
-  // Registry-driven call plan, fixed for the whole run.
-  struct PlannedCall {
-    const CallInfo* info;
-    std::vector<VerifyOp> vectors;  // as_page filled per state for SVCs
-    size_t stats_index;
-  };
   std::vector<PlannedCall> plan;
   for (const CallInfo& info : kSmcCalls) {
-    plan.push_back({&info, VectorsFor(info, spec.pages), plan.size()});
+    plan.push_back({&info, VectorsFor(info, spec.pages), ParseDeclaredErrors(info.errors)});
   }
   for (const CallInfo& info : kSvcCalls) {
-    plan.push_back({&info, VectorsFor(info, spec.pages), plan.size()});
+    plan.push_back({&info, VectorsFor(info, spec.pages), ParseDeclaredErrors(info.errors)});
   }
   for (const PlannedCall& pc : plan) {
     CallStats stats;
@@ -212,10 +368,11 @@ ExploreResult Explore(const WorldSpec& spec) {
     stats.number = pc.info->number;
     stats.is_svc = pc.info->kind == CallKind::kSvc;
     stats.vectors = pc.vectors.size();
-    stats.declared = ParseDeclaredErrors(pc.info->errors);
+    stats.declared = pc.declared;
     result.calls.push_back(std::move(stats));
   }
 
+  // This thread is the first worker; its world also supplies the boot state.
   ConcreteWorld world(spec);
 
   const auto boot_violations = spec::PageDbViolations(world.boot_db());
@@ -224,94 +381,75 @@ ExploreResult Explore(const WorldSpec& spec) {
     return result;
   }
 
-  std::set<std::string> visited;
-  std::set<std::string> clipped_keys;
-  std::deque<State> frontier;
-  visited.insert(CanonicalKey(world.boot_db()));
-  frontier.push_back(State{{}, world.boot_db()});
+  Closure closure;
+  closure.visited.insert(CanonicalKey(world.boot_db()));
+  closure.frontier.push_back(State{{}, world.boot_db()});
 
-  while (!frontier.empty()) {
-    State st = std::move(frontier.front());
-    frontier.pop_front();
-
-    world.PreparePath(st.path);
-
-    // Harness sanity: the replayed machine must extract to exactly the
-    // abstract state we are about to reason over, or every conclusion below
-    // would be about a different state than the one recorded. This
-    // extraction takes no cache: it decodes every page, so each explored
-    // state cross-checks the cached extraction that produced it.
-    {
-      world.ResetToMid();
-      std::optional<spec::PageDb> mid = spec::TryExtractPageDb(world.machine());
-      if (!mid.has_value() || !(*mid == st.db)) {
-        result.harness_error =
-            "mid-state extraction diverges from the explored abstract state "
-            "(path depth " +
-            std::to_string(st.path.size()) + ")";
-        return result;
+  // Workers take states off the frontier in FIFO order, each with a ticket,
+  // and expand them concurrently. An expansion is parked until every earlier
+  // ticket is committed; whichever worker completes the next ticket commits
+  // it and every parked one after it, so the queue, every count, the first
+  // failure and the closure hash are the serial loop's at any job count. A
+  // worker runs at most `window` tickets ahead of the commits, which bounds
+  // the parked expansions. It idles while it cannot take a state but others
+  // are in flight (their commits may enqueue more), and leaves once nothing
+  // is queued or in flight, or a commit ended the run.
+  const unsigned jobs = WorkerCount(spec);
+  const uint64_t window = 4 * uint64_t{jobs};
+  std::mutex mu;
+  std::condition_variable cv;
+  uint64_t taken = 0;
+  uint64_t committed = 0;
+  bool ended = false;
+  std::map<uint64_t, std::pair<State, Expansion>> parked;
+  const auto work = [&](ConcreteWorld& w) {
+    std::unique_lock<std::mutex> lock(mu);
+    for (;;) {
+      cv.wait(lock, [&] {
+        return ended || committed == taken ||
+               (!closure.frontier.empty() && taken - committed < window);
+      });
+      if (ended || closure.frontier.empty()) {
+        return;
       }
-    }
-
-    const std::vector<PageNr> as_pages = SvcAddrspaces(st.db);
-
-    for (const PlannedCall& pc : plan) {
-      CallStats& stats = result.calls[pc.stats_index];
-      for (const VerifyOp& proto : pc.vectors) {
-        // SMCs run once; SVCs run once per candidate issuing addrspace.
-        const size_t variants = pc.info->kind == CallKind::kSvc ? as_pages.size() : 1;
-        for (size_t v = 0; v < variants; ++v) {
-          VerifyOp op = proto;
-          if (op.is_svc) {
-            op.as_page = as_pages[v];
-          }
-
-          const ObligationResult res = CheckTransition(world, st.db, op);
-          ++result.transitions;
-          ++stats.transitions;
-          if (!res.ok) {
-            result.failure = MakeWitness(spec, st.path, op, res.detail);
-            return result;
-          }
-
-          // Obligation 3: every error the implementation actually returns
-          // must be declared in the registry row.
-          if (res.impl_err != kErrSuccess) {
-            const std::string err_name = KomErrName(res.impl_err);
-            stats.errors.insert(err_name);
-            if (stats.declared.find(err_name) == stats.declared.end()) {
-              result.failure = MakeWitness(
-                  spec, st.path, op,
-                  std::string(stats.name) + " returned undeclared error " + err_name);
-              return result;
-            }
-          }
-
-          if (!res.successor.has_value()) {
-            continue;
-          }
-          std::string key = CanonicalKey(*res.successor);
-          if (CountAddrspaces(*res.successor) > spec.max_addrspaces) {
-            if (clipped_keys.insert(std::move(key)).second) {
-              ++result.clipped;
-            }
-            continue;
-          }
-          if (visited.insert(key).second) {
-            State next;
-            next.path = st.path;
-            next.path.push_back(op);
-            next.db = std::move(*res.successor);
-            frontier.push_back(std::move(next));
-          }
-        }
+      State st = std::move(closure.frontier.front());
+      closure.frontier.pop_front();
+      const uint64_t ticket = taken++;
+      lock.unlock();
+      Expansion x = Expand(spec, plan, w, st);
+      lock.lock();
+      parked.emplace(ticket, std::pair{std::move(st), std::move(x)});
+      for (auto it = parked.begin(); it != parked.end() && it->first == committed;
+           it = parked.erase(it)) {
+        auto& [state, expansion] = it->second;
+        ended = ended || !Commit(expansion, state, result, closure);
+        ++committed;
       }
+      cv.notify_all();
     }
+  };
+
+  std::vector<std::thread> helpers;
+  for (unsigned j = 1; j < jobs; ++j) {
+    helpers.emplace_back([&] {
+      // The inject flags are thread-local: an unarmed worker would check the
+      // clean monitor.
+      fuzz::ScopedInject worker_inject(spec.inject);
+      ConcreteWorld own(spec);
+      work(own);
+    });
+  }
+  work(world);
+  for (std::thread& t : helpers) {
+    t.join();
+  }
+  if (ended) {
+    return result;
   }
 
-  result.states = visited.size();
+  result.states = closure.visited.size();
   crypto::Sha256 h;
-  for (const std::string& key : visited) {
+  for (const std::string& key : closure.visited) {
     h.Update(reinterpret_cast<const uint8_t*>(key.data()), key.size());
     const uint8_t nl = '\n';
     h.Update(&nl, 1);
@@ -319,6 +457,10 @@ ExploreResult Explore(const WorldSpec& spec) {
   result.closure_hash = crypto::DigestToHex(h.Finalize());
   result.ok = true;
   return result;
+}
+
+unsigned WorkerCount(const WorldSpec& spec) {
+  return spec.jobs > 0 ? spec.jobs : std::max(1u, std::thread::hardware_concurrency());
 }
 
 }  // namespace komodo::verify

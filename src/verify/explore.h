@@ -60,9 +60,14 @@ struct ExploreResult {
   std::optional<Counterexample> failure;
 };
 
-// Runs the exploration to closure (or first failure) under the world bounds.
-// `spec.inject` arms a fuzz::inject fault for the duration of the run.
+// Runs the exploration to closure (or first failure) under the world bounds,
+// on WorkerCount(spec) threads. `spec.inject` arms a fuzz::inject fault on
+// every worker for the duration of the run. The result is the same at any
+// worker count.
 ExploreResult Explore(const WorldSpec& spec);
+
+// spec.jobs, or the hardware concurrency when that is 0.
+unsigned WorkerCount(const WorldSpec& spec);
 
 }  // namespace komodo::verify
 

@@ -42,6 +42,7 @@ struct WorldSpec {
   word pages = 5;
   word max_addrspaces = 2;
   std::string inject;  // fuzz::SetInjectByName name, "" = clean monitor
+  unsigned jobs = 0;   // Explore's worker threads; 0 = hardware concurrency
 };
 
 // One transition label: an SMC issued by the OS, or an SVC issued on behalf

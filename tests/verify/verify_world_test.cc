@@ -1,20 +1,31 @@
 // End-to-end properties of the small-world exploration: the default world
 // closes with every obligation holding, the registry's declared error sets
-// are exactly the observable ones (both directions), and an injected monitor
-// bug is found with a counterexample the fuzzer replays.
+// are exactly the observable ones (both directions), an injected monitor
+// bug is found with a counterexample the fuzzer replays, and the result is
+// the same at any worker count.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "src/core/call_table.h"
+#include "src/fuzz/inject.h"
 #include "src/fuzz/oracles.h"
 #include "src/verify/explore.h"
 
 namespace komodo::verify {
 namespace {
 
+WorldSpec WithJobs(WorldSpec spec, unsigned jobs) {
+  spec.jobs = jobs;
+  return spec;
+}
+
 // The small-world closure takes a few seconds, so every test that only reads
 // the clean run shares one exploration.
 const ExploreResult& SmallWorld() {
-  static const ExploreResult r = Explore(WorldSpec{});
+  static const ExploreResult r = Explore(WithJobs(WorldSpec{}, 4));
   return r;
 }
 
@@ -60,6 +71,54 @@ TEST(VerifyWorldTest, InjectedBugIsFoundAndWitnessReplays) {
   EXPECT_TRUE(with.failed) << "witness does not reproduce under the injection";
   const fuzz::Verdict without = fuzz::RunTrace(r.failure->trace, /*apply_inject=*/false);
   EXPECT_FALSE(without.failed) << "clean monitor fails the witness: " << without.detail;
+}
+
+void ExpectSameResult(const ExploreResult& a, const ExploreResult& b) {
+  EXPECT_EQ(a.ok, b.ok);
+  EXPECT_EQ(a.harness_error, b.harness_error);
+  EXPECT_EQ(a.states, b.states);
+  EXPECT_EQ(a.transitions, b.transitions);
+  EXPECT_EQ(a.clipped, b.clipped);
+  EXPECT_EQ(a.closure_hash, b.closure_hash);
+  ASSERT_EQ(a.calls.size(), b.calls.size());
+  for (size_t i = 0; i < a.calls.size(); ++i) {
+    SCOPED_TRACE(a.calls[i].name);
+    EXPECT_EQ(a.calls[i].transitions, b.calls[i].transitions);
+    EXPECT_EQ(a.calls[i].errors, b.calls[i].errors);
+  }
+  ASSERT_EQ(a.failure.has_value(), b.failure.has_value());
+  if (a.failure.has_value()) {
+    EXPECT_EQ(a.failure->detail, b.failure->detail);
+    EXPECT_EQ(a.failure->depth, b.failure->depth);
+    EXPECT_EQ(a.failure->exact_replay, b.failure->exact_replay);
+    EXPECT_EQ(a.failure->trace.Format(), b.failure->trace.Format());
+  }
+}
+
+// Workers expand states concurrently but commit them in queue order, so one
+// worker and four reach the same result: the same closure, and under an
+// injection the same first failure with the counts stopped at it. The
+// remove-skip-refcount case fails in BFS level 1, after 984 transitions,
+// while other workers still hold later states of that level.
+TEST(VerifyWorldTest, ResultIsTheSameAtAnyJobCount) {
+  {
+    SCOPED_TRACE("small");
+    ExpectSameResult(Explore(WithJobs(WorldSpec{}, 1)), SmallWorld());
+  }
+  std::vector<std::pair<std::string, WorldSpec>> cases;
+  WorldSpec mini;
+  mini.pages = 2;
+  mini.max_addrspaces = 1;
+  cases.emplace_back("mini", mini);
+  for (const char* name : fuzz::kInjectNames) {
+    WorldSpec injected;
+    injected.inject = name;
+    cases.emplace_back(name, injected);
+  }
+  for (const auto& [label, spec] : cases) {
+    SCOPED_TRACE(label);
+    ExpectSameResult(Explore(WithJobs(spec, 1)), Explore(WithJobs(spec, 4)));
+  }
 }
 
 TEST(VerifyWorldTest, UnknownInjectIsAHarnessError) {

@@ -20,7 +20,8 @@
 // discovered new coverage. Evolve stdout — including the v3 campaign hash,
 // per-oracle coverage/corpus counts and the coverage-curve line — obeys the
 // same determinism contract: a pure function of everything but --jobs and
-// --no-reuse.
+// --no-reuse. --rounds, --max-corpus and --corpus-dir shape evolve only, so
+// a blind campaign given one exits 2.
 //
 // Usage:
 //   komodo-fuzz [--seed N] [--calls N] [--oracle all|<name>] [--trace-len N]
@@ -91,6 +92,7 @@ int main(int argc, char** argv) {
   std::string replay_path;
   std::string out_dir = ".";
   bool apply_inject = true;
+  const char* evolve_only_flag = nullptr;  // the last evolve-only flag given
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -153,15 +155,18 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (v == nullptr) return Usage();
       opts.rounds = static_cast<uint32_t>(ParseU64("komodo-fuzz", "--rounds", v, 1, 1 << 16));
+      evolve_only_flag = "--rounds";
     } else if (arg == "--max-corpus") {
       const char* v = next();
       if (v == nullptr) return Usage();
       opts.max_corpus =
           static_cast<size_t>(ParseU64("komodo-fuzz", "--max-corpus", v, 1, 1 << 20));
+      evolve_only_flag = "--max-corpus";
     } else if (arg == "--corpus-dir") {
       const char* v = next();
       if (v == nullptr) return Usage();
       opts.corpus_dir = v;
+      evolve_only_flag = "--corpus-dir";
     } else if (arg == "--no-reuse") {
       opts.reuse_worlds = false;
     } else if (arg == "--out") {
@@ -182,6 +187,12 @@ int main(int argc, char** argv) {
 
   if (!replay_path.empty()) {
     return Replay(replay_path, apply_inject);
+  }
+  // A blind campaign has no rounds or corpus; accepting these flags there
+  // would run a different campaign than the one asked for, silently.
+  if (evolve_only_flag != nullptr && opts.mode != CampaignMode::kEvolve) {
+    std::fprintf(stderr, "komodo-fuzz: %s needs --mode evolve\n", evolve_only_flag);
+    return 2;
   }
 
   for (const std::string& o : opts.oracles) {

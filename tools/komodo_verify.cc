@@ -11,8 +11,9 @@
 // (counterexample printed, optionally written as a komodo-fuzz trace);
 // 2 = usage or harness error.
 //
-// stdout is deterministic for a given command line (timings go to stderr and
-// the bench JSON), so check.sh can run it twice and compare byte-for-byte.
+// stdout is deterministic for a given command line and the same at any
+// --jobs (timings go to stderr and the bench JSON), so check.sh can run it
+// twice, and at --jobs 1 against the default, and compare byte-for-byte.
 
 #include <chrono>
 #include <cstdio>
@@ -34,13 +35,15 @@ using komodo::verify::WorldSpec;
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--world small|mini] [--pages N] [--max-addrspaces N]\n"
-               "          [--inject NAME] [--out TRACE] [--bench-out JSON]\n"
+               "          [--inject NAME] [--jobs N] [--out TRACE] [--bench-out JSON]\n"
                "\n"
                "  --world small   5 pages, 2 addrspaces (default)\n"
                "  --world mini    2 pages, 1 addrspace (hand-checkable closure)\n"
                "  --pages N       override the secure-page count\n"
                "  --max-addrspaces N  clip successors with more addrspaces\n"
                "  --inject NAME   arm a fuzz fault injection (see komodo-fuzz)\n"
+               "  --jobs N        worker threads, 0 = hardware concurrency (default);\n"
+               "                  stdout is the same at any N\n"
                "  --out TRACE     write the counterexample trace here on failure\n"
                "  --bench-out JSON  write komodo-bench-v1 timings/counters here\n",
                argv0);
@@ -118,6 +121,13 @@ int main(int argc, char** argv) {
         return Usage(argv[0]);
       }
       spec.inject = v;
+    } else if (arg == "--jobs") {
+      const char* v = next();
+      if (v == nullptr) {
+        return Usage(argv[0]);
+      }
+      spec.jobs =
+          static_cast<unsigned>(komodo::cli::ParseU64("komodo-verify", "--jobs", v, 0, 256));
     } else if (arg == "--out") {
       const char* v = next();
       if (v == nullptr) {
@@ -162,6 +172,7 @@ int main(int argc, char** argv) {
     bench.Config("pages", static_cast<uint64_t>(spec.pages));
     bench.Config("max_addrspaces", static_cast<uint64_t>(spec.max_addrspaces));
     bench.Config("inject", spec.inject.empty() ? "none" : spec.inject);
+    bench.Config("jobs", static_cast<uint64_t>(komodo::verify::WorkerCount(spec)));
     bench.Result("explore", "states", static_cast<double>(r.states), "count");
     bench.Result("explore", "transitions", static_cast<double>(r.transitions), "count");
     bench.Result("explore", "clipped", static_cast<double>(r.clipped), "count");
