@@ -3,7 +3,8 @@
 
     python3 scripts/pcsample/classify.py pcsample.<pid>.pcs [--top N]
 
-Reads the samples and the matching pcsample.<pid>.maps (see pcsample.c).
+Reads the samples and the matching pcsample.<pid>.maps (see pcsample.c),
+and pcsample.<pid>.jit when the JIT reported its code regions.
 
 The sampler's timers run on the monotonic clock, so a thread blocked in a
 system call is sampled too: at the instruction after its `syscall`, or at
@@ -21,8 +22,14 @@ Each remaining sample goes to a bucket, printed largest first:
     past the end (`nm -S` size) of the nearest exported one is printed as
     its link-time address in the object, e.g. "libc:+0x11ea40", not under
     that symbol's name;
-  * "[jit code cache]": an executable anonymous mapping, which in komodo
-    binaries is the JIT's code cache (translated blocks and stubs);
+  * "[jit stubs]" and "[jit block va=0x<guest VA>]": a PC in the JIT's code
+    cache, in its stubs or in the translated block at that guest VA (all
+    blocks at one VA, in any enclave, share a bucket). A sample goes to the
+    region last written at its address before the sample was taken, so a
+    code-cache flush that reuses addresses does not confuse blocks;
+  * "[jit code cache]": any other executable anonymous mapping, which in
+    komodo binaries is the JIT's code cache outside every reported region
+    (or all of it, without a pcsample.<pid>.jit);
   * "[<file>]" for a mapped file without a symbol at that address, the
     kernel's label (e.g. "[vdso]") for its own mappings, and "[unmapped]"
     for a PC no recorded mapping covers.
@@ -56,6 +63,33 @@ def read_maps(path):
             maps.append((start, end, int(parts[2], 16), name))
     maps.sort()
     return maps
+
+
+class JitRegions:
+    """The JIT's code regions (pcsample.<pid>.jit), looked up by PC and by
+    the sample's index: the region last written at that PC before it."""
+
+    def __init__(self, path):
+        self.pages = collections.defaultdict(list)  # host page -> [(samples, start, end, label)]
+        if not os.path.exists(path):
+            return
+        with open(path) as f:
+            for line in f:
+                start, end, va, is_block, samples = line.split()
+                start, end, va = int(start, 16), int(end, 16), int(va, 16)
+                label = "[jit block va=0x%08x]" % va if is_block == "1" else "[jit stubs]"
+                for page in range(start >> 12, ((end - 1) >> 12) + 1):
+                    self.pages[page].append((int(samples, 16), start, end, label))
+        for regions in self.pages.values():
+            regions.sort(key=lambda r: r[0])  # stable: registration order within a count
+
+    def label(self, pc, index):
+        regions = self.pages.get(pc >> 12, ())
+        i = bisect.bisect_right(regions, (index, float("inf"))) - 1
+        for samples, start, end, label in reversed(regions[: i + 1]):
+            if start <= pc < end:
+                return label
+        return None
 
 
 def is_position_independent(path):
@@ -128,6 +162,7 @@ def main():
         pcs = [int(line, 16) for line in f if line.strip()]
     if not pcs:
         sys.exit("no samples in " + args.samples)
+    jit = JitRegions(args.samples[: -len(".pcs")] + ".jit")
 
     exe = None
     for _, _, _, name in maps:
@@ -138,7 +173,7 @@ def main():
     buckets = collections.Counter()
     kinds = collections.Counter()
     blocked = 0
-    for pc in pcs:
+    for index, pc in enumerate(pcs):
         i = bisect.bisect_right(starts, pc) - 1
         if i < 0 or pc >= maps[i][1]:
             buckets["[unmapped]"] += 1
@@ -146,7 +181,7 @@ def main():
             continue
         start, _, offset, name = maps[i]
         if name is None:
-            buckets["[jit code cache]"] += 1
+            buckets[jit.label(pc, index) or "[jit code cache]"] += 1
             kinds["jit code cache"] += 1
             continue
         if not name.startswith("/"):

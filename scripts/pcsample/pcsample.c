@@ -22,6 +22,15 @@
 // line) and pcsample.<pid>.maps (every distinct mapping seen) into its
 // working directory. A process that ends in _exit or a fatal signal writes
 // nothing.
+//
+// The JIT (src/jit/jit.cc) reports each region of its code buffer through a
+// weak hook, komodo_jit_code_region, which this library defines: the stub
+// area once per engine, then every translated block with its guest VA. Each
+// region is recorded with the number of samples taken before it, and
+// pcsample.<pid>.jit lists them ("start end guest_va is_block samples", in
+// hex), so that classify.py can give a code-cache sample to the block last
+// written at its address before the sample was taken, also after a
+// code-cache flush reused the address.
 #define _GNU_SOURCE
 #include <dlfcn.h>
 #include <pthread.h>
@@ -45,6 +54,7 @@ enum {
   kMaxSamples = 1 << 22,    // 400 s of CPU time at 10 kHz; 32 MB, touched lazily
   kMaxMapLines = 1 << 14,
   kMapPeriodMs = 50,
+  kMaxRegions = 1 << 22,    // translated blocks; 128 MB at most, grown on demand
 };
 
 static uint64_t* g_samples;
@@ -56,6 +66,40 @@ static size_t g_nmap_lines;
 static pthread_mutex_t g_maps_mu = PTHREAD_MUTEX_INITIALIZER;
 static pthread_t g_maps_thread;
 static atomic_int g_stop;
+
+struct Region {
+  uint64_t start;
+  uint64_t end;
+  uint64_t guest_va;
+  uint64_t samples;  // samples taken before the region was written
+  int is_block;
+};
+static struct Region* g_regions;
+static size_t g_nregions;
+static size_t g_region_cap;
+static pthread_mutex_t g_regions_mu = PTHREAD_MUTEX_INITIALIZER;
+
+// The JIT's weak hook (see above); engines on worker threads call it too.
+void komodo_jit_code_region(const void* start, size_t bytes, uint64_t guest_va, int is_block) {
+  pthread_mutex_lock(&g_regions_mu);
+  if (g_nregions == g_region_cap && g_region_cap < kMaxRegions) {
+    const size_t cap = g_region_cap == 0 ? 4096 : 2 * g_region_cap;
+    struct Region* grown = realloc(g_regions, cap * sizeof(*grown));
+    if (grown != NULL) {
+      g_regions = grown;
+      g_region_cap = cap;
+    }
+  }
+  if (g_nregions < g_region_cap) {
+    struct Region* r = &g_regions[g_nregions++];
+    r->start = (uint64_t)(uintptr_t)start;
+    r->end = r->start + bytes;
+    r->guest_va = guest_va;
+    r->samples = atomic_load_explicit(&g_nsamples, memory_order_relaxed);
+    r->is_block = is_block;
+  }
+  pthread_mutex_unlock(&g_regions_mu);
+}
 
 static void OnProf(int sig, siginfo_t* info, void* uctx) {
   (void)sig;
@@ -227,4 +271,19 @@ __attribute__((destructor)) static void Stop(void) {
     }
     fclose(f);
   }
+  pthread_mutex_lock(&g_regions_mu);
+  if (g_nregions != 0) {
+    snprintf(path, sizeof(path), "pcsample.%d.jit", (int)getpid());
+    f = fopen(path, "w");
+    if (f != NULL) {
+      for (size_t i = 0; i < g_nregions; ++i) {
+        const struct Region* r = &g_regions[i];
+        fprintf(f, "%llx %llx %llx %d %llx\n", (unsigned long long)r->start,
+                (unsigned long long)r->end, (unsigned long long)r->guest_va, r->is_block,
+                (unsigned long long)r->samples);
+      }
+      fclose(f);
+    }
+  }
+  pthread_mutex_unlock(&g_regions_mu);
 }

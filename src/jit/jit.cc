@@ -24,6 +24,13 @@ bool Available() { return KOMODO_JIT_HAVE_X64 != 0; }
 
 const arm::InterpCaches::TlbEntry kMissTlb[arm::InterpCaches::kTlbEntries] = {};
 
+// Defined by scripts/pcsample when it is preloaded, and null otherwise: each
+// region of the code buffer as it is written (the stubs once, with guest_va
+// 0 and is_block 0, then every translated block), so that the sampler can
+// attribute code-cache samples to guest blocks (EXPERIMENTS.md, "Tooling").
+extern "C" void komodo_jit_code_region(const void* start, size_t bytes, uint64_t guest_va,
+                                       int is_block) __attribute__((weak));
+
 namespace {
 
 // Mirrors interp_cache.cc's KOMODO_INTERP_CACHE gate: default on, any of
@@ -109,6 +116,9 @@ std::unique_ptr<Engine> Engine::Create() {
   // the stubs' cache lines.
   eng->stub_bytes_ = (stubs.size() + 63) & ~size_t{63};
   eng->used_ = eng->stub_bytes_;
+  if (komodo_jit_code_region != nullptr) {
+    komodo_jit_code_region(eng->buf_, stubs.size(), 0, 0);
+  }
   return eng;
 #else
   return nullptr;
@@ -160,6 +170,9 @@ BlockEntry* Engine::LookupOrTranslate(const arm::MachineState& m, arm::paddr phy
     }
   }
   std::memcpy(buf_ + used_, cb.code.data(), cb.code.size());
+  if (komodo_jit_code_region != nullptr) {
+    komodo_jit_code_region(buf_ + used_, cb.code.size(), va, 1);
+  }
   e.entry = buf_ + used_ + cb.entry;
   used_ += cb.code.size();
   e.kind = BlockKind::kCompiled;
@@ -229,16 +242,18 @@ RunOutcome TryRunBlock(arm::MachineState& m, uint64_t max_steps) {
   // off, since an inline store does not record its page. Chained blocks
   // share all of this: nothing a translated block does changes the mode,
   // the world, TTBR0 or dirty tracking, and a store that clears
-  // tlb_consistent ends the block through the restart exit.
+  // tlb_consistent ends the block through the restart exit. A new stamp
+  // orphans every pass the probes recorded in earlier runs.
+  const arm::InterpCaches::TlbProbe tlb = m.interp.Probe();
   rt.load_tlb = kMissTlb;
   rt.store_tlb = kMissTlb;
+  rt.tlb_hits = tlb.hits;
+  rt.NewStamp();
   if (m.cpsr.mode == arm::Mode::kUser && m.CurrentWorld() == arm::World::kSecure &&
       m.tlb_consistent && m.interp.enabled()) {
-    const arm::InterpCaches::TlbProbe tlb = m.interp.Probe();
     rt.load_tlb = tlb.entries;
     rt.store_tlb = m.mem.dirty_tracking() ? kMissTlb : tlb.entries;
     rt.tlb_epoch = tlb.epoch;
-    rt.tlb_hits = tlb.hits;
   }
   const uint64_t steps_before = m.steps_retired;
   const uint64_t code = eng->Enter(m, *e);

@@ -47,37 +47,52 @@ static_assert(sizeof(arm::word) == 4, "guest registers must be 32-bit");
 // --- Block-call ABI -----------------------------------------------------------
 // TryRunBlock enters translated code through the enter stub,
 // `uint64_t enter(MachineState* m /*rdi*/, JitRt* rt /*rsi*/, entry /*rdx*/)`,
-// which pushes the callee-saved registers, moves m -> rbx and rt -> rbp, and
-// jumps to the block's entry point. Every block runs in that one frame, so a
-// block leaves it through the exit stubs (a jump, no epilogue of its own),
-// and a chained transfer (DESIGN.md §13) jumps straight into the next
-// block's entry point. r12d/r13d/r14d are LDM/STM scratch. Return value: 0 =
-// block done (m->pc set), 0x100 | exc = exception taken (TakeException
-// already applied by a runtime helper).
+// which pushes the callee-saved registers, moves m -> rbx and rt + kRtBias ->
+// rbp, zeroes r15 and jumps to the block's entry point. Every block runs in
+// that one frame, so a block leaves it through the exit stubs (a jump, no
+// epilogue of its own), and a chained transfer (DESIGN.md §13) jumps straight
+// into the next block's entry point. Return value: 0 = block done (m->pc
+// set), 0x100 | exc = exception taken (TakeException already applied by a
+// runtime helper); a helper's restart exit returns kExitRestart.
 //
 // Memory accesses first call a probe stub through the JitRt (`call [rbp +
 // disp8]`, 3 bytes): in esi the guest VA; out in rax the host address of the
-// byte or word, or 0 when the access must take the runtime helper (a
-// micro-TLB miss, a fault, or a store that needs NoteStore or a restart
-// check). The stubs clobber rcx, rdx and rdi and keep rsi, so a miss hands
-// the VA on to the helper unchanged.
+// byte or word with ZF clear, or rax = 0 with ZF set when the access must
+// take the runtime helper (a micro-TLB miss, a fault, or a store that needs
+// NoteStore or a restart check). Besides rax the stubs clobber only rdi, and
+// they keep rsi, so a miss hands the VA on to the helper unchanged. They
+// count each hit in r15, which the exit stubs add to
+// InterpCacheStats::tlb_hits.
+//
+// A helper is called through a call stub of its own (`call [rbp + disp8]`)
+// with the VA in esi, a store's value in edi and the helper site (below) in
+// rax. The stub keeps every register but rax and rdi, so the guest registers
+// a block caches in host registers survive the call. When the helper leaves
+// the block (an exception, or a restart), the stub does not return: it
+// drops its return address and takes the exit itself.
 
 // The stubs at the head of the code buffer, written once per engine.
 // Blocks reach the first kNumBlockStubs through JitRt::stubs, in this order.
 // Word probes fault-check alignment (a miss that the helper turns into the
-// data abort); byte probes do not need to.
+// data abort); byte probes do not need to. Each probe's helper call stub is
+// kCallFirst places after it.
 enum StubKind : int {
   kProbeLoadWord,
   kProbeLoadByte,
   kProbeStoreWord,
   kProbeStoreByte,
-  kStubExit,        // returns 0 (m->pc is set)
-  kStubExitStatus,  // returns rax, a helper's exception status
-  kStubUnlinked,    // an unlinked chain site: sets m->pc, reports the site
+  kCallLoadWord,
+  kCallLoadByte,
+  kCallStoreWord,
+  kCallStoreByte,
+  kCallDataAbort,  // an LDM/STM's misaligned lowest address
+  kStubExit,       // returns 0 (m->pc is set)
+  kStubUnlinked,   // an unlinked chain site: sets m->pc, reports the site
   kNumBlockStubs,
   kStubEnter = kNumBlockStubs,  // TryRunBlock's way in, not a block's
   kNumStubs,
 };
+inline constexpr int kCallFirst = kCallLoadWord - kProbeLoadWord;
 
 // A chain site is an exit to a static target on the block's own page:
 //   call [rbp + stubs[kStubUnlinked]]   3 bytes
@@ -90,8 +105,45 @@ enum StubKind : int {
 inline constexpr int32_t kChainCallBytes = 3;
 inline constexpr int32_t kChainTargetOff = 6;  // of the target word in the site
 
+// A helper site: the accessing instruction's address, whether a store that
+// flags a restart ends the block at once (a single STR; an STM completes
+// first and checks JitRt::restart itself), and the steps and cycles the
+// block owes at the access, which the helper charges before it takes an
+// exception or a restart exit. Word-aligned addresses leave bit 0 free.
+inline constexpr uint64_t kSiteExitOnRestart = 1;
+
+inline constexpr uint64_t PackSite(uint32_t insn_addr, bool exit_on_restart, uint64_t steps,
+                                   uint64_t cycles) {
+  return insn_addr | (exit_on_restart ? kSiteExitOnRestart : 0) | (steps << 32) |
+         (cycles << 48);
+}
+inline constexpr uint32_t SiteInsnAddr(uint64_t site) {
+  return static_cast<uint32_t>(site) & ~static_cast<uint32_t>(kSiteExitOnRestart);
+}
+inline constexpr bool SiteExitsOnRestart(uint64_t site) {
+  return (site & kSiteExitOnRestart) != 0;
+}
+inline constexpr uint64_t SiteSteps(uint64_t site) { return (site >> 32) & 0xffff; }
+inline constexpr uint64_t SiteCycles(uint64_t site) { return site >> 48; }
+
+// The micro-TLB slot record of the probes' once-per-run validation
+// (DESIGN.md §13). A probe that finds the slot's key equal to
+// JitRt::stamp_key | vpn serves the access from host_bias alone; otherwise
+// it applies TlbWalk's full hit rule to the micro-TLB entry and, if the
+// access may hit, records the key. Within one stamp every recorded key
+// names the one entry the slot then holds, so the load and store sides
+// share host_bias.
+struct ProbeSlot {
+  uint64_t load_key;
+  uint64_t store_key;
+  uint64_t host_bias;  // the page's host address minus its VA: host byte = bias + va
+  uint32_t* gen;       // the page's generation, which an inline store bumps
+};
+static_assert(sizeof(ProbeSlot) == 32, "the probe stubs scale the slot index by 32");
+
 struct JitRt {
-  // Read by block code, so each within an 8-bit displacement of rbp.
+  // Read by block code through rbp = this + kRtBias, so each within an 8-bit
+  // displacement of rbp.
   const uint8_t* stubs[kNumBlockStubs];
   uint32_t* code_gen;      // generation of the running code page (gens + code_gen_idx)
   uint64_t steps_left;     // step budget: each block entry subtracts its length
@@ -109,54 +161,82 @@ struct JitRt {
   const arm::InterpCaches::TlbEntry* store_tlb;
   uint64_t tlb_epoch;
   uint32_t* gens;         // PhysMemory's page generations
-  uint64_t* tlb_hits;     // InterpCacheStats::tlb_hits
+  uint64_t* tlb_hits;     // InterpCacheStats::tlb_hits, which the exit stubs add r15 to
   size_t code_gen_idx;    // generation index of the running block's code page
   uint8_t* exit_jump;     // set by the unlinked stub: its site's exit jump
   arm::MachineState* m;
+  // The current stamp, in the bits above every VPN. A new one orphans every
+  // recorded key at once: at each dispatch, and in every runtime helper,
+  // since a fill or a store there can change what a slot holds.
+  uint64_t stamp_key;
+  ProbeSlot probe[arm::InterpCaches::kTlbEntries];
+
+  void NewStamp() {
+    stamp_key += kStampUnit;
+    if (stamp_key == 0) {  // 2^44 stamps later: let no old key match again
+      for (ProbeSlot& p : probe) {
+        p.load_key = p.store_key = 0;
+      }
+      stamp_key = kStampUnit;
+    }
+  }
+  static constexpr uint64_t kStampUnit = uint64_t{1} << 20;  // VPNs are 20 bits
 };
 
 // A micro-TLB on which every probe misses: an empty entry's vpn (kNoTag) is
 // not the page number of any 32-bit address.
 extern const arm::InterpCaches::TlbEntry kMissTlb[arm::InterpCaches::kTlbEntries];
 
-inline constexpr int32_t kRtOffStubs = offsetof(JitRt, stubs);
-inline constexpr int32_t kRtOffCodeGen = offsetof(JitRt, code_gen);
-inline constexpr int32_t kRtOffStepsLeft = offsetof(JitRt, steps_left);
-inline constexpr int32_t kRtOffEntries = offsetof(JitRt, entries);
-inline constexpr int32_t kRtOffBlockPhysLo = offsetof(JitRt, block_phys_lo);
-inline constexpr int32_t kRtOffBlockPhysHi = offsetof(JitRt, block_phys_hi);
-inline constexpr int32_t kRtOffRestart = offsetof(JitRt, restart);
-inline constexpr int32_t kRtOffTtbr0 = offsetof(JitRt, ttbr0);
-inline constexpr int32_t kRtOffLoadTlb = offsetof(JitRt, load_tlb);
-inline constexpr int32_t kRtOffStoreTlb = offsetof(JitRt, store_tlb);
-inline constexpr int32_t kRtOffTlbEpoch = offsetof(JitRt, tlb_epoch);
-inline constexpr int32_t kRtOffGens = offsetof(JitRt, gens);
-inline constexpr int32_t kRtOffTlbHits = offsetof(JitRt, tlb_hits);
-inline constexpr int32_t kRtOffCodeGenIdx = offsetof(JitRt, code_gen_idx);
-inline constexpr int32_t kRtOffExitJump = offsetof(JitRt, exit_jump);
+// rbp points this far into the JitRt, so that 8-bit displacements reach the
+// 256 bytes around it; emitted code addresses a field at RtDisp(its offset).
+inline constexpr int32_t kRtBias = 128;
+inline constexpr int32_t RtDisp(size_t offset) {
+  return static_cast<int32_t>(offset) - kRtBias;
+}
 
-inline constexpr int32_t StubOff(StubKind k) { return kRtOffStubs + 8 * k; }
+inline constexpr int32_t kRtOffCodeGen = RtDisp(offsetof(JitRt, code_gen));
+inline constexpr int32_t kRtOffStepsLeft = RtDisp(offsetof(JitRt, steps_left));
+inline constexpr int32_t kRtOffEntries = RtDisp(offsetof(JitRt, entries));
+inline constexpr int32_t kRtOffBlockPhysLo = RtDisp(offsetof(JitRt, block_phys_lo));
+inline constexpr int32_t kRtOffBlockPhysHi = RtDisp(offsetof(JitRt, block_phys_hi));
+inline constexpr int32_t kRtOffRestart = RtDisp(offsetof(JitRt, restart));
+inline constexpr int32_t kRtOffTtbr0 = RtDisp(offsetof(JitRt, ttbr0));
+inline constexpr int32_t kRtOffLoadTlb = RtDisp(offsetof(JitRt, load_tlb));
+inline constexpr int32_t kRtOffStoreTlb = RtDisp(offsetof(JitRt, store_tlb));
+inline constexpr int32_t kRtOffTlbEpoch = RtDisp(offsetof(JitRt, tlb_epoch));
+inline constexpr int32_t kRtOffGens = RtDisp(offsetof(JitRt, gens));
+inline constexpr int32_t kRtOffTlbHits = RtDisp(offsetof(JitRt, tlb_hits));
+inline constexpr int32_t kRtOffCodeGenIdx = RtDisp(offsetof(JitRt, code_gen_idx));
+inline constexpr int32_t kRtOffExitJump = RtDisp(offsetof(JitRt, exit_jump));
+inline constexpr int32_t kRtOffStampKey = RtDisp(offsetof(JitRt, stamp_key));
+inline constexpr int32_t kRtOffProbe = RtDisp(offsetof(JitRt, probe));
 
-static_assert(kRtOffRestart <= 127 && StubOff(kStubUnlinked) <= 127,
+inline constexpr int32_t StubOff(StubKind k) { return RtDisp(offsetof(JitRt, stubs)) + 8 * k; }
+
+static_assert(StubOff(kProbeLoadWord) >= -128 && kRtOffRestart <= 127,
               "block code reaches JitRt with 8-bit displacements");
 
 inline constexpr uint64_t kExitExceptionBit = 0x100;
+inline constexpr uint64_t kExitRestart = 0x200;
 
 using EnterFn = uint64_t (*)(arm::MachineState*, JitRt*, const uint8_t* entry);
 
-// Runtime helpers the emitted code calls (System V ABI). Each returns
-// (status << 32) | value, status 0 = ok, else 0x100 | exception (already
-// taken against the machine, with the architecturally preferred return
-// address for `insn_addr`). Store helpers apply the live-page-table TLB
-// side effect and set rt->restart when the block must not continue.
-extern "C" uint64_t komodo_jit_load_word(JitRt* rt, uint32_t va, uint32_t insn_addr);
+// Runtime helpers the call stubs call (System V ABI). Each returns
+// (status << 32) | value: status 0 = ok, else the block's exit code, after
+// the helper has charged the site's owed steps and cycles — 0x100 | exception
+// (already taken against the machine, with the architecturally preferred
+// return address for the site's instruction), or kExitRestart (m->pc set
+// past a single STR whose store flagged a restart). Every helper starts a
+// new probe stamp. Store helpers apply the live-page-table TLB side effect
+// and set rt->restart when the block must not continue.
+extern "C" uint64_t komodo_jit_load_word(JitRt* rt, uint32_t va, uint64_t site);
+extern "C" uint64_t komodo_jit_load_byte(JitRt* rt, uint32_t va, uint64_t site);
 extern "C" uint64_t komodo_jit_store_word(JitRt* rt, uint32_t va, uint32_t value,
-                                          uint32_t insn_addr);
-extern "C" uint64_t komodo_jit_load_byte(JitRt* rt, uint32_t va, uint32_t insn_addr);
+                                          uint64_t site);
 extern "C" uint64_t komodo_jit_store_byte(JitRt* rt, uint32_t va, uint32_t value,
-                                          uint32_t insn_addr);
-// Takes `exception` with the preferred return address and returns status<<32.
-extern "C" uint64_t komodo_jit_fault(JitRt* rt, uint32_t exception, uint32_t insn_addr);
+                                          uint64_t site);
+// Takes the data abort of an LDM/STM's misaligned lowest address.
+extern "C" uint64_t komodo_jit_data_abort(JitRt* rt, uint64_t site);
 
 // --- Block compiler -----------------------------------------------------------
 

@@ -14,13 +14,18 @@ namespace komodo::jit {
 
 namespace {
 
-uint64_t TakeFault(JitRt* rt, arm::Exception e, uint32_t insn_addr) {
-  // Data aborts are the only faults the translated subset raises mid-block;
-  // their preferred return address is insn_addr + 8 (DDI 0406C §B1.8.3).
-  const arm::word ret =
-      insn_addr + (e == arm::Exception::kDataAbort ? 8 : 4);
-  rt->m->TakeException(e, ret);
-  return (kExitExceptionBit | static_cast<uint64_t>(e)) << 32;
+// Charges what the block owes at `site` before it leaves from there.
+void ChargeOwed(arm::MachineState& m, uint64_t site) {
+  m.steps_retired += SiteSteps(site);
+  m.cycles.Charge(SiteCycles(site));
+}
+
+// Data aborts are the only faults the translated subset raises mid-block;
+// their preferred return address is insn_addr + 8 (DDI 0406C §B1.8.3).
+uint64_t TakeDataAbort(JitRt* rt, uint64_t site) {
+  ChargeOwed(*rt->m, site);
+  rt->m->TakeException(arm::Exception::kDataAbort, SiteInsnAddr(site) + 8);
+  return (kExitExceptionBit | static_cast<uint64_t>(arm::Exception::kDataAbort)) << 32;
 }
 
 // Applies the post-store bookkeeping: TLB-consistency loss on stores into the
@@ -28,8 +33,9 @@ uint64_t TakeFault(JitRt* rt, arm::Exception e, uint32_t insn_addr) {
 // either because the store rewrote the block's own code words (the remaining
 // translated tail is stale) or because TLB consistency was just lost (the
 // interpreter would assert at its very next user-mode translation, so the
-// block exits and lets the dispatcher's fetch reproduce that exactly).
-void AfterStore(JitRt* rt, arm::paddr phys) {
+// block exits and lets the dispatcher's fetch reproduce that exactly). A
+// single STR leaves at once, past its own instruction.
+uint64_t AfterStore(JitRt* rt, arm::paddr phys, uint64_t site) {
   arm::MachineState& m = *rt->m;
   const bool was_consistent = m.tlb_consistent;
   arm::NoteStoreToPhys(m, phys);
@@ -37,47 +43,55 @@ void AfterStore(JitRt* rt, arm::paddr phys) {
       (was_consistent && !m.tlb_consistent)) {
     rt->restart = 1;
   }
+  if (rt->restart != 0 && SiteExitsOnRestart(site)) {
+    ChargeOwed(m, site);
+    m.pc = SiteInsnAddr(site) + 4;
+    return kExitRestart << 32;
+  }
+  return 0;
 }
 
-void CountHelperAccess(JitRt* rt) { ++rt->m->jit.mutable_stats().helper_accesses; }
+// What every helper does first: count the access, and start a new probe
+// stamp, since this call may fill a micro-TLB slot or store anywhere.
+arm::MachineState& BeginAccess(JitRt* rt) {
+  rt->NewStamp();
+  ++rt->m->jit.mutable_stats().helper_accesses;
+  return *rt->m;
+}
 
 }  // namespace
 
-extern "C" uint64_t komodo_jit_load_word(JitRt* rt, uint32_t va, uint32_t insn_addr) {
-  arm::MachineState& m = *rt->m;
-  CountHelperAccess(rt);
+extern "C" uint64_t komodo_jit_load_word(JitRt* rt, uint32_t va, uint64_t site) {
+  arm::MachineState& m = BeginAccess(rt);
   if (!arm::IsWordAligned(va)) {
-    return TakeFault(rt, arm::Exception::kDataAbort, insn_addr);
+    return TakeDataAbort(rt, site);
   }
   const arm::Translation tr = arm::TranslateAddress(m, va, arm::Access::kRead);
   if (!tr.ok) {
-    return TakeFault(rt, arm::Exception::kDataAbort, insn_addr);
+    return TakeDataAbort(rt, site);
   }
   return m.mem.Read(tr.phys);
 }
 
 extern "C" uint64_t komodo_jit_store_word(JitRt* rt, uint32_t va, uint32_t value,
-                                          uint32_t insn_addr) {
-  arm::MachineState& m = *rt->m;
-  CountHelperAccess(rt);
+                                          uint64_t site) {
+  arm::MachineState& m = BeginAccess(rt);
   if (!arm::IsWordAligned(va)) {
-    return TakeFault(rt, arm::Exception::kDataAbort, insn_addr);
+    return TakeDataAbort(rt, site);
   }
   const arm::Translation tr = arm::TranslateAddress(m, va, arm::Access::kWrite);
   if (!tr.ok) {
-    return TakeFault(rt, arm::Exception::kDataAbort, insn_addr);
+    return TakeDataAbort(rt, site);
   }
   m.mem.Write(tr.phys, value);
-  AfterStore(rt, tr.phys);
-  return 0;
+  return AfterStore(rt, tr.phys, site);
 }
 
-extern "C" uint64_t komodo_jit_load_byte(JitRt* rt, uint32_t va, uint32_t insn_addr) {
-  arm::MachineState& m = *rt->m;
-  CountHelperAccess(rt);
+extern "C" uint64_t komodo_jit_load_byte(JitRt* rt, uint32_t va, uint64_t site) {
+  arm::MachineState& m = BeginAccess(rt);
   const arm::Translation tr = arm::TranslateAddress(m, va, arm::Access::kRead);
   if (!tr.ok) {
-    return TakeFault(rt, arm::Exception::kDataAbort, insn_addr);
+    return TakeDataAbort(rt, site);
   }
   const arm::paddr word_addr = tr.phys & ~3u;
   const unsigned shift = (tr.phys & 3u) * 8;
@@ -85,23 +99,22 @@ extern "C" uint64_t komodo_jit_load_byte(JitRt* rt, uint32_t va, uint32_t insn_a
 }
 
 extern "C" uint64_t komodo_jit_store_byte(JitRt* rt, uint32_t va, uint32_t value,
-                                          uint32_t insn_addr) {
-  arm::MachineState& m = *rt->m;
-  CountHelperAccess(rt);
+                                          uint64_t site) {
+  arm::MachineState& m = BeginAccess(rt);
   const arm::Translation tr = arm::TranslateAddress(m, va, arm::Access::kWrite);
   if (!tr.ok) {
-    return TakeFault(rt, arm::Exception::kDataAbort, insn_addr);
+    return TakeDataAbort(rt, site);
   }
   const arm::paddr word_addr = tr.phys & ~3u;
   const unsigned shift = (tr.phys & 3u) * 8;
   const arm::word old = m.mem.Read(word_addr);
   m.mem.Write(word_addr, (old & ~(0xffu << shift)) | ((value & 0xffu) << shift));
-  AfterStore(rt, word_addr);
-  return 0;
+  return AfterStore(rt, word_addr, site);
 }
 
-extern "C" uint64_t komodo_jit_fault(JitRt* rt, uint32_t exception, uint32_t insn_addr) {
-  return TakeFault(rt, static_cast<arm::Exception>(exception), insn_addr);
+extern "C" uint64_t komodo_jit_data_abort(JitRt* rt, uint64_t site) {
+  rt->NewStamp();  // not an access: helper_accesses counts the probes' misses
+  return TakeDataAbort(rt, site);
 }
 
 }  // namespace komodo::jit

@@ -16,7 +16,7 @@ void X64Emitter::B64(uint64_t v) {
   B32(static_cast<uint32_t>(v >> 32));
 }
 
-void X64Emitter::Rex(bool w, int reg, int rm) {
+void X64Emitter::Rex(bool w, int reg, int rm, int index, int byte_reg) {
   uint8_t rex = 0x40;
   if (w) {
     rex |= 0x08;
@@ -24,10 +24,13 @@ void X64Emitter::Rex(bool w, int reg, int rm) {
   if (reg >= 8) {
     rex |= 0x04;
   }
+  if (index >= 8) {
+    rex |= 0x02;
+  }
   if (rm >= 8) {
     rex |= 0x01;
   }
-  if (rex != 0x40) {
+  if (rex != 0x40 || (byte_reg >= RSP && byte_reg <= RDI)) {
     B(rex);
   }
 }
@@ -64,11 +67,11 @@ void X64Emitter::ModRmDisp(int reg, int base, int32_t disp) {
   Disp(mod, disp);
 }
 
-void X64Emitter::ModRmIndex(int reg, int base, int index, int32_t disp) {
-  assert((index & 7) != RSP);
+void X64Emitter::ModRmIndex(int reg, int base, int index, int32_t disp, int scale_log2) {
+  assert(index != RSP);
   const uint8_t mod = Mod(base, disp);
   B(static_cast<uint8_t>(mod | ((reg & 7) << 3) | RSP));  // rm=100: SIB
-  B(static_cast<uint8_t>(0x80 | ((index & 7) << 3) | (base & 7)));  // scale*4
+  B(static_cast<uint8_t>((scale_log2 << 6) | ((index & 7) << 3) | (base & 7)));
   Disp(mod, disp);
 }
 
@@ -100,6 +103,11 @@ void X64Emitter::CallMem(int base, int32_t disp) {
   Rex(false, 0, base);
   B(0xff);
   ModRmDisp(2, base, disp);  // /2 = call
+}
+
+void X64Emitter::CallBack(size_t target) {
+  B(0xe8);
+  B32(static_cast<uint32_t>(target - (buf_.size() + 4)));
 }
 
 void X64Emitter::JmpMem(int base, int32_t disp) {
@@ -186,12 +194,6 @@ void X64Emitter::MovRegReg64(int dst, int src) {
   B(static_cast<uint8_t>(0xc0 | ((dst & 7) << 3) | (src & 7)));
 }
 
-void X64Emitter::XchgRegReg32(int a, int b) {
-  Rex(false, a, b);
-  B(0x87);
-  B(static_cast<uint8_t>(0xc0 | ((a & 7) << 3) | (b & 7)));
-}
-
 void X64Emitter::LoadMem32(int dst, int base, int32_t disp) {
   Rex(false, dst, base);
   B(0x8b);
@@ -231,15 +233,13 @@ void X64Emitter::LoadMemZx8(int dst, int base, int32_t disp) {
 }
 
 void X64Emitter::LoadMem8(int dst, int base, int32_t disp) {
-  assert(dst < 4 || dst >= 8);  // low byte addressable without REX tricks
-  Rex(false, dst, base);
+  Rex(false, dst, base, 0, dst);
   B(0x8a);
   ModRmDisp(dst, base, disp);
 }
 
 void X64Emitter::StoreMem8(int base, int32_t disp, int src) {
-  assert(src < 4 || src >= 8);
-  Rex(false, src, base);
+  Rex(false, src, base, 0, src);
   B(0x88);
   ModRmDisp(src, base, disp);
 }
@@ -252,17 +252,33 @@ void X64Emitter::StoreMemImm8(int base, int32_t disp, uint8_t imm) {
 }
 
 void X64Emitter::LoadIndex32(int dst, int base, int index, int32_t disp) {
-  Rex(false, dst, base);  // index is always < 8 here (asserted)
-  assert(index < 8);
+  Rex(false, dst, base, index);
   B(0x8b);
   ModRmIndex(dst, base, index, disp);
 }
 
 void X64Emitter::StoreIndex32(int base, int index, int32_t disp, int src) {
-  assert(index < 8);
-  Rex(false, src, base);
+  Rex(false, src, base, index);
   B(0x89);
   ModRmIndex(src, base, index, disp);
+}
+
+void X64Emitter::LoadIndex64(int dst, int base, int index, int scale_log2, int32_t disp) {
+  Rex(true, dst, base, index);
+  B(0x8b);
+  ModRmIndex(dst, base, index, disp, scale_log2);
+}
+
+void X64Emitter::StoreIndex64(int base, int index, int scale_log2, int32_t disp, int src) {
+  Rex(true, src, base, index);
+  B(0x89);
+  ModRmIndex(src, base, index, disp, scale_log2);
+}
+
+void X64Emitter::CmpRegIndex64(int reg, int base, int index, int scale_log2, int32_t disp) {
+  Rex(true, reg, base, index);
+  B(0x3b);
+  ModRmIndex(reg, base, index, disp, scale_log2);
 }
 
 void X64Emitter::AluRegReg32(Alu op, int dst, int src) {
@@ -287,6 +303,43 @@ void X64Emitter::AluRegImm32(Alu op, int r, uint32_t imm) {
   } else {
     B(0x81);
     B(static_cast<uint8_t>(0xc0 | (static_cast<uint8_t>(op) << 3) | (r & 7)));
+    B32(imm);
+  }
+}
+
+void X64Emitter::LeaMem64(int dst, int base, int32_t disp) {
+  Rex(true, dst, base);
+  B(0x8d);
+  ModRmDisp(dst, base, disp);
+}
+
+void X64Emitter::AluRegMem32(Alu op, int dst, int base, int32_t disp) {
+  Rex(false, dst, base);
+  B(static_cast<uint8_t>((static_cast<uint8_t>(op) << 3) | 0x03));
+  ModRmDisp(dst, base, disp);
+}
+
+void X64Emitter::AluRegMem64(Alu op, int dst, int base, int32_t disp) {
+  Rex(true, dst, base);
+  B(static_cast<uint8_t>((static_cast<uint8_t>(op) << 3) | 0x03));
+  ModRmDisp(dst, base, disp);
+}
+
+void X64Emitter::AluMemReg32(Alu op, int base, int32_t disp, int src) {
+  Rex(false, src, base);
+  B(static_cast<uint8_t>((static_cast<uint8_t>(op) << 3) | 0x01));
+  ModRmDisp(src, base, disp);
+}
+
+void X64Emitter::AluMemImm32(Alu op, int base, int32_t disp, uint32_t imm) {
+  Rex(false, 0, base);
+  const int32_t simm = static_cast<int32_t>(imm);
+  const bool short_imm = simm >= -128 && simm <= 127;
+  B(short_imm ? 0x83 : 0x81);
+  ModRmDisp(static_cast<uint8_t>(op), base, disp);
+  if (short_imm) {
+    B(static_cast<uint8_t>(imm));
+  } else {
     B32(imm);
   }
 }
@@ -354,8 +407,7 @@ void X64Emitter::CmpMem8Imm(int base, int32_t disp, uint8_t imm) {
 }
 
 void X64Emitter::CmpReg8Mem8(int reg, int base, int32_t disp) {
-  assert(reg < 4 || reg >= 8);
-  Rex(false, reg, base);
+  Rex(false, reg, base, 0, reg);
   B(0x3a);
   ModRmDisp(reg, base, disp);
 }
@@ -390,12 +442,13 @@ void X64Emitter::IncMem64(int base, int32_t disp) {
   ModRmDisp(0, base, disp);  // /0 = inc
 }
 
-void X64Emitter::IncIndex32(int base, int index) {
-  assert(index < 8);
-  Rex(false, 0, base);
+void X64Emitter::IncReg64(int r) {
+  Rex(true, 0, r);
   B(0xff);
-  ModRmIndex(0, base, index, 0);  // /0 = inc
+  B(static_cast<uint8_t>(0xc0 | (r & 7)));  // /0 = inc
 }
+
+void X64Emitter::Cmc() { B(0xf5); }
 
 void X64Emitter::AluMem64Imm(Alu op, int base, int32_t disp, uint32_t imm) {
   Rex(true, 0, base);
@@ -408,14 +461,6 @@ void X64Emitter::AluMem64Imm(Alu op, int base, int32_t disp, uint32_t imm) {
     ModRmDisp(static_cast<uint8_t>(op), base, disp);
     B32(imm);
   }
-}
-
-void X64Emitter::SetccReg8(uint8_t cc, int reg) {
-  assert(reg < 4 || reg >= 8);
-  Rex(false, 0, reg);
-  B(0x0f);
-  B(static_cast<uint8_t>(0x90 | cc));
-  B(static_cast<uint8_t>(0xc0 | (reg & 7)));
 }
 
 void X64Emitter::SetccMem8(uint8_t cc, int base, int32_t disp) {

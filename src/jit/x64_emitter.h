@@ -2,10 +2,10 @@
 //
 // Emits into a plain byte vector; the engine copies finished blocks into the
 // executable code cache. Only the addressing shapes the translator uses are
-// provided: register-register ALU, [base + disp] and [base + index*4 + disp]
-// memory operands (no displacement for 0, an 8-bit one when it fits, else
-// 32-bit; no SIB special cases beyond indexed forms), byte moves for the Psr
-// flag bytes, setcc, forward jumps with fixups, backward jumps to a known
+// provided: register-register and register-memory ALU, [base + disp] and
+// [base + index*scale + disp] memory operands (no displacement for 0, an
+// 8-bit one when it fits, else 32-bit), byte moves for the Psr flag bytes,
+// setcc, forward jumps with fixups, backward jumps and calls to a known
 // offset, absolute 64-bit calls, and calls and jumps through a pointer in
 // memory (the stubs, DESIGN.md §13). The emitter itself is
 // portable C++ and compiles on every host; only *executing* its output is
@@ -85,6 +85,7 @@ class X64Emitter {
   void PopR64(int r);
   void Ret();
   void CallReg(int r);  // call r64
+  void CallBack(size_t target);  // call rel32 to an already-emitted offset
   void CallMem(int base, int32_t disp);  // call qword [base + disp]
   void JmpMem(int base, int32_t disp);   // jmp qword [base + disp]
   void JmpReg(int r);                    // jmp r64
@@ -102,7 +103,6 @@ class X64Emitter {
   void MovRegImm32(int r, uint32_t v);  // zero-extends into the full register
   void MovRegReg32(int dst, int src);
   void MovRegReg64(int dst, int src);
-  void XchgRegReg32(int a, int b);
   void LoadMem32(int dst, int base, int32_t disp);    // mov r32, [base+disp]
   void LoadMem64(int dst, int base, int32_t disp);    // mov r64, [base+disp]
   void StoreMem32(int base, int32_t disp, int src);   // mov [base+disp], r32
@@ -115,11 +115,20 @@ class X64Emitter {
   // mov r32, [base + index*4 + disp] and the store form (index != RSP).
   void LoadIndex32(int dst, int base, int index, int32_t disp);
   void StoreIndex32(int base, int index, int32_t disp, int src);
+  // 64-bit forms over [base + index*(1 << scale_log2) + disp].
+  void LoadIndex64(int dst, int base, int index, int scale_log2, int32_t disp);
+  void StoreIndex64(int base, int index, int scale_log2, int32_t disp, int src);
+  void CmpRegIndex64(int reg, int base, int index, int scale_log2, int32_t disp);
+  void LeaMem64(int dst, int base, int32_t disp);  // lea r64, [base + disp]
 
   // --- ALU ------------------------------------------------------------------
   void AluRegReg32(Alu op, int dst, int src);
   void AluRegReg64(Alu op, int dst, int src);
   void AluRegImm32(Alu op, int r, uint32_t imm);
+  void AluRegMem32(Alu op, int dst, int base, int32_t disp);  // op r32, [..]
+  void AluRegMem64(Alu op, int dst, int base, int32_t disp);  // op r64, [..]
+  void AluMemReg32(Alu op, int base, int32_t disp, int src);  // op [..], r32
+  void AluMemImm32(Alu op, int base, int32_t disp, uint32_t imm);  // op dword [..], imm
   void TestRegReg32(int a, int b);
   void TestRegReg64(int a, int b);
   void TestRegImm32(int r, uint32_t imm);
@@ -135,24 +144,27 @@ class X64Emitter {
   void CmpMem32Imm(int base, int32_t disp, uint32_t imm);  // cmp dword [..], imm
   void AluMem64Imm(Alu op, int base, int32_t disp, uint32_t imm);  // op qword [..], imm
   void IncMem64(int base, int32_t disp);                   // inc qword [..]
-  void IncIndex32(int base, int index);                    // inc dword [base+index*4]
+  void IncReg64(int r);
+  void Cmc();                                              // complement CF
 
   // --- Flags ----------------------------------------------------------------
-  void SetccReg8(uint8_t cc, int reg);
   void SetccMem8(uint8_t cc, int base, int32_t disp);
 
  private:
   void B(uint8_t b) { buf_.push_back(b); }
   void B32(uint32_t v);
   void B64(uint64_t v);
-  // REX prefix covering reg (R) and rm/base (B); emitted only when needed.
-  void Rex(bool w, int reg, int rm);
+  // REX prefix covering reg (R), index (X) and rm/base (B); emitted only when
+  // needed, or when `byte_reg` is spl/bpl/sil/dil, which only a REX prefix
+  // can name.
+  void Rex(bool w, int reg, int rm, int index = 0, int byte_reg = -1);
   // ModRM for [base + disp] (mod=00 with no displacement for disp 0, mod=01
   // with disp8 when it fits, else mod=10 with disp32); handles the RSP/R12
   // SIB escape.
   void ModRmDisp(int reg, int base, int32_t disp);
-  // ModRM+SIB for [base + index*4 + disp], displacement sized as above.
-  void ModRmIndex(int reg, int base, int index, int32_t disp);
+  // ModRM+SIB for [base + index*(1 << scale_log2) + disp], displacement
+  // sized as above.
+  void ModRmIndex(int reg, int base, int index, int32_t disp, int scale_log2 = 2);
   static uint8_t Mod(int base, int32_t disp);  // the mod bits for [base + disp]
   void Disp(uint8_t mod, int32_t disp);        // the displacement `mod` calls for
 

@@ -301,6 +301,14 @@ struct Closure {
   std::set<std::string> visited;
   std::set<std::string> clipped_keys;
   std::deque<State> frontier;
+  crypto::Sha256 queued;  // every key appended to the frontier, in order
+
+  void Queue(State st, const std::string& key) {
+    queued.Update(reinterpret_cast<const uint8_t*>(key.data()), key.size());
+    const uint8_t nl = '\n';
+    queued.Update(&nl, 1);
+    frontier.push_back(std::move(st));
+  }
 };
 
 // Folds the expansion of `st` into the result, as the serial loop did at this
@@ -328,12 +336,12 @@ bool Commit(Expansion& x, const State& st, ExploreResult& result, Closure& closu
       if (closure.clipped_keys.insert(std::move(s.key)).second) {
         ++result.clipped;
       }
-    } else if (closure.visited.insert(std::move(s.key)).second) {
+    } else if (const auto [it, fresh] = closure.visited.insert(std::move(s.key)); fresh) {
       State next;
       next.path = st.path;
       next.path.push_back(s.op);
       next.db = std::move(*s.db);
-      closure.frontier.push_back(std::move(next));
+      closure.Queue(std::move(next), *it);
     }
   }
   return true;
@@ -382,8 +390,8 @@ ExploreResult Explore(const WorldSpec& spec) {
   }
 
   Closure closure;
-  closure.visited.insert(CanonicalKey(world.boot_db()));
-  closure.frontier.push_back(State{{}, world.boot_db()});
+  closure.Queue(State{{}, world.boot_db()},
+                *closure.visited.insert(CanonicalKey(world.boot_db())).first);
 
   // Workers take states off the frontier in FIFO order, each with a ticket,
   // and expand them concurrently. An expansion is parked until every earlier
@@ -443,6 +451,7 @@ ExploreResult Explore(const WorldSpec& spec) {
   for (std::thread& t : helpers) {
     t.join();
   }
+  result.queue_hash = crypto::DigestToHex(closure.queued.Finalize());
   if (ended) {
     return result;
   }

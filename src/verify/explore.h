@@ -57,6 +57,11 @@ struct ExploreResult {
   // SHA-256 over the sorted canonical keys of the closed state space;
   // deterministic across runs, sanitizers and hosts.
   std::string closure_hash;
+  // SHA-256 over the canonical keys in the order they were queued, up to the
+  // end of the run. Every other field is a sum or a set and reads the same
+  // whatever order the expansions are committed in; this one shows that
+  // workers commit them in queue order, as the serial loop does.
+  std::string queue_hash;
   std::optional<Counterexample> failure;
 };
 

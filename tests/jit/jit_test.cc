@@ -741,6 +741,220 @@ TEST(JitSecureUser, ProbeHitsCountAsTlbHitsAndMissesTakeTheHelper) {
   EXPECT_EQ(jm.jit.stats().helper_accesses, 2u);
 }
 
+// --- Once-per-run validation and the register cache --------------------------
+//
+// A probe validates a micro-TLB slot against TlbWalk's hit rule once per run
+// and records the pass under a stamp; the dispatcher and every runtime
+// helper start a new stamp. Guest registers a block names often live in host
+// registers and are written back at every exit and before every helper call.
+
+TEST(JitSecureUser, HelperRefillOfAPassedSlotIsValidatedAgain) {
+  // The code page 0x8000 and the data page 512 kB above it share micro-TLB
+  // slot 8. The second store records the data page's pass; a load from the
+  // code page then takes the helper, which refills the slot. The next data
+  // store must take the helper again, as TlbWalk misses there, and the last
+  // store, into the code page the slot maps once more, must restart: it
+  // rewrites the MOV that follows it.
+  constexpr vaddr kData = kUserCode + 512 * 1024;
+  vaddr target = kUserCode;
+  std::vector<word> code;
+  for (int pass = 0; pass < 2; ++pass) {
+    Assembler a(kUserCode);
+    a.MovImm(R0, 40);
+    a.MovImm(R3, kData);
+    a.MovImm(R4, kUserCode);
+    a.MovImm(R6, Encode(AddImm(R0, 2)));
+    a.Str(R0, R3, 0);   // miss: the slot holds the code page since the fetch
+    a.Str(R0, R3, 4);   // passes, and records it
+    a.Ldr(R5, R4, 0);   // miss: the helper refills the slot with the code page
+    a.Str(R0, R3, 8);   // miss: the slot holds the code page
+    a.Ldr(R5, R4, 4);   // miss: refills the slot with the code page again
+    a.Str(R6, R4, static_cast<int32_t>(target - kUserCode));
+    const vaddr here = a.CurrentAddr();
+    a.MovImm(R0, 1);  // overwritten before it executes
+    a.Svc();
+    code = a.Finish();
+    target = here;
+  }
+  const Machines ms = RunThreeWays([&](MachineState& m) {
+    Map(m, kUserCode, Page(2), /*writable=*/true, /*executable=*/true);
+    Map(m, kData, Page(3), /*writable=*/true, false);
+    WriteWords(m, Page(2), code);
+    EnterUser(m, kL1, kUserCode);
+    EXPECT_EQ(RunUntilException(m, 100), Exception::kSvc);
+    EXPECT_EQ(m.r[0], 42u) << "the store into the code page did not restart";
+    EXPECT_EQ(m.mem.Read(Page(3) + 8), 40u);
+  });
+  if (jit::Available()) {
+    // Every access but the recorded store takes its helper. TlbWalk misses
+    // at the dispatch's fetch, the first store and the three accesses after
+    // it that find the slot refilled; the last store's helper hits.
+    EXPECT_EQ(ms[0]->jit.stats().helper_accesses, 5u);
+    EXPECT_EQ(ms[0]->interp.stats().tlb_misses, 5u);
+  }
+}
+
+TEST(JitSecureUser, PassRecordedInOneRunIsValidatedAgainInTheNext) {
+  // The first run records passes for a load and a store at 0x10000 (page 3).
+  // The monitor then maps 0x10000 to page 4, and the second run's first
+  // access must validate the slot again, not reuse the earlier run's pass.
+  Assembler a(kUserCode);
+  a.Ldr(R1, R3, 0);  // miss
+  a.Ldr(R2, R3, 4);  // passes, and records it
+  a.Str(R2, R3, 8);  // passes, and records it
+  a.Svc();
+  const std::vector<word> code = a.Finish();
+  RunThreeWays([&](MachineState& m) {
+    Map(m, kUserCode, Page(2), false, true);
+    Map(m, 0x10000, Page(3), true, false);
+    WriteWords(m, Page(2), code);
+    WriteWords(m, Page(3), {0x111, 0x112});
+    WriteWords(m, Page(4), {0x221, 0x222});
+    for (const word expected : {word{0x112}, word{0x222}}) {
+      EnterUser(m, kL1, kUserCode);
+      m.r[3] = 0x10000;
+      ASSERT_EQ(RunUntilException(m, 10), Exception::kSvc);
+      EXPECT_EQ(m.r[2], expected) << "a load reused the previous run's translation";
+      Map(m, 0x10000, Page(4), true, false);  // from the SVC handler
+    }
+    EXPECT_EQ(m.mem.Read(Page(3) + 8), 0x112u);
+    EXPECT_EQ(m.mem.Read(Page(4) + 8), 0x222u);
+  });
+}
+
+TEST(JitSecureUser, EveryTranslatedStoreBumpsItsPageGeneration) {
+  // Ten laps of one chained block store twice into 0x10000 (page 3): the
+  // first store of the run validates the slot, the other nineteen take the
+  // stamped path. Each must bump the page's generation as PhysMemory::Write
+  // does, so the count reads as on the interpreters.
+  Assembler a(kUserCode);
+  a.MovImm(R3, 0x10000);
+  a.MovImm(R2, 10);
+  Assembler::Label loop = a.NewLabel();
+  a.Bind(loop);
+  a.Str(R2, R3, 0);
+  a.Str(R2, R3, 4);
+  a.Subs(R2, R2, 1);
+  a.B(loop, Cond::kNe);
+  a.Svc();
+  const std::vector<word> code = a.Finish();
+  const Machines ms = RunThreeWays([&](MachineState& m) {
+    Map(m, kUserCode, Page(2), false, true);
+    Map(m, 0x10000, Page(3), true, false);
+    WriteWords(m, Page(2), code);
+    EnterUser(m, kL1, kUserCode);
+    EXPECT_EQ(RunUntilException(m, 100), Exception::kSvc);
+  });
+  for (const size_t k : {size_t{0}, size_t{2}}) {
+    EXPECT_EQ(ms[k]->mem.PageGen(Page(3)), ms[1]->mem.PageGen(Page(3))) << kRunnerNames[k];
+  }
+}
+
+TEST(JitSecureUser, ProbeHitsOfARunThatEndsInADataAbortAreCounted) {
+  // The block's first load misses, the next two hit, and the fourth aborts
+  // (0x20000 is unmapped): the run leaves through the helper's exception
+  // exit, which must still add its two probe hits to tlb_hits.
+  Assembler a(kUserCode);
+  a.MovImm(R3, 0x10000);
+  a.MovImm(R4, 0x20000);
+  a.Ldr(R1, R3, 0);
+  a.Ldr(R1, R3, 4);
+  a.Ldr(R1, R3, 8);
+  a.Ldr(R2, R4, 0);
+  a.Svc();
+  const std::vector<word> code = a.Finish();
+  const Machines ms = RunThreeWays([&](MachineState& m) {
+    Map(m, kUserCode, Page(2), false, true);
+    Map(m, 0x10000, Page(3), true, false);
+    WriteWords(m, Page(2), code);
+    EnterUser(m, kL1, kUserCode);
+    EXPECT_EQ(RunUntilException(m, 100), Exception::kDataAbort);
+  });
+  if (jit::Available()) {
+    // One dispatch fetch (a miss), then a miss, two hits and the abort's miss.
+    const InterpCacheStats& js = ms[0]->interp.stats();
+    EXPECT_EQ(js.tlb_hits, 2u);
+    EXPECT_EQ(js.tlb_misses, 3u);
+  }
+}
+
+TEST(JitSecureUser, CachedRegisterWritesReachTheRegisterFileAtEveryExit) {
+  // r0 and r1 are named often enough that each block keeps them in host
+  // registers, and each block writes them before it leaves: by a data
+  // abort from LDR and from a misaligned LDM, by a restart after STR and
+  // after an STM whose base (r3, cached) it writes back, by an LDM that
+  // loads the PC, and by chained laps of a loop. The register file must be
+  // the interpreters' at every exit. A first block loads from 0x10000, so
+  // that the PC-loading LDM's transfers hit and call no helper.
+  const auto prologue = [](Assembler& a) {
+    a.Add(R0, R0, 1);
+    a.Add(R0, R0, R0);
+    a.Add(R1, R1, R0);
+    a.Add(R1, R1, 3);
+  };
+  enum class Leave { kLdrAbort, kLdmAbort, kStrRestart, kStmRestart, kLdmPc, kChained };
+  for (const Leave how : {Leave::kLdrAbort, Leave::kLdmAbort, Leave::kStrRestart,
+                          Leave::kStmRestart, Leave::kLdmPc, Leave::kChained}) {
+    SCOPED_TRACE(static_cast<int>(how));
+    vaddr target = 0;
+    std::vector<word> code;
+    for (int pass = 0; pass < 2; ++pass) {
+      Assembler a(kUserCode);
+      Assembler::Label loop = a.NewLabel();
+      a.Ldr(R8, R7, 0);
+      a.B(loop);
+      a.Bind(loop);
+      prologue(a);
+      switch (how) {
+        case Leave::kLdrAbort:
+          a.Ldr(R2, R5, 0);  // r5 = 0x20000, unmapped
+          break;
+        case Leave::kLdmAbort:
+          a.Ldmia(R6, 0b0000'0000'0000'1100);  // r6 = 0x10002, misaligned
+          break;
+        case Leave::kStrRestart:
+          a.Str(R4, R3, 0);
+          break;
+        case Leave::kStmRestart:
+          a.Add(R3, R3, 0);
+          a.Stmia(R3, 0b0000'0000'0001'0000, /*writeback=*/true);  // r4
+          break;
+        case Leave::kLdmPc:
+          a.Ldmia(R7, 0b1000'0000'0000'0100);  // r2, pc from 0x10000
+          break;
+        case Leave::kChained:
+          a.Subs(R2, R2, 1);
+          a.B(loop, Cond::kNe);
+          break;
+      }
+      const vaddr here = a.CurrentAddr();
+      a.MovImm(R2, 1);  // the restart cases rewrite this to ADD R2, R2, #2
+      a.Svc();
+      code = a.Finish();
+      target = here;
+    }
+    RunThreeWays([&](MachineState& m) {
+      Map(m, kUserCode, Page(2), /*writable=*/true, true);
+      Map(m, 0x10000, Page(3), true, false);
+      WriteWords(m, Page(2), code);
+      WriteWords(m, Page(3), {7, target});
+      EnterUser(m, kL1, kUserCode);
+      m.r[0] = 5;
+      m.r[1] = 9;
+      m.r[2] = 4;
+      m.r[3] = target;
+      m.r[4] = Encode(AddImm(R2, 2));
+      m.r[5] = 0x20000;
+      m.r[6] = 0x10002;
+      m.r[7] = 0x10000;
+      const std::optional<Exception> e = RunUntilException(m, 200);
+      EXPECT_EQ(e, how == Leave::kLdrAbort || how == Leave::kLdmAbort
+                       ? std::optional<Exception>(Exception::kDataAbort)
+                       : std::optional<Exception>(Exception::kSvc));
+    });
+  }
+}
+
 // --- Chained transfers -------------------------------------------------------
 //
 // A block's static exit to its own page links lazily to the successor's

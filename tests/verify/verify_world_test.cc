@@ -80,6 +80,7 @@ void ExpectSameResult(const ExploreResult& a, const ExploreResult& b) {
   EXPECT_EQ(a.transitions, b.transitions);
   EXPECT_EQ(a.clipped, b.clipped);
   EXPECT_EQ(a.closure_hash, b.closure_hash);
+  EXPECT_EQ(a.queue_hash, b.queue_hash);
   ASSERT_EQ(a.calls.size(), b.calls.size());
   for (size_t i = 0; i < a.calls.size(); ++i) {
     SCOPED_TRACE(a.calls[i].name);
@@ -99,7 +100,9 @@ void ExpectSameResult(const ExploreResult& a, const ExploreResult& b) {
 // worker and four reach the same result: the same closure, and under an
 // injection the same first failure with the counts stopped at it. The
 // remove-skip-refcount case fails in BFS level 1, after 984 transitions,
-// while other workers still hold later states of that level.
+// while other workers still hold later states of that level. Commits in
+// completion order would reach the same closure; the queue hash tells them
+// apart.
 TEST(VerifyWorldTest, ResultIsTheSameAtAnyJobCount) {
   {
     SCOPED_TRACE("small");
