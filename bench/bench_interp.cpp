@@ -1,9 +1,8 @@
 // Interpreter and JIT fast-path benchmark (DESIGN.md §8, §13): wall-clock
-// steps/sec and SMC round-trip latency across three configurations —
-//   uncached : interpreter with every fast path off (KOMODO_INTERP_CACHE=off
-//              semantics): a full two-level walk per user-mode access, a
-//              fresh Decode() per step, the O(L1) live-page-table scan per
-//              store;
+// steps/sec and SMC round-trip latency in the three arm::ExecModes —
+//   uncached : interpreter with every fast path off: a full two-level walk
+//              per user-mode access, a fresh Decode() per step, the O(L1)
+//              live-page-table scan per store;
 //   cached   : decode cache + micro-TLB + flat-memory fast path on;
 //   jit      : the caches plus the A32→x64 block translator.
 // All three must retire identical step and simulated-cycle counts (asserted
@@ -49,13 +48,7 @@ double Seconds(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
 }
 
-enum class Config { kUncached, kCached, kJit };
-
-// KOMODO_JIT defaults on, so every configuration pins both knobs explicitly.
-void Apply(Config cfg, arm::MachineState& m) {
-  m.interp.set_enabled(cfg != Config::kUncached);
-  m.jit.set_enabled(cfg == Config::kJit);
-}
+using arm::ExecMode;
 
 struct RunStats {
   uint64_t steps = 0;
@@ -90,9 +83,9 @@ bench::Spread StepsPerSec(const Timed& t) {
 
 // Builds a SHA-256 enclave and notarises `iters` documents of `doc_len`
 // bytes (the hashing core of the Fig. 5 notary workload, fully interpreted).
-RunStats RunNotary(Config cfg, size_t doc_len, int iters) {
+RunStats RunNotary(ExecMode mode, size_t doc_len, int iters) {
   os::World w{64};
-  Apply(cfg, w.machine);
+  w.machine.SetExecMode(mode);
   auto built = w.os.NewEnclave().Code(enclave::Sha256Program()).SharedPage().Build();
   if (!built.ok()) {
     std::abort();
@@ -116,9 +109,9 @@ RunStats RunNotary(Config cfg, size_t doc_len, int iters) {
 }
 
 // Enter/exit with a trivial enclave: the SMC round-trip cost in host time.
-RunStats RunSmcRoundTrip(Config cfg, int iters) {
+RunStats RunSmcRoundTrip(ExecMode mode, int iters) {
   os::World w{64};
-  Apply(cfg, w.machine);
+  w.machine.SetExecMode(mode);
   auto built = w.os.NewEnclave().Code(enclave::AddTwoProgram()).Build();
   if (!built.ok()) {
     std::abort();
@@ -232,7 +225,7 @@ void EmitJson(const std::vector<Comparison>& rows, bool smoke, const char* path)
 
 int main(int argc, char** argv) {
   using komodo::Comparison;
-  using komodo::Config;
+  using komodo::arm::ExecMode;
   using komodo::StepsPerSec;
   bool smoke = false;
   for (int i = 1; i < argc; ++i) {
@@ -263,18 +256,18 @@ int main(int argc, char** argv) {
     c.name = s.name;
     c.iters = s.iters;
     c.doc_len = s.doc_len;
-    const auto time = [&](Config cfg) {
+    const auto time = [&](ExecMode mode) {
       return komodo::bench::Repeat(
           s.name, reps,
           [&] {
-            return s.doc_len == 0 ? komodo::RunSmcRoundTrip(cfg, s.iters)
-                                  : komodo::RunNotary(cfg, s.doc_len, s.iters);
+            return s.doc_len == 0 ? komodo::RunSmcRoundTrip(mode, s.iters)
+                                  : komodo::RunNotary(mode, s.doc_len, s.iters);
           },
           &komodo::RunStats::seconds, &komodo::RunStats::SameCounts);
     };
-    c.uncached = time(Config::kUncached);
-    c.cached = time(Config::kCached);
-    c.jit = time(Config::kJit);
+    c.uncached = time(ExecMode::kUncached);
+    c.cached = time(ExecMode::kCached);
+    c.jit = time(ExecMode::kJit);
     rows.push_back(c);
   }
 

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Pre-merge gate: tier-1 build + tests, ASan+UBSan and TSan builds of the
 # fuzz and verify paths, the komodo-lint static analysis of every shipped
-# enclave program, and the komodo-verify exhaustive small-world, 6-page and
-# 7-page closures at their pinned hashes. Any failure — including a single
-# lint finding — fails the script.
+# enclave program, the komodo-verify exhaustive small-world, 6-page and
+# 7-page closures at their pinned hashes, and a short run of every perfbench
+# workload. Any failure — including a single lint finding — fails the script.
 #
 # Usage: scripts/check.sh [--skip-sanitizers]
 set -euo pipefail
@@ -39,38 +39,38 @@ for arg in "$@"; do
   esac
 done
 
-echo "=== [1/12] tier-1: configure + build ==="
+echo "=== [1/13] tier-1: configure + build ==="
 # Warnings are errors here (CMake >= 3.24), so a new warning fails the gate.
 cmake -B build -S . $(generator_for build) -DCMAKE_EXPORT_COMPILE_COMMANDS=ON \
   -DCMAKE_COMPILE_WARNING_AS_ERROR=ON >/dev/null
 cmake --build build -j "$JOBS"
 
-echo "=== [2/12] tier-1: ctest ==="
+echo "=== [2/13] tier-1: ctest ==="
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
-echo "=== [3/12] tier-1: ctest with interpreter caches disabled ==="
-# The fast-path caches (DESIGN.md §8) must be architecturally invisible;
-# the whole suite has to pass with them off as well.
+echo "=== [3/13] tier-1: ctest on the uncached interpreter ==="
+# One setting picks a machine's engine (arm::ExecMode): the block JIT over the
+# interpreter caches where the host supports it (DESIGN.md §13), which the
+# plain run above used. The fast paths must be architecturally invisible, so
+# the whole suite has to pass on the slower engines too.
+# KOMODO_INTERP_CACHE=off selects the uncached interpreter, the executable
+# model (the JIT runs over the caches, so it is off as well).
 KOMODO_INTERP_CACHE=off ctest --test-dir build --output-on-failure -j "$JOBS"
 
-echo "=== [3b/12] tier-1: ctest with the block JIT disabled ==="
-# The A32→x64 translator (DESIGN.md §13) defaults on where supported, so the
-# plain run above already exercises it; this leg pins the interpreter-only
-# escape hatch, and the combination below the fully stripped configuration.
+echo "=== [3b/13] tier-1: ctest on the cached interpreter ==="
+# KOMODO_JIT=off selects the interpreter with its caches (DESIGN.md §8).
 KOMODO_JIT=off ctest --test-dir build --output-on-failure -j "$JOBS"
-KOMODO_JIT=off KOMODO_INTERP_CACHE=off \
-  ctest --test-dir build --output-on-failure -j "$JOBS" -R 'cycle_regression_test|interp_diff_test|jit_test'
 
-echo "=== [4/12] tier-1: ctest with tracing enabled ==="
+echo "=== [4/13] tier-1: ctest with tracing enabled ==="
 # The tracer (DESIGN.md §9) must be architecturally invisible too: the whole
 # suite — including the cycle-regression test — has to pass with every
 # monitor tracing into a live ring buffer.
 KOMODO_TRACE=on ctest --test-dir build --output-on-failure -j "$JOBS"
 
-echo "=== [5/12] bench smoke (cached/uncached invisibility check) ==="
+echo "=== [5/13] bench smoke (cached/uncached invisibility check) ==="
 ctest --test-dir build -L bench-smoke --output-on-failure
 
-echo "=== [6/12] bench/trace JSON artifacts validate ==="
+echo "=== [6/13] bench/trace JSON artifacts validate ==="
 # The bench-smoke runs above emitted komodo-bench-v1 / komodo-metrics-v1 /
 # chrome-trace artifacts into build/bench; a drifting emitter fails here.
 ./build/tools/komodo-benchjson build/bench/BENCH_*.json \
@@ -105,7 +105,7 @@ if core > limit:
     sys.exit(f"src/core grew to {core:.0f} code lines (committed BENCH_table2.json: {limit:.0f})")
 EOF
 
-echo "=== [7/12] komodo-serve: daemon smoke (batching, eviction, line protocol) ==="
+echo "=== [7/13] komodo-serve: daemon smoke (batching, eviction, line protocol) ==="
 # The scripted demo exercises batched submission, a typed timeout and an
 # eviction/rebuild, and exits nonzero if any expectation fails. The stdin
 # leg drives the line protocol end to end and must produce exactly the
@@ -153,11 +153,11 @@ done
 cmp build/serve-load-long-1.out build/serve-load-long-2.out \
   || { echo "komodo-serve: nondeterministic 700,000-request load run" >&2; exit 1; }
 
-echo "=== [8/12] komodo-lint: shipped programs + fixtures ==="
+echo "=== [8/13] komodo-lint: shipped programs + fixtures ==="
 ./build/tools/komodo-lint --check-shipped
 ./build/tools/komodo-lint --check-fixtures
 
-echo "=== [9/12] komodo-verify: exhaustive small-world, 6-page and 7-page closures ==="
+echo "=== [9/13] komodo-verify: exhaustive small-world, 6-page and 7-page closures ==="
 # The model checker (DESIGN.md §12) must close the default small world with
 # all three obligations holding, byte-identically across runs and job counts
 # (workers commit states in queue order), and at the pinned closure hash —
@@ -195,7 +195,7 @@ printf '%s\n' 'states 129538' 'transitions 117530580' 'clipped 25934' \
 expect_exit 1 ./build/tools/komodo-verify --world small --inject remove-skip-refcount \
   --jobs 1 > build/verify-inject-jobs1.out
 
-echo "=== [10/12] komodo-fuzz smoke (fixed seed, all oracles, pinned v2 hash) ==="
+echo "=== [10/13] komodo-fuzz smoke (fixed seed, all oracles, pinned v2 hash) ==="
 # A short fixed-seed campaign per oracle (DESIGN.md §10). Run twice; stdout —
 # including the campaign-hash over every generated trace and verdict — must be
 # byte-identical, or the fuzzer has lost replayability, and the hash must
@@ -224,7 +224,7 @@ FUZZ_WIDE_HASH=f9452d68029e66a079c407a318396b494123ff93d3632cd92f08704677c90f31
 grep -q "^campaign-hash ${FUZZ_WIDE_HASH}\$" build/fuzz-wide.out \
   || { echo "komodo-fuzz: seed-1 3000-call campaign hash drifted from the pinned value" >&2; exit 1; }
 
-echo "=== [11/12] komodo-fuzz parallel determinism (--jobs 1 vs --jobs 8) ==="
+echo "=== [11/13] komodo-fuzz parallel determinism (--jobs 1 vs --jobs 8) ==="
 # The sharded campaign hash (DESIGN.md §11) is defined to be independent of
 # the worker count; serial and 8-way stdout must be byte-identical.
 ./build/tools/komodo-fuzz "${FUZZ_ARGS[@]}" --jobs 8 2>/dev/null \
@@ -232,7 +232,7 @@ echo "=== [11/12] komodo-fuzz parallel determinism (--jobs 1 vs --jobs 8) ==="
 cmp build/fuzz-smoke-1.out build/fuzz-smoke-jobs8.out \
   || { echo "komodo-fuzz: --jobs changed the campaign output" >&2; exit 1; }
 
-echo "=== [12/12] komodo-fuzz evolve smoke (coverage-guided, pinned v3 hash) ==="
+echo "=== [12/13] komodo-fuzz evolve smoke (coverage-guided, pinned v3 hash) ==="
 # Coverage-guided corpus evolution (DESIGN.md §15) at a pinned config: the v3
 # campaign hash covers every trace, verdict, coverage gain and the final
 # corpus digests, must match the pinned value, and must be independent of
@@ -260,6 +260,23 @@ if ./build/tools/komodo-fuzz --seed abc 2>/dev/null; then
 fi
 # Evolve-only flags are a usage error in a blind campaign, not ignored.
 expect_exit 2 ./build/tools/komodo-fuzz --seed 1 --calls 10 --rounds 2
+
+echo "=== [13/13] perfbench: every workload correct at two seeds ==="
+# The benchmark harness (perfbench/, BENCHMARK.json) checks each workload's
+# result, fuzz-blind's campaign hash at the held-out seed among them, so a
+# change that moves one fails here and not only in a benchmark run. One
+# second per run; the harness builds once, under build/perfbench.
+for seed in 1 20261016; do
+  for workload in serve-churn serve-resident enclave-sha fuzz-blind verify-small; do
+    result=$(CARGO_TARGET_DIR=build/perfbench python3 perfbench/run.py --workload "$workload" \
+      --seed "$seed" --seconds 1 --trace 0 2>>build/perfbench.log | tail -n 1) || true
+    if [[ "$result" != *'"correct": true'* ]]; then
+      echo "perfbench: $workload at seed $seed is not correct (build/perfbench.log):" \
+        "${result:-no result}" >&2
+      exit 1
+    fi
+  done
+done
 
 if [[ "$SKIP_SANITIZERS" == 1 ]]; then
   echo "=== sanitizers: skipped (--skip-sanitizers) ==="

@@ -5,6 +5,7 @@
 #include <deque>
 #include <string>
 
+#include "src/arm/execute.h"
 #include "src/core/call_table.h"
 #include "src/core/kom_defs.h"
 #include "src/os/os.h"
@@ -30,51 +31,6 @@ TaintOptions TaintOptions::Default() {
 }
 
 namespace {
-
-// Value half of execute.cc's ApplyShift. RRX (ROR #0) consumes the carry
-// flag, whose concrete value the domain does not track, so it never folds.
-std::optional<word> FoldShift(word value, ShiftKind kind, unsigned amount) {
-  switch (kind) {
-    case ShiftKind::kLsl:
-      return amount == 0 ? value : value << amount;
-    case ShiftKind::kLsr:
-      return amount == 0 ? 0 : value >> amount;
-    case ShiftKind::kAsr: {
-      if (amount == 0 || amount >= 32) {
-        return (value >> 31) != 0 ? 0xffff'ffffu : 0u;
-      }
-      return static_cast<word>(static_cast<int32_t>(value) >> amount);
-    }
-    case ShiftKind::kRor:
-      if (amount == 0) {
-        return std::nullopt;  // RRX
-      }
-      return (value >> amount) | (value << (32 - amount));
-  }
-  return std::nullopt;
-}
-
-bool UsesRn(Op op) {
-  switch (op) {
-    case Op::kAnd:
-    case Op::kEor:
-    case Op::kSub:
-    case Op::kRsb:
-    case Op::kAdd:
-    case Op::kAdc:
-    case Op::kSbc:
-    case Op::kRsc:
-    case Op::kTst:
-    case Op::kTeq:
-    case Op::kCmp:
-    case Op::kCmn:
-    case Op::kOrr:
-    case Op::kBic:
-      return true;
-    default:
-      return false;  // MOV/MVN take only the shifter operand
-  }
-}
 
 bool ConsumesCarry(Op op) { return op == Op::kAdc || op == Op::kSbc || op == Op::kRsc; }
 
@@ -302,62 +258,31 @@ class Interp {
         if (insn.op2.is_imm) {
           op2 = AbsVal::Const(insn.op2.ImmValue());
         } else {
+          // RRX (ROR #0) consumes the carry flag, whose concrete value the
+          // domain does not track, so it never folds.
           const AbsVal rm = read_reg(insn.op2.rm);
-          const std::optional<word> folded =
-              rm.known ? FoldShift(rm.value, insn.op2.shift, insn.op2.shift_imm) : std::nullopt;
           const bool is_rrx = insn.op2.shift == ShiftKind::kRor && insn.op2.shift_imm == 0;
           const Taint t = is_rrx ? JoinTaint(rm.taint, s.flags) : rm.taint;
-          op2 = folded.has_value() ? AbsVal::Const(*folded, t) : AbsVal::Unknown(t);
+          op2 = AbsVal::Unknown(t);
+          if (rm.known && !is_rrx) {
+            op2 = AbsVal::Const(
+                arm::ApplyShift(rm.value, insn.op2.shift, insn.op2.shift_imm, false).value, t);
+          }
         }
         const AbsVal rn = read_reg(insn.rn);
 
+        const bool reads_rn = arm::ReadsRn(insn.op);
         Taint t = op2.taint;
-        if (UsesRn(insn.op)) {
+        if (reads_rn) {
           t = JoinTaint(t, rn.taint);
         }
         if (ConsumesCarry(insn.op)) {
           t = JoinTaint(t, s.flags);
         }
         AbsVal result = AbsVal::Unknown(t);
-        const bool inputs_known = op2.known && (!UsesRn(insn.op) || rn.known);
-        if (inputs_known && !ConsumesCarry(insn.op)) {
-          word v = 0;
-          switch (insn.op) {
-            case Op::kAnd:
-            case Op::kTst:
-              v = rn.value & op2.value;
-              break;
-            case Op::kEor:
-            case Op::kTeq:
-              v = rn.value ^ op2.value;
-              break;
-            case Op::kSub:
-            case Op::kCmp:
-              v = rn.value - op2.value;
-              break;
-            case Op::kRsb:
-              v = op2.value - rn.value;
-              break;
-            case Op::kAdd:
-            case Op::kCmn:
-              v = rn.value + op2.value;
-              break;
-            case Op::kOrr:
-              v = rn.value | op2.value;
-              break;
-            case Op::kMov:
-              v = op2.value;
-              break;
-            case Op::kBic:
-              v = rn.value & ~op2.value;
-              break;
-            case Op::kMvn:
-              v = ~op2.value;
-              break;
-            default:
-              break;
-          }
-          result = AbsVal::Const(v, t);
+        if (op2.known && (!reads_rn || rn.known) && !ConsumesCarry(insn.op)) {
+          result = AbsVal::Const(
+              arm::ApplyAlu(insn.op, rn.value, op2.value, false, false, false).value, t);
         }
 
         if (insn.set_flags || arm::IsCompare(insn.op)) {

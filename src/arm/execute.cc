@@ -11,61 +11,6 @@ namespace {
 
 const CycleCosts& kCosts = kCortexA7Costs;
 
-struct ShiftOut {
-  word value;
-  bool carry;
-};
-
-ShiftOut ApplyShift(word value, ShiftKind kind, unsigned amount, bool carry_in) {
-  switch (kind) {
-    case ShiftKind::kLsl:
-      if (amount == 0) {
-        return {value, carry_in};
-      }
-      return {value << amount, ((value >> (32 - amount)) & 1) != 0};
-    case ShiftKind::kLsr:
-      // Encoded amount 0 means LSR #32.
-      if (amount == 0) {
-        return {0, (value >> 31) != 0};
-      }
-      return {value >> amount, ((value >> (amount - 1)) & 1) != 0};
-    case ShiftKind::kAsr: {
-      if (amount == 0) {
-        amount = 32;
-      }
-      const bool sign = (value >> 31) != 0;
-      if (amount >= 32) {
-        return {sign ? 0xffff'ffff : 0, sign};
-      }
-      return {static_cast<word>(static_cast<int32_t>(value) >> amount),
-              ((value >> (amount - 1)) & 1) != 0};
-    }
-    case ShiftKind::kRor:
-      if (amount == 0) {
-        // RRX (rotate through carry by one).
-        return {(value >> 1) | (static_cast<word>(carry_in) << 31), (value & 1) != 0};
-      }
-      return {(value >> amount) | (value << (32 - amount)), ((value >> (amount - 1)) & 1) != 0};
-  }
-  return {value, carry_in};
-}
-
-struct AluOut {
-  word value;
-  bool carry;
-  bool overflow;
-  bool affects_cv;  // arithmetic ops update C/V; logical ops use shifter carry
-};
-
-AluOut AddWithCarry(word a, word b, bool carry_in) {
-  const uint64_t unsigned_sum = static_cast<uint64_t>(a) + b + (carry_in ? 1 : 0);
-  const int64_t signed_sum = static_cast<int64_t>(static_cast<int32_t>(a)) +
-                             static_cast<int32_t>(b) + (carry_in ? 1 : 0);
-  const word result = static_cast<word>(unsigned_sum);
-  return {result, unsigned_sum != result,
-          signed_sum != static_cast<int32_t>(result), true};
-}
-
 bool IsPrivileged(const MachineState& m) { return m.cpsr.mode != Mode::kUser; }
 
 }  // namespace
@@ -88,8 +33,9 @@ Translation TranslateAddress(const MachineState& m, vaddr va, Access access) {
     // obligation is to flush before entering, so a violation here is a bug in
     // the privileged code driving the machine, not an architectural fault.
     assert(m.tlb_consistent && "user-mode access with inconsistent TLB");
-    const WalkResult w = m.interp.enabled() ? m.interp.TlbWalk(m.mem, m.ttbr0, va)
-                                            : WalkPageTable(m.mem, m.ttbr0, va);
+    const WalkResult w = m.exec_mode() != ExecMode::kUncached
+                             ? m.interp.TlbWalk(m.mem, m.ttbr0, va)
+                             : WalkPageTable(m.mem, m.ttbr0, va);
     if (!w.ok) {
       return t;
     }
@@ -149,7 +95,7 @@ void NoteStore(MachineState& m, paddr phys) {
   if (m.CurrentWorld() != World::kSecure || m.ttbr0 == 0) {
     return;
   }
-  if (m.interp.enabled()) {
+  if (m.exec_mode() != ExecMode::kUncached) {
     if (m.tlb_consistent &&
         m.interp.StoreHitsLivePageTable(m.mem, m.ttbr0, phys & ~3u)) {
       m.tlb_consistent = false;
@@ -187,7 +133,7 @@ StepResult Step(MachineState& m) {
   // every step (and is what the cache is differentially tested against).
   std::optional<Instruction> decoded_slow;
   const Instruction* insn_p;
-  if (m.interp.enabled()) {
+  if (m.exec_mode() != ExecMode::kUncached) {
     insn_p = m.interp.LookupDecode(m.mem, fetch.phys);
     if (insn_p == nullptr) {
       return Fault(m, Exception::kUndefined, insn_addr);
@@ -246,51 +192,8 @@ StepResult Step(MachineState& m) {
       }
       const word rn_value = read_operand(insn.rn);
 
-      AluOut out{0, shifter_carry, m.cpsr.v, false};
-      switch (insn.op) {
-        case Op::kAnd:
-        case Op::kTst:
-          out.value = rn_value & op2_value;
-          break;
-        case Op::kEor:
-        case Op::kTeq:
-          out.value = rn_value ^ op2_value;
-          break;
-        case Op::kSub:
-        case Op::kCmp:
-          out = AddWithCarry(rn_value, ~op2_value, true);
-          break;
-        case Op::kRsb:
-          out = AddWithCarry(~rn_value, op2_value, true);
-          break;
-        case Op::kAdd:
-        case Op::kCmn:
-          out = AddWithCarry(rn_value, op2_value, false);
-          break;
-        case Op::kAdc:
-          out = AddWithCarry(rn_value, op2_value, m.cpsr.c);
-          break;
-        case Op::kSbc:
-          out = AddWithCarry(rn_value, ~op2_value, m.cpsr.c);
-          break;
-        case Op::kRsc:
-          out = AddWithCarry(~rn_value, op2_value, m.cpsr.c);
-          break;
-        case Op::kOrr:
-          out.value = rn_value | op2_value;
-          break;
-        case Op::kMov:
-          out.value = op2_value;
-          break;
-        case Op::kBic:
-          out.value = rn_value & ~op2_value;
-          break;
-        case Op::kMvn:
-          out.value = ~op2_value;
-          break;
-        default:
-          break;
-      }
+      const AluOut out =
+          ApplyAlu(insn.op, rn_value, op2_value, shifter_carry, m.cpsr.c, m.cpsr.v);
 
       const bool is_compare = IsCompare(insn.op);
       if (insn.set_flags && insn.rd == PC && !is_compare) {
@@ -584,7 +487,7 @@ void NoteStoreToPhys(MachineState& m, paddr phys) { NoteStore(m, phys); }
 std::optional<Exception> RunUntilException(MachineState& m, uint64_t max_steps) {
   uint64_t remaining = max_steps;
   while (remaining > 0) {
-    if (m.jit.enabled()) {
+    if (m.exec_mode() == ExecMode::kJit) {
       const jit::RunOutcome o = jit::TryRunBlock(m, remaining);
       if (o.ran) {
         remaining -= o.steps;

@@ -21,6 +21,104 @@ struct StepResult {
   Exception exception = Exception::kUndefined;  // valid when status == kException
 };
 
+// --- Data-processing datapath ------------------------------------------------
+// Step executes through these and komodo-lint's constant folding
+// (src/analysis/taint.cc) evaluates through them, so the two cannot disagree
+// on a value. Inline: they sit on the interpreter's per-step hot path.
+
+struct ShiftOut {
+  word value;
+  bool carry;
+};
+
+// The register form of the shifter operand: `value` shifted by an immediate
+// `amount` (0..31; LSR and ASR #0 mean #32, ROR #0 is RRX through
+// `carry_in`), with the shifter carry-out.
+inline ShiftOut ApplyShift(word value, ShiftKind kind, unsigned amount, bool carry_in) {
+  switch (kind) {
+    case ShiftKind::kLsl:
+      if (amount == 0) {
+        return {value, carry_in};
+      }
+      return {value << amount, ((value >> (32 - amount)) & 1) != 0};
+    case ShiftKind::kLsr:
+      if (amount == 0) {
+        return {0, (value >> 31) != 0};
+      }
+      return {value >> amount, ((value >> (amount - 1)) & 1) != 0};
+    case ShiftKind::kAsr: {
+      if (amount == 0) {
+        amount = 32;
+      }
+      const bool sign = (value >> 31) != 0;
+      if (amount >= 32) {
+        return {sign ? 0xffff'ffff : 0, sign};
+      }
+      return {static_cast<word>(static_cast<int32_t>(value) >> amount),
+              ((value >> (amount - 1)) & 1) != 0};
+    }
+    case ShiftKind::kRor:
+      if (amount == 0) {
+        return {(value >> 1) | (static_cast<word>(carry_in) << 31), (value & 1) != 0};
+      }
+      return {(value >> amount) | (value << (32 - amount)), ((value >> (amount - 1)) & 1) != 0};
+  }
+  return {value, carry_in};
+}
+
+struct AluOut {
+  word value;
+  bool carry;
+  bool overflow;
+  bool affects_cv;  // arithmetic ops update C/V; logical ops use shifter carry
+};
+
+inline AluOut AddWithCarry(word a, word b, bool carry_in) {
+  const uint64_t unsigned_sum = static_cast<uint64_t>(a) + b + (carry_in ? 1 : 0);
+  const int64_t signed_sum = static_cast<int64_t>(static_cast<int32_t>(a)) +
+                             static_cast<int32_t>(b) + (carry_in ? 1 : 0);
+  const word result = static_cast<word>(unsigned_sum);
+  return {result, unsigned_sum != result, signed_sum != static_cast<int32_t>(result), true};
+}
+
+// Data-processing op `op` over rn's value and the shifter operand. ADC, SBC
+// and RSC consume `carry_in` (the C flag); the logical ops pass
+// `shifter_carry` and `v` through.
+inline AluOut ApplyAlu(Op op, word rn, word op2, bool shifter_carry, bool carry_in, bool v) {
+  switch (op) {
+    case Op::kAnd:
+    case Op::kTst:
+      return {rn & op2, shifter_carry, v, false};
+    case Op::kEor:
+    case Op::kTeq:
+      return {rn ^ op2, shifter_carry, v, false};
+    case Op::kSub:
+    case Op::kCmp:
+      return AddWithCarry(rn, ~op2, true);
+    case Op::kRsb:
+      return AddWithCarry(~rn, op2, true);
+    case Op::kAdd:
+    case Op::kCmn:
+      return AddWithCarry(rn, op2, false);
+    case Op::kAdc:
+      return AddWithCarry(rn, op2, carry_in);
+    case Op::kSbc:
+      return AddWithCarry(rn, ~op2, carry_in);
+    case Op::kRsc:
+      return AddWithCarry(~rn, op2, carry_in);
+    case Op::kOrr:
+      return {rn | op2, shifter_carry, v, false};
+    case Op::kMov:
+      return {op2, shifter_carry, v, false};
+    case Op::kBic:
+      return {rn & ~op2, shifter_carry, v, false};
+    case Op::kMvn:
+      return {~op2, shifter_carry, v, false};
+    default:
+      return {0, shifter_carry, v, false};
+  }
+}
+
 // Kinds of memory access for translation purposes.
 enum class Access : uint8_t { kFetch, kRead, kWrite };
 
@@ -48,8 +146,8 @@ StepResult Step(MachineState& m);
 void NoteStoreToPhys(MachineState& m, paddr phys);
 
 // Runs until control leaves user mode (an exception is taken) or `max_steps`
-// instructions retire. When the machine's JIT is enabled, hot basic blocks
-// execute as translated x64 code with bit-identical architectural effects
+// instructions retire. In ExecMode::kJit, hot basic blocks execute as
+// translated x64 code with bit-identical architectural effects
 // (DESIGN.md §13); everything else falls back to Step. Returns the
 // terminating exception, or nullopt if the step budget ran out with the
 // machine still in user mode.

@@ -1,48 +1,18 @@
 #include "src/arm/interp_cache.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 
 namespace komodo::arm {
 
-namespace {
-
-bool EnvEnabled() {
-  const char* v = std::getenv("KOMODO_INTERP_CACHE");
-  if (v == nullptr) {
-    return true;
-  }
-  return !(std::strcmp(v, "off") == 0 || std::strcmp(v, "0") == 0 ||
-           std::strcmp(v, "false") == 0);
-}
-
-}  // namespace
-
 InterpCaches::InterpCaches()
-    : enabled_(EnvEnabled()),
-      decode_(kDecodeEntries),
-      tlb_(kTlbEntries),
-      footprints_(kFootprintEntries) {}
-
-InterpCaches::InterpCaches(const InterpCaches& o)
-    : enabled_(o.enabled_),
-      decode_(kDecodeEntries),
-      tlb_(kTlbEntries),
-      footprints_(kFootprintEntries) {}
-
-InterpCaches& InterpCaches::operator=(const InterpCaches& o) {
-  enabled_ = o.enabled_;
-  InvalidateAll();
-  return *this;
-}
+    : decode_(kDecodeEntries), tlb_(kTlbEntries), footprints_(kFootprintEntries) {}
 
 const Instruction* InterpCaches::FillDecode(const PhysMemory& mem, paddr phys,
                                             DecodeEntry& e) {
   ++stats_.decode_misses;
   const std::optional<Instruction> decoded = Decode(mem.Read(phys));
   e.addr = phys;
-  e.epoch = decode_epoch_;
+  e.epoch = epoch_;
   e.gen_idx = mem.PageIndexOf(phys);
   e.gen = mem.PageGenAt(e.gen_idx);
   e.decode_ok = decoded.has_value();
@@ -59,7 +29,7 @@ WalkResult InterpCaches::FillTlb(const PhysMemory& mem, paddr ttbr0, vaddr va,
   const WalkResult res = WalkPageTable(mem, ttbr0, va, &trace);
   if (res.ok) {
     e.vpn = va >> 12;
-    e.epoch = tlb_epoch_;
+    e.epoch = epoch_;
     e.ttbr0 = ttbr0;
     e.l1_gen_idx = mem.PageIndexOf(trace.l1_entry_addr);
     e.l2_gen_idx = mem.PageIndexOf(trace.l2_entry_addr);
@@ -78,7 +48,7 @@ WalkResult InterpCaches::FillTlb(const PhysMemory& mem, paddr ttbr0, vaddr va,
 
 void InterpCaches::RebuildFootprint(const PhysMemory& mem, paddr ttbr0, PtFootprint& f) {
   ++stats_.pt_filter_rebuilds;
-  f.epoch = footprint_epoch_;
+  f.epoch = epoch_;
   f.ttbr0 = ttbr0;
   const paddr l1_end = ttbr0 + kL1Entries * kWordSize;
   f.l1_first_idx = mem.PageIndexOf(PageBase(ttbr0));
@@ -136,16 +106,10 @@ bool InterpCaches::PtFootprint::Overlaps(paddr lo, paddr hi) const {
   return it != ranges.end() && it->first < hi;
 }
 
-void InterpCaches::InvalidateAll() {
-  InvalidateTlb();
-  ++decode_epoch_;
-  ++footprint_epoch_;
-}
-
 std::vector<paddr> InterpCaches::ResidentDecodeAddrs() const {
   std::vector<paddr> out;
   for (const DecodeEntry& e : decode_) {
-    if (e.addr != kNoTag && e.epoch == decode_epoch_) {
+    if (e.addr != kNoTag && e.epoch == epoch_) {
       out.push_back(e.addr);
     }
   }

@@ -26,9 +26,9 @@
 //    binary search.
 //
 // All caches are bookkeeping: they are excluded from state equality, and
-// copying a MachineState yields fresh (empty) caches. The KOMODO_INTERP_CACHE
-// environment variable ("off"/"0"/"false") disables them, restoring the
-// pre-cache interpreter byte for byte.
+// copying a MachineState yields fresh (empty) caches. The machine consults
+// them only when its ExecMode is not kUncached (machine.h), which restores
+// the pre-cache interpreter byte for byte.
 #ifndef SRC_ARM_INTERP_CACHE_H_
 #define SRC_ARM_INTERP_CACHE_H_
 
@@ -59,16 +59,13 @@ class InterpCaches {
   static constexpr size_t kFootprintEntries = size_t{1} << kFootprintBits;
 
   InterpCaches();
-  // Copies carry the enabled flag but start cold: caches are bookkeeping, not
-  // state, and cloned machines (differential tests, spec extraction) must not
-  // pay for or depend on the donor's cache contents.
-  InterpCaches(const InterpCaches& o);
-  InterpCaches& operator=(const InterpCaches& o);
-
-  bool enabled() const { return enabled_; }
-  void set_enabled(bool on) {
-    enabled_ = on;
+  // Copies start cold: caches are bookkeeping, not state, and cloned machines
+  // (differential tests, spec extraction) must not pay for or depend on the
+  // donor's cache contents.
+  InterpCaches(const InterpCaches&) : InterpCaches() {}
+  InterpCaches& operator=(const InterpCaches&) {
     InvalidateAll();
+    return *this;
   }
 
   // Decoded instruction at physical address `phys` (which must be mapped and
@@ -81,9 +78,9 @@ class InterpCaches {
     // The generation check is what keeps the cache coherent with stores into
     // code pages; the fuzz harness can disable it (stale-decode injection) to
     // prove the cached-vs-uncached oracle catches the resulting divergence.
-    // The epoch check is explicit invalidation (set_enabled / InvalidateAll),
-    // not coherence, so the injection deliberately cannot bypass it.
-    if (e.addr == phys && e.epoch == decode_epoch_ &&
+    // The epoch check is explicit invalidation (InvalidateAll), not
+    // coherence, so the injection deliberately cannot bypass it.
+    if (e.addr == phys && e.epoch == epoch_ &&
         (mem.PageGenAt(e.gen_idx) == e.gen || fuzz::Inject().stale_decode)) {
       ++stats_.decode_hits;
       return e.decode_ok ? &e.insn : nullptr;
@@ -98,7 +95,7 @@ class InterpCaches {
   struct TlbEntry {
     vaddr vpn = kNoTag;  // va >> 12; kNoTag = empty
     paddr ttbr0 = 0;
-    uint64_t epoch = 0;  // valid only when equal to tlb_epoch_
+    uint64_t epoch = 0;  // valid only when equal to epoch_
     // Pages whose contents the walk read (as generation-array indices), with
     // their generations at fill time; a mismatch on either means the
     // descriptors may have changed.
@@ -131,14 +128,14 @@ class InterpCaches {
     uint64_t epoch;
     uint64_t* hits;
   };
-  TlbProbe Probe() { return {tlb_.data(), tlb_epoch_, &stats_.tlb_hits}; }
+  TlbProbe Probe() { return {tlb_.data(), epoch_, &stats_.tlb_hits}; }
 
   // WalkPageTable(mem, ttbr0, va) through the micro-TLB. Bit-identical to an
   // uncached walk; only successful (user-readable) walks are cached.
   WalkResult TlbWalk(const PhysMemory& mem, paddr ttbr0, vaddr va) {
     const vaddr vpn = va >> 12;
     TlbEntry& e = tlb_[vpn & (kTlbEntries - 1)];
-    if (e.vpn == vpn && e.ttbr0 == ttbr0 && e.epoch == tlb_epoch_ &&
+    if (e.vpn == vpn && e.ttbr0 == ttbr0 && e.epoch == epoch_ &&
         mem.PageGenAt(e.l1_gen_idx) == e.l1_gen &&
         mem.PageGenAt(e.l2_gen_idx) == e.l2_gen) {
       ++stats_.tlb_hits;
@@ -166,10 +163,8 @@ class InterpCaches {
     return Footprint(mem, ttbr0).ranges;
   }
 
-  // Drops every micro-TLB translation.
-  void InvalidateTlb() { ++tlb_epoch_; }
   // Drops every entry of every cache.
-  void InvalidateAll();
+  void InvalidateAll() { ++epoch_; }
 
   // Physical word addresses with a live decode-cache entry (current epoch;
   // generation staleness is irrelevant — the address was decoded during this
@@ -183,7 +178,7 @@ class InterpCaches {
  private:
   struct DecodeEntry {
     paddr addr = kNoTag;    // exact physical word address; kNoTag = empty
-    uint64_t epoch = 0;     // valid only when equal to decode_epoch_
+    uint64_t epoch = 0;     // valid only when equal to epoch_
     uint32_t gen = 0;       // backing page generation at decode time
     size_t gen_idx = PhysMemory::kNoPage;  // its index in the gen array
     bool decode_ok = false;
@@ -191,7 +186,7 @@ class InterpCaches {
   };
 
   struct PtFootprint {
-    uint64_t epoch = 0;  // valid only when equal to footprint_epoch_
+    uint64_t epoch = 0;  // valid only when equal to epoch_
     paddr ttbr0 = 0;
     // The footprint derives from the L1 table's contents alone; the
     // generations of the first/last page the 4 kB table touches gate reuse.
@@ -208,7 +203,7 @@ class InterpCaches {
   // The valid footprint of `ttbr0`, rebuilt first if stale.
   const PtFootprint& Footprint(const PhysMemory& mem, paddr ttbr0) {
     PtFootprint& f = footprints_[FootprintSlot(ttbr0)];
-    if (f.epoch != footprint_epoch_ || f.ttbr0 != ttbr0 ||
+    if (f.epoch != epoch_ || f.ttbr0 != ttbr0 ||
         mem.PageGenAt(f.l1_first_idx) != f.l1_first_gen ||
         mem.PageGenAt(f.l1_last_idx) != f.l1_last_gen) {
       RebuildFootprint(mem, ttbr0, f);
@@ -227,15 +222,12 @@ class InterpCaches {
     return static_cast<uint32_t>((ttbr0 >> 12) * 0x9e37'79b1u) >> (32 - kFootprintBits);
   }
 
-  bool enabled_;
   // Invalidation is O(1): entries carry the epoch they were filled under and
   // a bumped epoch orphans them all at once. The model checker and the fuzz
   // pool reset the machine (which invalidates) once or twice per probed
   // transition, so wiping the 4096-entry decode array each time dominated
   // their runtime before this.
-  uint64_t decode_epoch_ = 1;
-  uint64_t tlb_epoch_ = 1;
-  uint64_t footprint_epoch_ = 1;
+  uint64_t epoch_ = 1;
   std::vector<DecodeEntry> decode_;
   std::vector<TlbEntry> tlb_;
   std::vector<PtFootprint> footprints_;

@@ -70,6 +70,10 @@ constexpr bool IsDataProcessing(Op op) { return op <= Op::kMvn; }
 // never write rd.
 constexpr bool IsCompare(Op op) { return op >= Op::kTst && op <= Op::kCmn; }
 
+// Data-processing ops that read rn: all but MOV and MVN, which take only the
+// shifter operand.
+constexpr bool ReadsRn(Op op) { return IsDataProcessing(op) && op != Op::kMov && op != Op::kMvn; }
+
 enum class ShiftKind : uint8_t { kLsl = 0, kLsr = 1, kAsr = 2, kRor = 3 };
 
 // Flexible second operand of data-processing instructions: either a rotated

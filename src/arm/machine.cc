@@ -1,6 +1,8 @@
 #include "src/arm/machine.h"
 
 #include <cassert>
+#include <cstdlib>
+#include <cstring>
 
 namespace komodo::arm {
 
@@ -63,7 +65,24 @@ const char* ExceptionName(Exception e) {
   return "unknown";
 }
 
-MachineState::MachineState(word nsecure_pages) : mem(nsecure_pages) {
+namespace {
+
+ExecMode DefaultExecMode() {
+  const auto off = [](const char* var) {
+    const char* v = std::getenv(var);
+    return v != nullptr && (std::strcmp(v, "off") == 0 || std::strcmp(v, "0") == 0 ||
+                            std::strcmp(v, "false") == 0);
+  };
+  if (off("KOMODO_INTERP_CACHE")) {
+    return ExecMode::kUncached;
+  }
+  return off("KOMODO_JIT") || !jit::Available() ? ExecMode::kCached : ExecMode::kJit;
+}
+
+}  // namespace
+
+MachineState::MachineState(word nsecure_pages)
+    : exec_mode_(DefaultExecMode()), mem(nsecure_pages) {
   cpsr.mode = Mode::kSupervisor;
   cpsr.irq_masked = true;
   cpsr.fiq_masked = true;
@@ -132,12 +151,17 @@ size_t MachineState::ResetTo(const MachineState& snapshot) {
   steps_retired = snapshot.steps_retired;
   tlb_flushes = snapshot.tlb_flushes;
   const size_t restored = mem.ResetTo(snapshot.mem);
-  // set_enabled invalidates every decode/TLB/footprint entry as a side
-  // effect; stale translations must not survive into the next lease even
-  // though page generations only ever move forward.
-  interp.set_enabled(snapshot.interp.enabled());
-  jit.set_enabled(snapshot.jit.enabled());
+  // SetExecMode invalidates every decode/TLB/footprint entry and block as a
+  // side effect; stale translations must not survive into the next lease
+  // even though page generations only ever move forward.
+  SetExecMode(snapshot.exec_mode_);
   return restored;
+}
+
+void MachineState::SetExecMode(ExecMode mode) {
+  exec_mode_ = mode == ExecMode::kJit && !jit::Available() ? ExecMode::kCached : mode;
+  interp.InvalidateAll();
+  jit.InvalidateAll();
 }
 
 void MachineState::SetScrNs(bool ns) {

@@ -41,6 +41,12 @@ Mode ExceptionTargetMode(Exception e);
 // Static lower-case name ("data_abort"), used as a trace event name.
 const char* ExceptionName(Exception e);
 
+// The engine that executes a machine's instructions. The uncached interpreter
+// is the executable model; the interpreter caches (DESIGN.md §8) and the
+// block JIT over them (§13) are untrusted fast paths whose only contract is
+// to retire bit-identical state, cycles included.
+enum class ExecMode : uint8_t { kUncached, kCached, kJit };
+
 struct MachineState {
   explicit MachineState(word nsecure_pages = kDefaultSecurePages);
 
@@ -72,18 +78,22 @@ struct MachineState {
   bool pending_irq = false;
   bool pending_fiq = false;
 
+ private:
+  ExecMode exec_mode_;  // bookkeeping, like the caches below
+
+ public:
   PhysMemory mem;
   CycleCounter cycles;
 
-  // Interpreter fast-path caches (DESIGN.md §8). Architecturally invisible
-  // bookkeeping: mutable because even const translations may fill them, and
-  // excluded from any state comparison. KOMODO_INTERP_CACHE=off disables.
+  // Interpreter fast-path caches (DESIGN.md §8), consulted unless the mode is
+  // kUncached. Architecturally invisible bookkeeping: mutable because even
+  // const translations may fill them, and excluded from any state comparison.
   mutable InterpCaches interp;
 
-  // A32→x64 block translator state (DESIGN.md §13). Like `interp`, pure
-  // bookkeeping: invisible to state comparison, cold after copy, disabled by
-  // KOMODO_JIT=off, and always off on non-x86-64 hosts. Mutable for the same
-  // reason as `interp` (dispatching from a logically-const machine fills it).
+  // A32→x64 block translator state (DESIGN.md §13), run in mode kJit. Like
+  // `interp`, pure bookkeeping: invisible to state comparison and cold after
+  // copy. Mutable for the same reason as `interp` (dispatching from a
+  // logically-const machine fills it).
   mutable jit::JitState jit;
 
   // Instructions the interpreter has stepped (bookkeeping for benchmarks;
@@ -93,6 +103,15 @@ struct MachineState {
   // FlushTlb invocations (bookkeeping for the tracer's per-call attribution;
   // architecturally invisible, like steps_retired).
   uint64_t tlb_flushes = 0;
+
+  // --- Execution engine -----------------------------------------------------
+  // A new machine starts in kJit; KOMODO_JIT=off|0|false selects kCached and
+  // KOMODO_INTERP_CACHE=off|0|false kUncached (the JIT runs over the caches,
+  // so it is off too). Copies carry the mode. Setting it drops every
+  // interpreter-cache entry and translated block; kJit becomes kCached where
+  // jit::Available() is false.
+  ExecMode exec_mode() const { return exec_mode_; }
+  void SetExecMode(ExecMode mode);
 
   // --- Accessors honouring register banking ---------------------------------
   World CurrentWorld() const {
@@ -163,11 +182,11 @@ struct MachineState {
   // consistency/pending bits) and the bookkeeping counters (cycles,
   // steps_retired, tlb_flushes) are copied back; memory is restored page-wise
   // through PhysMemory::ResetTo, touching only the pages written since the
-  // snapshot. The interpreter caches are invalidated outright (their entries
-  // may embed translations and footprints derived from pre-reset TTBRs) and
-  // the cache-enabled flag reverts to the snapshot's. The result is
-  // state-equal to a fresh copy of the snapshot. Returns the number of memory
-  // pages restored.
+  // snapshot. The execution mode reverts to the snapshot's, which drops every
+  // interpreter-cache entry and translated block (they may embed translations
+  // and footprints derived from pre-reset TTBRs). The result is state-equal
+  // to a fresh copy of the snapshot. Returns the number of memory pages
+  // restored.
   size_t ResetTo(const MachineState& snapshot);
 };
 

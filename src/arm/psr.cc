@@ -2,73 +2,34 @@
 
 namespace komodo::arm {
 
-word ModeEncoding(Mode m) {
-  switch (m) {
-    case Mode::kUser:
-      return 0b10000;
-    case Mode::kFiq:
-      return 0b10001;
-    case Mode::kIrq:
-      return 0b10010;
-    case Mode::kSupervisor:
-      return 0b10011;
-    case Mode::kMonitor:
-      return 0b10110;
-    case Mode::kAbort:
-      return 0b10111;
-    case Mode::kUndefined:
-      return 0b11011;
-  }
-  return 0b10000;
-}
+namespace {
+
+// The seven modelled modes in Mode's order: architectural 5-bit encoding and
+// the short name used in traces and diffs.
+struct ModeInfo {
+  word encoding;
+  const char* name;
+};
+constexpr ModeInfo kModes[kNumModes] = {
+    {0b10000, "usr"}, {0b10001, "fiq"}, {0b10010, "irq"}, {0b10011, "svc"},
+    {0b10111, "abt"}, {0b11011, "und"}, {0b10110, "mon"},
+};
+
+}  // namespace
+
+word ModeEncoding(Mode m) { return kModes[static_cast<size_t>(m)].encoding; }
 
 bool DecodeMode(word bits, Mode* out) {
-  switch (bits & 0x1f) {
-    case 0b10000:
-      *out = Mode::kUser;
+  for (int i = 0; i < kNumModes; ++i) {
+    if (kModes[i].encoding == (bits & 0x1f)) {
+      *out = static_cast<Mode>(i);
       return true;
-    case 0b10001:
-      *out = Mode::kFiq;
-      return true;
-    case 0b10010:
-      *out = Mode::kIrq;
-      return true;
-    case 0b10011:
-      *out = Mode::kSupervisor;
-      return true;
-    case 0b10110:
-      *out = Mode::kMonitor;
-      return true;
-    case 0b10111:
-      *out = Mode::kAbort;
-      return true;
-    case 0b11011:
-      *out = Mode::kUndefined;
-      return true;
-    default:
-      return false;
+    }
   }
+  return false;
 }
 
-const char* ModeName(Mode m) {
-  switch (m) {
-    case Mode::kUser:
-      return "usr";
-    case Mode::kFiq:
-      return "fiq";
-    case Mode::kIrq:
-      return "irq";
-    case Mode::kSupervisor:
-      return "svc";
-    case Mode::kAbort:
-      return "abt";
-    case Mode::kUndefined:
-      return "und";
-    case Mode::kMonitor:
-      return "mon";
-  }
-  return "?";
-}
+const char* ModeName(Mode m) { return kModes[static_cast<size_t>(m)].name; }
 
 word Psr::Encode() const {
   word bits = ModeEncoding(mode);

@@ -56,7 +56,6 @@ class CoverageMap {
   size_t CountNew(const CoverageMap& o) const;
   size_t size() const { return keys_.size(); }
   bool empty() const { return keys_.empty(); }
-  void Clear() { keys_.clear(); }
   // Ascending key order — the canonical serialization.
   std::vector<uint64_t> Sorted() const;
   // SHA-256 hex over the sorted keys; pins a coverage state in hashes/tests.

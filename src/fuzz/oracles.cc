@@ -29,9 +29,9 @@ Verdict Fail(int op, std::string detail) { return Verdict{true, op, std::move(de
 // one oracle run and harvests the keys on every exit path, including early
 // failure returns. Worlds listed in `machine_worlds` additionally contribute
 // their resident decode-cache / JIT block keys — callers only list worlds
-// whose cache/JIT enablement they set explicitly, so the harvested set never
-// depends on KOMODO_INTERP_CACHE / KOMODO_JIT environment defaults. The
-// tracer is cycle bit-identical on/off, so arming it cannot change a verdict.
+// whose arm::ExecMode they set explicitly, so the harvested set never depends
+// on the mode KOMODO_INTERP_CACHE / KOMODO_JIT select by default. The tracer
+// is cycle bit-identical on/off, so arming it cannot change a verdict.
 //
 // Must be declared *after* the world leases it references: it harvests in its
 // destructor, while the worlds are still leased.
@@ -434,43 +434,44 @@ Verdict RunNoninterference(const Trace& t, WorldPool& pool, CoverageMap* cover) 
   return RunLockstep(t, pool, cover, cfg);
 }
 
-// Three-way bisimulation: cached, uncached and JIT. The cached/uncached pair
-// is the original oracle and is compared first so its canonical failure
+// Three-way bisimulation: lane k runs kInterpLanes[k]. The cached/uncached
+// pair is the original oracle and is compared first so its canonical failure
 // details stay stable (the committed regression corpus records them). The
 // third world runs the block JIT on top of the caches; any architectural
 // divergence from the cached world is a translator bug. On hosts without JIT
 // support the third world degenerates into a second cached interpreter,
 // which trivially agrees.
+constexpr std::array<arm::ExecMode, 3> kInterpLanes = {
+    arm::ExecMode::kCached, arm::ExecMode::kUncached, arm::ExecMode::kJit};
+
 Verdict RunInterp(const Trace& t, WorldPool& pool, CoverageMap* cover) {
-  enum : size_t { kCached, kUncached, kJit };
   Lockstep cfg;
-  cfg.lanes = 3;
-  // These lanes set their cache/JIT enablement explicitly below, so their
+  cfg.lanes = kInterpLanes.size();
+  // The cached and JIT lanes set their mode explicitly below, so their
   // resident decode/JIT entries are legitimate (environment-independent)
   // coverage.
-  cfg.machine_coverage = {kCached, kJit};
-  cfg.setup = [](size_t k, Lane& lane) {
-    lane.world->machine.interp.set_enabled(k != kUncached);
-    lane.world->machine.jit.set_enabled(k == kJit);
-  };
+  cfg.machine_coverage = {0, 2};
+  cfg.setup = [](size_t k, Lane& lane) { lane.world->machine.SetExecMode(kInterpLanes[k]); };
   arm::MemoryCompare cached_uncached;
   arm::MemoryCompare jit_cached;
   cfg.check = [&cached_uncached, &jit_cached](const std::vector<Lane>& l) {
-    const arm::MachineState& c = l[kCached].world->machine;
-    const arm::MachineState& u = l[kUncached].world->machine;
-    const arm::MachineState& j = l[kJit].world->machine;
-    std::string detail = ResultDiff("cached ", l[kCached].result, "uncached ", l[kUncached].result);
+    const Lane& cached = l[0];
+    const Lane& uncached = l[1];
+    const Lane& jit = l[2];
+    std::string detail = ResultDiff("cached ", cached.result, "uncached ", uncached.result);
     if (!detail.empty()) {
       return detail;
     }
-    if (const auto diff = MachineDiff(c, u, &cached_uncached); !diff.empty()) {
+    const arm::MachineState& c = cached.world->machine;
+    if (const auto diff = MachineDiff(c, uncached.world->machine, &cached_uncached);
+        !diff.empty()) {
       return "cached/uncached state diverges: " + diff.front();
     }
-    detail = ResultDiff("jit ", l[kJit].result, "cached ", l[kCached].result);
+    detail = ResultDiff("jit ", jit.result, "cached ", cached.result);
     if (!detail.empty()) {
       return detail;
     }
-    const auto diff = MachineDiff(j, c, &jit_cached);
+    const auto diff = MachineDiff(jit.world->machine, c, &jit_cached);
     return diff.empty() ? std::string() : "jit/cached state diverges: " + diff.front();
   };
   return RunLockstep(t, pool, cover, cfg);

@@ -255,7 +255,7 @@ void BlockCompiler::AllocateRegisters(const std::vector<Instruction>& insns) {
   };
   for (const Instruction& i : insns) {
     if (arm::IsDataProcessing(i.op)) {
-      if (i.op != Op::kMov && i.op != Op::kMvn) {
+      if (arm::ReadsRn(i.op)) {
         name(i.rn);
       }
       if (!i.op2.is_imm) {

@@ -1,10 +1,9 @@
-// JIT engine: per-machine enabled flag (KOMODO_JIT), the executable code
-// cache with generation-validated block lookup, and the dispatch entry the
-// interpreter's RunUntilException loop calls.
+// JIT engine: the executable code cache with generation-validated block
+// lookup, and the dispatch entry the interpreter's RunUntilException loop
+// calls.
 #include "src/jit/jit.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 
 #include "src/arm/execute.h"
@@ -31,37 +30,9 @@ const arm::InterpCaches::TlbEntry kMissTlb[arm::InterpCaches::kTlbEntries] = {};
 extern "C" void komodo_jit_code_region(const void* start, size_t bytes, uint64_t guest_va,
                                        int is_block) __attribute__((weak));
 
-namespace {
-
-// Mirrors interp_cache.cc's KOMODO_INTERP_CACHE gate: default on, any of
-// off/0/false disables.
-bool EnvEnabled() {
-  const char* v = std::getenv("KOMODO_JIT");
-  if (v == nullptr) {
-    return true;
-  }
-  return !(std::strcmp(v, "off") == 0 || std::strcmp(v, "0") == 0 ||
-           std::strcmp(v, "false") == 0);
-}
-
-}  // namespace
-
-JitState::JitState() : enabled_(Available() && EnvEnabled()) {}
-
-JitState::JitState(const JitState& o) : enabled_(o.enabled_) {}
-
-JitState& JitState::operator=(const JitState& o) {
-  enabled_ = o.enabled_;
-  InvalidateAll();
-  return *this;
-}
+JitState::JitState() = default;
 
 JitState::~JitState() = default;
-
-void JitState::set_enabled(bool on) {
-  enabled_ = on && Available();
-  InvalidateAll();
-}
 
 void JitState::InvalidateAll() {
   if (engine_ != nullptr) {
@@ -88,9 +59,6 @@ std::vector<ResidentBlock> JitState::ResidentBlocks() const {
 Engine* JitState::GetEngine() {
   if (engine_ == nullptr) {
     engine_ = Engine::Create();
-    if (engine_ == nullptr) {
-      enabled_ = false;  // executable mapping unavailable: interpreter-only
-    }
   }
   return engine_.get();
 }
@@ -197,6 +165,8 @@ RunOutcome TryRunBlock(arm::MachineState& m, uint64_t max_steps) {
   JitStats& st = js.mutable_stats();
   Engine* eng = js.GetEngine();
   if (eng == nullptr) {
+    // No executable mapping: the machine runs on the cached interpreter.
+    m.SetExecMode(arm::ExecMode::kCached);
     ++st.fallback_steps;
     return out;
   }
@@ -250,7 +220,7 @@ RunOutcome TryRunBlock(arm::MachineState& m, uint64_t max_steps) {
   rt.tlb_hits = tlb.hits;
   rt.NewStamp();
   if (m.cpsr.mode == arm::Mode::kUser && m.CurrentWorld() == arm::World::kSecure &&
-      m.tlb_consistent && m.interp.enabled()) {
+      m.tlb_consistent) {
     rt.load_tlb = tlb.entries;
     rt.store_tlb = m.mem.dirty_tracking() ? kMissTlb : tlb.entries;
     rt.tlb_epoch = tlb.epoch;

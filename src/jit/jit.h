@@ -17,9 +17,9 @@
 // differential suite (tests/arm/interp_diff_test.cc, tests/jit/) and
 // komodo-fuzz's interp-equivalence oracle gate every change. Like the
 // interpreter caches, JIT state is architecturally invisible bookkeeping:
-// excluded from state comparison, cold after copy, and disabled by
-// KOMODO_JIT=off|0|false (mirroring KOMODO_INTERP_CACHE). On non-x86_64 hosts
-// the translator reports unavailable and the build runs interpreter-only.
+// excluded from state comparison and cold after copy. A machine runs it only
+// in ExecMode::kJit (machine.h); on non-x86_64 hosts the translator reports
+// unavailable and that mode falls back to the cached interpreter.
 #ifndef SRC_JIT_JIT_H_
 #define SRC_JIT_JIT_H_
 
@@ -37,8 +37,8 @@ enum class Exception : uint8_t;
 namespace komodo::jit {
 
 // True when this build can execute translated code (x86-64 host with POSIX
-// executable mappings). When false, JitState::enabled() is always false and
-// every dispatch falls back to the interpreter; nothing else changes.
+// executable mappings). When false, no machine is ever in ExecMode::kJit and
+// every step is interpreted; nothing else changes.
 bool Available();
 
 // Generated from KOMODO_JIT_COUNTERS, so every field reaches the per-call
@@ -56,19 +56,18 @@ struct ResidentBlock {
   bool compiled = false;
 };
 
-// Per-machine JIT handle, mirroring InterpCaches' discipline: the enabled
-// flag copies with the machine, the engine (code cache) is lazily allocated
-// and always starts cold in a copy, and nothing here is architectural state.
+// Per-machine JIT handle, mirroring InterpCaches' discipline: the engine
+// (code cache) is lazily allocated and always starts cold in a copy, and
+// nothing here is architectural state.
 class JitState {
  public:
-  JitState();  // enabled from KOMODO_JIT (default on) when Available()
-  JitState(const JitState& o);
-  JitState& operator=(const JitState& o);
+  JitState();
+  JitState(const JitState&) : JitState() {}
+  JitState& operator=(const JitState&) {
+    InvalidateAll();
+    return *this;
+  }
   ~JitState();
-
-  bool enabled() const { return enabled_; }
-  // Forced off when !Available(); turning the JIT off/on drops every block.
-  void set_enabled(bool on);
 
   const JitStats& stats() const { return stats_; }
   JitStats& mutable_stats() { return stats_; }
@@ -82,11 +81,10 @@ class JitState {
   std::vector<ResidentBlock> ResidentBlocks() const;
 
   // Lazily constructed engine; nullptr when unavailable (non-x86_64, or the
-  // executable mapping failed — both degrade to interpreter-only).
+  // executable mapping failed — both degrade to the cached interpreter).
   Engine* GetEngine();
 
  private:
-  bool enabled_;
   JitStats stats_;
   std::unique_ptr<Engine> engine_;
 };
@@ -99,11 +97,13 @@ struct RunOutcome {
   arm::Exception exception{};
 };
 
-// Tries to execute one translated basic block at m.pc. Declines (ran=false)
-// when the JIT is disabled/unavailable, a deliverable interrupt is pending,
-// the fetch does not translate, the instruction at pc is outside the hot
-// subset, or the block might retire more than `max_steps` instructions (the
-// caller's budget must be exact). On decline the caller interprets one step.
+// Tries to execute one translated basic block at m.pc, for a machine in
+// ExecMode::kJit. Declines (ran=false) when the code cache cannot be mapped
+// (the machine then drops to ExecMode::kCached), a deliverable interrupt is
+// pending, the fetch does not translate, the instruction at pc is outside
+// the hot subset, or the block might retire more than `max_steps`
+// instructions (the caller's budget must be exact). On decline the caller
+// interprets one step.
 RunOutcome TryRunBlock(arm::MachineState& m, uint64_t max_steps);
 
 }  // namespace komodo::jit

@@ -54,14 +54,7 @@ Observability::Observability() {
   const char* env = std::getenv("KOMODO_TRACE");
   if (env != nullptr && (std::strcmp(env, "on") == 0 || std::strcmp(env, "1") == 0 ||
                          std::strcmp(env, "true") == 0)) {
-    size_t capacity = kDefaultRingCapacity;
-    if (const char* buf = std::getenv("KOMODO_TRACE_BUF")) {
-      const unsigned long long parsed = std::strtoull(buf, nullptr, 10);
-      if (parsed > 0) {
-        capacity = static_cast<size_t>(parsed);
-      }
-    }
-    Enable(capacity);
+    Enable();
   }
 }
 

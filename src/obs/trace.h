@@ -20,7 +20,7 @@
 // everything else follows.
 //
 // Activation: construct-time from the environment (KOMODO_TRACE=on|1|true,
-// ring capacity via KOMODO_TRACE_BUF), or programmatically via Enable().
+// with the default ring capacity), or programmatically via Enable().
 //
 // Threading model: thread-confined, not thread-safe. Each Monitor owns one
 // Observability instance, and counters/ring buffer are plain (unsynchronized)
@@ -122,8 +122,7 @@ class Observability {
  public:
   static constexpr size_t kDefaultRingCapacity = 65536;
 
-  // Reads KOMODO_TRACE / KOMODO_TRACE_BUF; disabled unless the environment
-  // opts in.
+  // Reads KOMODO_TRACE; disabled unless the environment opts in.
   Observability();
 
   bool enabled() const { return enabled_; }
@@ -136,8 +135,8 @@ class Observability {
   // (and enabled), every completed call and every instant folds a packed
   // (kind, code, err) key into a distinct-key set the fuzzer harvests. Keys
   // are inserted at EndCall/Instant time, never read back from the ring, so
-  // the ring capacity (KOMODO_TRACE_BUF) cannot change the set. Reset()
-  // clears the keys but keeps the armed state, mirroring `enabled`.
+  // the ring capacity cannot change the set. Reset() clears the keys but
+  // keeps the armed state, mirroring `enabled`.
   static uint64_t CoverageKey(EventKind kind, uint32_t code, uint32_t err) {
     return (static_cast<uint64_t>(kind) << 56) |
            (static_cast<uint64_t>(code & 0xffffffu) << 32) | static_cast<uint64_t>(err);

@@ -37,13 +37,10 @@ void ExpectSameState(const MachineState& a, const MachineState& b) {
 }
 
 // A bare machine in the normal world (flat translation), like the ISA sweeps
-// use: exercises the decode cache without page tables in the way. The JIT is
-// pinned off except for the explicit third machine (KOMODO_JIT defaults on).
-MachineState MakeFlatMachine(const std::vector<word>& code, bool cached,
-                             bool jitted = false) {
+// use: exercises the decode cache without page tables in the way.
+MachineState MakeFlatMachine(const std::vector<word>& code, ExecMode mode) {
   MachineState m(8);
-  m.interp.set_enabled(cached);
-  m.jit.set_enabled(jitted);
+  m.SetExecMode(mode);
   m.cpsr.mode = Mode::kMonitor;
   m.SetScrNs(true);
   m.cpsr.mode = Mode::kSupervisor;
@@ -100,8 +97,8 @@ TEST(InterpDiffTest, CarriedMachineDiffSeesAStoreIntoOneMachine) {
   a.MovImm(R1, 0x1234);
   a.Str(R1, R0, 8);
   const std::vector<word> code = a.Finish();
-  MachineState cached = MakeFlatMachine(code, /*cached=*/true);
-  MachineState uncached = MakeFlatMachine(code, /*cached=*/false);
+  MachineState cached = MakeFlatMachine(code, ExecMode::kCached);
+  MachineState uncached = MakeFlatMachine(code, ExecMode::kUncached);
   while (cached.r[R0] != kScratchBase || cached.r[R1] != 0x1234) {  // up to the store
     ASSERT_EQ(Step(cached).status, StepStatus::kOk);
     ASSERT_EQ(Step(uncached).status, StepStatus::kOk);
@@ -135,9 +132,9 @@ TEST(InterpDiffTest, RandomFlatProgramsMatchExactly) {
     }
     code.push_back(0xef000000);  // SVC #0 terminator
 
-    MachineState cached = MakeFlatMachine(code, /*cached=*/true);
-    MachineState uncached = MakeFlatMachine(code, /*cached=*/false);
-    MachineState jitted = MakeFlatMachine(code, /*cached=*/true, /*jitted=*/true);
+    MachineState cached = MakeFlatMachine(code, ExecMode::kCached);
+    MachineState uncached = MakeFlatMachine(code, ExecMode::kUncached);
+    MachineState jitted = MakeFlatMachine(code, ExecMode::kJit);
     for (MachineState* m : {&cached, &uncached, &jitted}) {
       for (int i = 0; i < 13; ++i) {
         crypto::HashDrbg rdrbg(seed * 131 + i);
@@ -165,9 +162,9 @@ TEST(InterpDiffTest, TightLoopMatchesAndHitsDecodeCache) {
   a.Svc();
   const std::vector<word> code = a.Finish();
 
-  MachineState cached = MakeFlatMachine(code, true);
-  MachineState uncached = MakeFlatMachine(code, false);
-  MachineState jitted = MakeFlatMachine(code, true, /*jitted=*/true);
+  MachineState cached = MakeFlatMachine(code, ExecMode::kCached);
+  MachineState uncached = MakeFlatMachine(code, ExecMode::kUncached);
+  MachineState jitted = MakeFlatMachine(code, ExecMode::kJit);
   RunLockstep(cached, uncached, jitted, 1510);
   EXPECT_EQ(cached.r[0], 1500u);
   // The loop re-executes the same three instructions ~500 times; nearly every
@@ -215,9 +212,9 @@ TEST(InterpDiffTest, SelfModifyingCodeForcesRedecode) {
     code = a.Finish();
     target_addr = here;
   }
-  MachineState cached = MakeFlatMachine(code, true);
-  MachineState uncached = MakeFlatMachine(code, false);
-  MachineState jitted = MakeFlatMachine(code, true, /*jitted=*/true);
+  MachineState cached = MakeFlatMachine(code, ExecMode::kCached);
+  MachineState uncached = MakeFlatMachine(code, ExecMode::kUncached);
+  MachineState jitted = MakeFlatMachine(code, ExecMode::kJit);
   RunLockstep(cached, uncached, jitted, 200);
   // 1 on the first pass, 2 on the remaining two: a stale decode would give 3.
   EXPECT_EQ(cached.r[0], 5u);
@@ -235,12 +232,9 @@ void DiffWorlds(Fn fn) {
   os::World cached{64};
   os::World uncached{64};
   os::World jitted{64};
-  cached.machine.interp.set_enabled(true);
-  cached.machine.jit.set_enabled(false);
-  uncached.machine.interp.set_enabled(false);
-  uncached.machine.jit.set_enabled(false);
-  jitted.machine.interp.set_enabled(true);
-  jitted.machine.jit.set_enabled(true);
+  cached.machine.SetExecMode(ExecMode::kCached);
+  uncached.machine.SetExecMode(ExecMode::kUncached);
+  jitted.machine.SetExecMode(ExecMode::kJit);
   fn(cached);
   fn(uncached);
   fn(jitted);

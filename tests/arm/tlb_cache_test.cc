@@ -48,7 +48,6 @@ class TlbCacheTest : public ::testing::Test {
 TEST_F(TlbCacheTest, HitReturnsIdenticalWalk) {
   Map(0x8000, SecurePage(2), /*w=*/true, /*x=*/false);
   InterpCaches caches;
-  caches.set_enabled(true);
   const WalkResult miss = caches.TlbWalk(mem_, l1_base_, 0x8123);
   const WalkResult hit = caches.TlbWalk(mem_, l1_base_, 0x8456);
   EXPECT_EQ(caches.stats().tlb_misses, 1u);
@@ -64,7 +63,6 @@ TEST_F(TlbCacheTest, HitReturnsIdenticalWalk) {
 TEST_F(TlbCacheTest, StoreIntoLiveL2RemapsWithoutStaleness) {
   Map(0x8000, SecurePage(2), true, false);
   InterpCaches caches;
-  caches.set_enabled(true);
   ASSERT_EQ(caches.TlbWalk(mem_, l1_base_, 0x8000).phys, SecurePage(2));
   ASSERT_EQ(caches.stats().tlb_hits + caches.stats().tlb_misses, 1u);
 
@@ -79,7 +77,6 @@ TEST_F(TlbCacheTest, StoreIntoLiveL2RemapsWithoutStaleness) {
 TEST_F(TlbCacheTest, PermissionTighteningIsSeen) {
   Map(0x8000, SecurePage(2), /*w=*/true, false);
   InterpCaches caches;
-  caches.set_enabled(true);
   ASSERT_TRUE(caches.TlbWalk(mem_, l1_base_, 0x8000).user_write);
   Map(0x8000, SecurePage(2), /*w=*/false, false);  // revoke write
   EXPECT_FALSE(caches.TlbWalk(mem_, l1_base_, 0x8000).user_write);
@@ -88,7 +85,6 @@ TEST_F(TlbCacheTest, PermissionTighteningIsSeen) {
 TEST_F(TlbCacheTest, UnmapIsSeen) {
   Map(0x8000, SecurePage(2), true, false);
   InterpCaches caches;
-  caches.set_enabled(true);
   ASSERT_TRUE(caches.TlbWalk(mem_, l1_base_, 0x8000).ok);
   mem_.Write(l2_page_ + ((0x8000u >> 12) & 0x3ff) * kWordSize, kL2FaultDesc);
   EXPECT_FALSE(caches.TlbWalk(mem_, l1_base_, 0x8000).ok);
@@ -101,7 +97,7 @@ TEST_F(TlbCacheTest, UnmapIsSeen) {
 // descriptors changed underneath it meanwhile.
 TEST(TlbWarmAcrossFlush, Cp15ChurnKeepsEntriesAndStaysCoherent) {
   MachineState m(64);
-  m.interp.set_enabled(true);
+  m.SetExecMode(ExecMode::kCached);
   const paddr l1_base = kSecurePagesBase;
   const paddr l2_page = kSecurePagesBase + kPageSize;
   for (word k = 0; k < kL2TablesPerPage; ++k) {
@@ -142,12 +138,11 @@ TEST(TlbWarmAcrossFlush, Cp15ChurnKeepsEntriesAndStaysCoherent) {
   EXPECT_EQ(remapped.phys, kSecurePagesBase + 3 * kPageSize);
 }
 
-TEST_F(TlbCacheTest, InvalidateTlbDropsEverything) {
+TEST_F(TlbCacheTest, InvalidateAllDropsEveryTranslation) {
   Map(0x8000, SecurePage(2), true, false);
   InterpCaches caches;
-  caches.set_enabled(true);
   (void)caches.TlbWalk(mem_, l1_base_, 0x8000);
-  caches.InvalidateTlb();
+  caches.InvalidateAll();
   (void)caches.TlbWalk(mem_, l1_base_, 0x8000);
   EXPECT_EQ(caches.stats().tlb_misses, 2u);
   EXPECT_EQ(caches.stats().tlb_hits, 0u);
@@ -159,7 +154,7 @@ TEST_F(TlbCacheTest, InvalidateTlbDropsEverything) {
 // ran still notices a new L1 descriptor through its L1 page's generation.
 TEST(PtFootprintTable, AlternatingAddressSpacesKeepTheirFootprints) {
   MachineState m(64);
-  m.interp.set_enabled(true);
+  m.SetExecMode(ExecMode::kCached);
   auto page = [](word n) { return kSecurePagesBase + n * kPageSize; };
   const paddr code_page = page(0);
   const paddr new_l2 = page(1);  // referenced by A's L1 table only later
@@ -257,7 +252,6 @@ TEST(PtFootprintTable, RebuildMatchesPerWordScan) {
     return merged;
   };
   InterpCaches caches;
-  caches.set_enabled(true);
   const paddr straddles = page(2) + kPageSize / 2;
   const paddr runs_past_memory = page(kPages - 1) + kPageSize / 2;
   const paddr aligned = page(4);
@@ -280,13 +274,11 @@ TEST(PtFootprintTable, RebuildMatchesPerWordScan) {
 // modes: an enclave that maps its own L2 table user-writable and stores a new
 // descriptor through it. The store must (a) take effect for later walks and
 // (b) mark the TLB inconsistent until TLBIALL.
-class TlbDisciplineTest : public ::testing::TestWithParam<bool> {};
+class TlbDisciplineTest : public ::testing::TestWithParam<ExecMode> {};
 
 TEST_P(TlbDisciplineTest, InterpretedStoreIntoLiveL2) {
-  const bool cached = GetParam();
-
   MachineState m(64);
-  m.interp.set_enabled(cached);
+  m.SetExecMode(GetParam());
   const paddr l1_base = kSecurePagesBase;
   const paddr l2_page = kSecurePagesBase + kPageSize;
   const paddr code_page = kSecurePagesBase + 2 * kPageSize;
@@ -338,9 +330,10 @@ TEST_P(TlbDisciplineTest, InterpretedStoreIntoLiveL2) {
   EXPECT_EQ(m.r[2], 0x222u) << "load used a stale translation after remap";
 }
 
-INSTANTIATE_TEST_SUITE_P(BothModes, TlbDisciplineTest, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& p) {
-                           return p.param ? "cached" : "uncached";
+INSTANTIATE_TEST_SUITE_P(BothModes, TlbDisciplineTest,
+                         ::testing::Values(ExecMode::kCached, ExecMode::kUncached),
+                         [](const ::testing::TestParamInfo<ExecMode>& p) {
+                           return p.param == ExecMode::kCached ? "cached" : "uncached";
                          });
 
 }  // namespace

@@ -3,7 +3,7 @@
 // ones bisimulation sweeps reach only by luck — block invalidation through
 // the page-generation tags (cross-block and within the executing block),
 // the interpreter fallback boundary (traps, budget exhaustion, unaligned
-// fetch), the KOMODO_JIT escape hatch, the stats surface the bench and obs
+// fetch), the engine setting (ExecMode), the stats surface the bench and obs
 // layers report, and, in secure user mode, every rule the micro-TLB probe
 // stubs apply before serving an access from emitted code. Everything that
 // needs translated code to actually run is skipped on hosts without JIT
@@ -16,6 +16,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "src/arm/assembler.h"
@@ -36,10 +37,9 @@ constexpr vaddr kScratchBase = 0x4000;
 
 // Flat normal-world machine (translation is identity), the simplest host for
 // straight-line user code.
-MachineState MakeMachine(const std::vector<word>& code, bool jitted) {
+MachineState MakeMachine(const std::vector<word>& code, ExecMode mode) {
   MachineState m(8);
-  m.interp.set_enabled(true);
-  m.jit.set_enabled(jitted);
+  m.SetExecMode(mode);
   m.cpsr.mode = Mode::kMonitor;
   m.SetScrNs(true);
   m.cpsr.mode = Mode::kSupervisor;
@@ -54,8 +54,8 @@ MachineState MakeMachine(const std::vector<word>& code, bool jitted) {
 // off, and requires bit-identical final state (cycles included) plus the
 // same exception.
 void ExpectBisimulatesToSvc(const std::vector<word>& code, uint64_t max_steps) {
-  MachineState jm = MakeMachine(code, /*jitted=*/true);
-  MachineState im = MakeMachine(code, /*jitted=*/false);
+  MachineState jm = MakeMachine(code, ExecMode::kJit);
+  MachineState im = MakeMachine(code, ExecMode::kCached);
   const std::optional<Exception> je = RunUntilException(jm, max_steps);
   const std::optional<Exception> ie = RunUntilException(im, max_steps);
   EXPECT_EQ(je, ie);
@@ -64,26 +64,64 @@ void ExpectBisimulatesToSvc(const std::vector<word>& code, uint64_t max_steps) {
   }
 }
 
-TEST(JitState, EnvVarGatesDefault) {
-  // JitState reads KOMODO_JIT at construction, like KOMODO_INTERP_CACHE.
-  ASSERT_EQ(setenv("KOMODO_JIT", "off", 1), 0);
-  {
-    MachineState m(8);
-    EXPECT_FALSE(m.jit.enabled());
+// Sets an environment variable for a scope (nullptr unsets it) and puts back
+// what the environment held before, so the suite's own setting survives.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) {
+      old_ = old;
+    }
+    EXPECT_EQ(value != nullptr ? setenv(name, value, 1) : unsetenv(name), 0);
   }
-  ASSERT_EQ(unsetenv("KOMODO_JIT"), 0);
-  {
-    MachineState m(8);
-    EXPECT_EQ(m.jit.enabled(), jit::Available());
+  ~ScopedEnv() {
+    EXPECT_EQ(old_.has_value() ? setenv(name_, old_->c_str(), 1) : unsetenv(name_), 0);
+  }
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
+TEST(ExecModeTest, EnvironmentSelectsTheDefault) {
+  const ExecMode fastest = jit::Available() ? ExecMode::kJit : ExecMode::kCached;
+  struct Case {
+    const char* interp_cache;
+    const char* jit;
+    ExecMode want;
+  };
+  for (const Case& c : {Case{nullptr, nullptr, fastest}, Case{nullptr, "off", ExecMode::kCached},
+                        Case{"off", nullptr, ExecMode::kUncached},
+                        Case{"false", "0", ExecMode::kUncached}, Case{"on", "1", fastest}}) {
+    const ScopedEnv interp_cache("KOMODO_INTERP_CACHE", c.interp_cache);
+    const ScopedEnv jit("KOMODO_JIT", c.jit);
+    EXPECT_EQ(MachineState(8).exec_mode(), c.want)
+        << "KOMODO_INTERP_CACHE=" << (c.interp_cache ? c.interp_cache : "(unset)")
+        << " KOMODO_JIT=" << (c.jit ? c.jit : "(unset)");
   }
 }
 
-TEST(JitState, CopiesCarryFlagButColdCaches) {
+TEST(ExecModeTest, CopiesAndResetsCarryTheModeButColdCaches) {
+  Assembler a(kCodeBase);
+  a.MovImm(R0, 7);
+  a.Svc();
+  const std::vector<word> code = a.Finish();
+  for (const ExecMode mode : {ExecMode::kUncached, ExecMode::kCached, ExecMode::kJit}) {
+    MachineState m = MakeMachine(code, mode);
+    ASSERT_EQ(RunUntilException(m, 100), Exception::kSvc);
+    const MachineState copy = m;
+    EXPECT_EQ(copy.exec_mode(), m.exec_mode());
+    EXPECT_EQ(copy.jit.stats().blocks_translated, 0u);
+    EXPECT_EQ(copy.interp.ResidentDecodeAddrs().size(), 0u);
+  }
   MachineState m(8);
-  m.jit.set_enabled(jit::Available());
-  MachineState copy = m;
-  EXPECT_EQ(copy.jit.enabled(), m.jit.enabled());
-  EXPECT_EQ(copy.jit.stats().blocks_translated, 0u);
+  m.mem.EnableDirtyTracking();
+  m.SetExecMode(ExecMode::kUncached);
+  const MachineState snapshot = m;
+  m.SetExecMode(ExecMode::kJit);
+  EXPECT_EQ(m.exec_mode(), jit::Available() ? ExecMode::kJit : ExecMode::kCached);
+  m.ResetTo(snapshot);
+  EXPECT_EQ(m.exec_mode(), ExecMode::kUncached);
 }
 
 TEST(JitState, DisabledMachineNeverJits) {
@@ -91,7 +129,7 @@ TEST(JitState, DisabledMachineNeverJits) {
   a.MovImm(R0, 7);
   a.Add(R0, R0, 35);
   a.Svc();
-  MachineState m = MakeMachine(a.Finish(), /*jitted=*/false);
+  MachineState m = MakeMachine(a.Finish(), ExecMode::kCached);
   EXPECT_EQ(RunUntilException(m, 100), Exception::kSvc);
   EXPECT_EQ(m.r[0], 42u);
   EXPECT_EQ(m.jit.stats().jit_steps, 0u);
@@ -108,7 +146,7 @@ TEST(JitRun, StraightLineBlockRunsJitted) {
   a.Add(R2, R0, R1);
   a.Lsl(R3, R2, 4);
   a.Svc();
-  MachineState m = MakeMachine(a.Finish(), /*jitted=*/true);
+  MachineState m = MakeMachine(a.Finish(), ExecMode::kJit);
   EXPECT_EQ(RunUntilException(m, 100), Exception::kSvc);
   EXPECT_EQ(m.r[2], 3u);
   EXPECT_EQ(m.r[3], 48u);
@@ -132,7 +170,7 @@ TEST(JitRun, LoopReentersCachedBlock) {
   a.Subs(R1, R1, 1);
   a.B(loop, Cond::kNe);
   a.Svc();
-  MachineState m = MakeMachine(a.Finish(), /*jitted=*/true);
+  MachineState m = MakeMachine(a.Finish(), ExecMode::kJit);
   EXPECT_EQ(RunUntilException(m, 1000), Exception::kSvc);
   EXPECT_EQ(m.r[0], 300u);
   // The loop body translates once and is re-entered every iteration.
@@ -164,7 +202,7 @@ TEST(JitRun, BlocksSixteenKbApartStayResidentTogether) {
   a.B(top, Cond::kNe);
   a.Svc();
   ASSERT_EQ(a.AddrOf(far) - a.AddrOf(top), 0x4000u);
-  MachineState m = MakeMachine(a.Finish(), /*jitted=*/true);
+  MachineState m = MakeMachine(a.Finish(), ExecMode::kJit);
   EXPECT_EQ(RunUntilException(m, 1000), Exception::kSvc);
   EXPECT_EQ(m.r[0], 50u);
   EXPECT_EQ(m.r[1], 50u);
@@ -186,7 +224,7 @@ TEST(JitRun, BudgetExhaustionRetiresExactStepCount) {
   a.Add(R1, R1, 2);
   a.Add(R2, R2, 3);
   a.B(loop);
-  MachineState m = MakeMachine(a.Finish(), /*jitted=*/true);
+  MachineState m = MakeMachine(a.Finish(), ExecMode::kJit);
   EXPECT_EQ(RunUntilException(m, 107), std::nullopt);
   EXPECT_EQ(m.steps_retired, 107u);
   // The tail that didn't fit a whole block ran interpreted.
@@ -224,8 +262,8 @@ TEST(JitRun, StoreIntoOwnBlockRestartsTranslation) {
     code = a.Finish();
     target_addr = here;
   }
-  MachineState jm = MakeMachine(code, /*jitted=*/true);
-  MachineState im = MakeMachine(code, /*jitted=*/false);
+  MachineState jm = MakeMachine(code, ExecMode::kJit);
+  MachineState im = MakeMachine(code, ExecMode::kCached);
   EXPECT_EQ(RunUntilException(jm, 100), Exception::kSvc);
   EXPECT_EQ(RunUntilException(im, 100), Exception::kSvc);
   EXPECT_EQ(im.r[0], 42u) << "interpreter reference disagrees with intent";
@@ -268,8 +306,8 @@ TEST(JitRun, CrossBlockStoreInvalidatesThroughPageGen) {
     code = a.Finish();
     target_addr = here;
   }
-  MachineState jm = MakeMachine(code, /*jitted=*/true);
-  MachineState im = MakeMachine(code, /*jitted=*/false);
+  MachineState jm = MakeMachine(code, ExecMode::kJit);
+  MachineState im = MakeMachine(code, ExecMode::kCached);
   EXPECT_EQ(RunUntilException(jm, 200), Exception::kSvc);
   EXPECT_EQ(RunUntilException(im, 200), Exception::kSvc);
   EXPECT_EQ(im.r[0], 5u);
@@ -296,7 +334,7 @@ TEST(JitRun, NonJitableHeadFallsBackAndCachesVerdict) {
   a.Subs(R1, R1, 1);
   a.B(loop, Cond::kNe);
   a.Svc();
-  MachineState m = MakeMachine(a.Finish(), /*jitted=*/true);
+  MachineState m = MakeMachine(a.Finish(), ExecMode::kJit);
   EXPECT_EQ(RunUntilException(m, 500), Exception::kSvc);
   EXPECT_EQ(m.r[0], 20u);
   // The MRS step interprets each lap; the rest of the body still jits.
@@ -318,8 +356,8 @@ TEST(JitRun, ExceptionInMidBlockChargesExactly) {
   a.Ldr(R2, R3, 0);
   a.Svc();
   const std::vector<word> code = a.Finish();
-  MachineState jm = MakeMachine(code, /*jitted=*/true);
-  MachineState im = MakeMachine(code, /*jitted=*/false);
+  MachineState jm = MakeMachine(code, ExecMode::kJit);
+  MachineState im = MakeMachine(code, ExecMode::kCached);
   EXPECT_EQ(RunUntilException(jm, 100), Exception::kDataAbort);
   EXPECT_EQ(RunUntilException(im, 100), Exception::kDataAbort);
   EXPECT_EQ(jm.steps_retired, im.steps_retired);
@@ -389,8 +427,8 @@ TEST(JitRun, ConditionalAndBranchLinkBisimulate) {
 // table, page 1 its four L2 tables, as in tlb_cache_test.cc), and requires
 // identical final state.
 
-enum class Runner { kJit, kCached, kUncached };
-constexpr std::array<Runner, 3> kRunners = {Runner::kJit, Runner::kCached, Runner::kUncached};
+constexpr std::array<ExecMode, 3> kRunners = {ExecMode::kJit, ExecMode::kCached,
+                                              ExecMode::kUncached};
 constexpr std::array<const char*, 3> kRunnerNames = {"jit", "cached", "uncached"};
 
 constexpr paddr kL1 = kSecurePagesBase;
@@ -439,8 +477,7 @@ Machines RunThreeWays(const std::function<void(MachineState&)>& body) {
     SCOPED_TRACE(kRunnerNames[k]);
     ms[k] = std::make_unique<MachineState>(64);
     MachineState& m = *ms[k];
-    m.interp.set_enabled(kRunners[k] != Runner::kUncached);
-    m.jit.set_enabled(kRunners[k] == Runner::kJit);
+    m.SetExecMode(kRunners[k]);
     BuildL1(m, kL1, kL2);
     body(m);
   }
@@ -741,6 +778,55 @@ TEST(JitSecureUser, ProbeHitsCountAsTlbHitsAndMissesTakeTheHelper) {
   EXPECT_EQ(jm.jit.stats().helper_accesses, 2u);
 }
 
+TEST(JitSecureUser, InvalidatedTlbEntriesMissAlthoughTheirTagsStillMatch) {
+  if (!jit::Available()) {
+    GTEST_SKIP() << "no JIT on this host";
+  }
+  // The same loop runs twice with the interpreter caches invalidated in
+  // between, as a machine reset or a mode change does. Nothing the entries
+  // are tagged with moved (VPN, TTBR0, descriptor generations), so only the
+  // epoch tells the probes that the warm data entries are gone: each run's
+  // first access to each data page must miss and take the helper, exactly
+  // as the cached interpreter's walk misses.
+  constexpr word kLaps = 20;
+  constexpr uint64_t kRuns = 2;
+  Assembler a(kUserCode);
+  a.MovImm(R12, kLaps);
+  a.MovImm(R3, 0x10000);
+  a.MovImm(R4, 0x11000);
+  Assembler::Label loop = a.NewLabel();
+  a.Bind(loop);
+  a.Ldr(R1, R3, 0);
+  a.Str(R1, R4, 0);
+  a.Subs(R12, R12, 1);
+  a.B(loop, Cond::kNe);
+  a.Svc();
+  const std::vector<word> code = a.Finish();
+  const Machines ms = RunThreeWays([&](MachineState& m) {
+    Map(m, kUserCode, Page(2), false, true);
+    Map(m, 0x10000, Page(3), true, false);
+    Map(m, 0x11000, Page(4), true, false);
+    WriteWords(m, Page(2), code);
+    for (uint64_t run = 0; run < kRuns; ++run) {
+      m.interp.InvalidateAll();
+      EnterUser(m, kL1, kUserCode);
+      EXPECT_EQ(RunUntilException(m, 1000), Exception::kSvc);
+    }
+  });
+  const MachineState& jm = *ms[0];
+  const MachineState& cm = *ms[1];
+  const InterpCacheStats& js = jm.interp.stats();
+  const InterpCacheStats& cs = cm.interp.stats();
+  EXPECT_EQ(cs.tlb_misses, 3 * kRuns);  // the code page and the two data pages
+  EXPECT_EQ(js.tlb_misses, cs.tlb_misses);
+  // The runners differ only in their fetches: the cached one looks up every
+  // step, the JIT one every dispatch and twice at each run's final SVC.
+  const uint64_t jit_fetches = jm.jit.stats().block_hits - jm.jit.stats().chained + 2 * kRuns;
+  EXPECT_EQ(js.tlb_hits + cm.steps_retired, cs.tlb_hits + jit_fetches);
+  // Every data access the cached runner's walk missed took a JIT helper.
+  EXPECT_EQ(jm.jit.stats().helper_accesses, cs.tlb_misses - kRuns);
+}
+
 // --- Once-per-run validation and the register cache --------------------------
 //
 // A probe validates a micro-TLB slot against TlbWalk's hit rule once per run
@@ -982,7 +1068,7 @@ void TranslateFillers(MachineState& m, const std::function<bool()>& done) {
   }
   a.Svc();
   WriteWords(m, kFiller, a.Finish());
-  if (!m.jit.enabled()) {
+  if (m.exec_mode() != ExecMode::kJit) {
     return;
   }
   jit::Engine* eng = m.jit.GetEngine();

@@ -259,7 +259,7 @@ TEST(ObsTrace, CallCostsSumToMachineCounters) {
   KOMODO_JIT_COUNTERS(EXPECT_JIT_SUM)
 #undef EXPECT_JIT_SUM
 #undef EXPECT_INTERP_CACHE_SUM
-  if (w.machine.jit.enabled()) {
+  if (w.machine.exec_mode() == arm::ExecMode::kJit) {
     EXPECT_GT(end.jit.chained - begin.jit.chained, 0u);
   }
 }
