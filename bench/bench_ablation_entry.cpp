@@ -4,8 +4,6 @@
 // the same enclave". This bench measures Enter+Exit under each optimisation,
 // quantifying what the paper says it would gain after proving the
 // optimisations correct.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <memory>
 
@@ -92,31 +90,12 @@ void EmitJson(const AblationResults& r) {
   json.Write("BENCH_ablation_entry.json");
 }
 
-void BM_EnterExitBaseline(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(MeasureEnterExit(Monitor::Config{}));
-  }
-}
-BENCHMARK(BM_EnterExitBaseline)->Unit(benchmark::kMillisecond);
-
-void BM_EnterExitOptimised(benchmark::State& state) {
-  Monitor::Config config;
-  config.opt_skip_redundant_tlb_flush = true;
-  config.opt_lazy_banked_regs = true;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(MeasureEnterExit(config));
-  }
-}
-BENCHMARK(BM_EnterExitOptimised)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace komodo
 
-int main(int argc, char** argv) {
+int main() {
   const komodo::AblationResults results = komodo::MeasureAblation();
   komodo::PrintAblation(results);
   komodo::EmitJson(results);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

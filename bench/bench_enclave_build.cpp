@@ -3,8 +3,6 @@
 // designs do the same conceptual work — allocate, measure, finalise — so the
 // comparison isolates monitor-call overhead from the measurement work that
 // dominates both.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -129,28 +127,12 @@ void EmitJson(const std::vector<BuildRow>& rows) {
   json.Write("BENCH_enclave_build.json");
 }
 
-void BM_KomodoBuild64(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(KomodoBuildCycles(64));
-  }
-}
-BENCHMARK(BM_KomodoBuild64)->Unit(benchmark::kMillisecond);
-
-void BM_SgxBuild64(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(SgxBuildCycles(64));
-  }
-}
-BENCHMARK(BM_SgxBuild64)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace komodo
 
-int main(int argc, char** argv) {
+int main() {
   const std::vector<komodo::BuildRow> rows = komodo::MeasureBuild();
   komodo::PrintBuildComparison(rows);
   komodo::EmitJson(rows);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

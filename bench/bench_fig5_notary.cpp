@@ -2,8 +2,6 @@
 // Komodo enclave vs native Linux process. The paper's result: the two lines
 // coincide — enclave overhead is negligible because the workload is dominated
 // by hashing and signing. Reported in milliseconds at 900 MHz.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -103,29 +101,6 @@ void RunTraced() {
   std::printf("wrote TRACE_fig5_notary.json\nwrote METRICS_fig5_notary.json\n");
 }
 
-void BM_NotaryEnclave(benchmark::State& state) {
-  enclave::NotaryHost host(1);
-  BuildNotary(host);
-  const size_t kb = static_cast<size_t>(state.range(0));
-  const std::vector<uint8_t> doc(kb * 1024, 7);
-  host.StageDocument(doc);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(NotarizeCycles(host, doc.size()));
-  }
-  state.counters["doc_kB"] = static_cast<double>(kb);
-}
-BENCHMARK(BM_NotaryEnclave)->Arg(4)->Arg(64)->Arg(512);
-
-void BM_NotaryNative(benchmark::State& state) {
-  enclave::NotaryNative native(1);
-  native.Init();
-  const std::vector<uint8_t> doc(static_cast<size_t>(state.range(0)) * 1024, 7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(native.Notarize(doc));
-  }
-}
-BENCHMARK(BM_NotaryNative)->Arg(4)->Arg(64)->Arg(512);
-
 }  // namespace
 }  // namespace komodo
 
@@ -139,7 +114,5 @@ int main(int argc, char** argv) {
   const std::vector<komodo::Fig5Row> rows = komodo::MeasureFig5();
   komodo::PrintFig5(rows);
   komodo::EmitJson(rows);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

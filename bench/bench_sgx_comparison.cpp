@@ -3,8 +3,6 @@
 // The paper's claim: "the Komodo result represents an order of magnitude
 // improvement" for a full crossing. Also compares the dynamic-memory paths
 // (AllocSpare+MapData vs EAUG+EACCEPT).
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <memory>
 
@@ -127,29 +125,13 @@ void EmitJson(const KomodoCrossings& k, const SgxCrossings& s) {
   json.Write("BENCH_sgx_comparison.json");
 }
 
-void BM_SgxEnterExit(benchmark::State& state) {
-  sgx::SgxMachine m(64);
-  std::array<uint8_t, sgx::kSgxPageBytes> zero{};
-  m.Ecreate(0);
-  m.Eadd(0, 1, 0, false, false, sgx::EpcmType::kTcs, zero);
-  m.Einit(0);
-  for (auto _ : state) {
-    m.Eenter(1);
-    m.Eexit(1);
-  }
-  state.counters["sim_cycles_per_crossing"] = 7100;
-}
-BENCHMARK(BM_SgxEnterExit);
-
 }  // namespace
 }  // namespace komodo
 
-int main(int argc, char** argv) {
+int main() {
   const komodo::KomodoCrossings k = komodo::MeasureKomodo();
   const komodo::SgxCrossings s = komodo::MeasureSgx();
   komodo::PrintComparison(k, s);
   komodo::EmitJson(k, s);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

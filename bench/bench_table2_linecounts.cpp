@@ -6,8 +6,6 @@
 // The rows cover every directory under src/; the counts are also written to
 // BENCH_table2.json, and scripts/check.sh fails if the src/core row (the
 // monitor, i.e. the TCB) grows past the committed artifact.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -130,21 +128,12 @@ bool ReportTable2() {
   return json.Write("BENCH_table2.json");
 }
 
-void BM_CountRepo(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(CountDir(fs::path(KOMODO_SOURCE_DIR) / "src"));
-  }
-}
-BENCHMARK(BM_CountRepo);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   if (!ReportTable2()) {
     std::fprintf(stderr, "bench_table2_linecounts: cannot write BENCH_table2.json\n");
     return 1;
   }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -3,8 +3,6 @@
 // hardware cycles). Shapes to check: trivial SMCs are O(100) cycles, full
 // crossings O(500-1000), Attest/Verify dominated by ~5 SHA-256 compressions,
 // MapData dominated by zero-filling a page.
-#include <benchmark/benchmark.h>
-
 #include <functional>
 #include <memory>
 #include <vector>
@@ -182,47 +180,12 @@ void EmitJson(const Table3Results& r) {
   json.Write("BENCH_table3.json");
 }
 
-// Wall-clock benchmarks of the simulator itself (how fast the model runs on
-// the host; the paper's numbers are the simulated cycles above).
-void BM_NullSmc(benchmark::State& state) {
-  Bench b;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(b.w.os.GetPhysPages());
-  }
-  state.counters["sim_cycles"] = static_cast<double>(b.Cycles([&] { b.w.os.GetPhysPages(); }));
-}
-BENCHMARK(BM_NullSmc);
-
-void BM_EnterExit(benchmark::State& state) {
-  Bench b;
-  for (auto _ : state) {
-    b.probe->Script({UserAction::Exit(0)});
-    benchmark::DoNotOptimize(b.w.os.Enter(b.e.thread).err);
-  }
-  b.probe->Script({UserAction::Exit(0)});
-  state.counters["sim_cycles"] =
-      static_cast<double>(b.Cycles([&] { b.w.os.Enter(b.e.thread); }));
-}
-BENCHMARK(BM_EnterExit);
-
-void BM_Attest(benchmark::State& state) {
-  Bench b;
-  for (auto _ : state) {
-    b.probe->Script({UserAction::Svc(kSvcAttest, os::kEnclaveDataVa, os::kEnclaveDataVa + 32),
-                     UserAction::Exit(0)});
-    benchmark::DoNotOptimize(b.w.os.Enter(b.e.thread).err);
-  }
-}
-BENCHMARK(BM_Attest);
-
 }  // namespace
 }  // namespace komodo
 
-int main(int argc, char** argv) {
+int main() {
   const komodo::Table3Results results = komodo::MeasureTable3();
   komodo::PrintTable3(results);
   komodo::EmitJson(results);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

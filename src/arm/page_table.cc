@@ -89,36 +89,6 @@ WalkResult WalkPageTable(const PhysMemory& mem, paddr l1_base, vaddr va, WalkTra
   return res;
 }
 
-std::vector<WritableMapping> WritablePages(const PhysMemory& mem, paddr l1_base) {
-  std::vector<WritableMapping> out;
-  for (word l1_index = 0; l1_index < kL1Entries; ++l1_index) {
-    const paddr l1_addr = l1_base + l1_index * kWordSize;
-    if (!mem.IsValidPhys(l1_addr)) {
-      continue;
-    }
-    const word l1_desc = mem.Read(l1_addr);
-    if (!IsL1PageTableDesc(l1_desc)) {
-      continue;
-    }
-    const paddr l2_table = L1DescTableBase(l1_desc);
-    for (word l2_index = 0; l2_index < kL2Entries; ++l2_index) {
-      const paddr l2_addr = l2_table + l2_index * kWordSize;
-      if (!mem.IsValidPhys(l2_addr)) {
-        continue;
-      }
-      const word l2_desc = mem.Read(l2_addr);
-      if (!IsL2SmallPageDesc(l2_desc)) {
-        continue;
-      }
-      if (!L2DescPerms(l2_desc).user_write) {
-        continue;
-      }
-      out.push_back({(l1_index << 20) | (l2_index << 12), L2DescPageBase(l2_desc)});
-    }
-  }
-  return out;
-}
-
 bool AddrInLivePageTable(const PhysMemory& mem, paddr l1_base, paddr addr) {
   if (addr >= l1_base && addr < l1_base + kL1Entries * kWordSize) {
     return true;

@@ -11,8 +11,6 @@
 #ifndef SRC_ARM_PAGE_TABLE_H_
 #define SRC_ARM_PAGE_TABLE_H_
 
-#include <vector>
-
 #include "src/arm/memory.h"
 #include "src/arm/types.h"
 
@@ -76,15 +74,6 @@ struct WalkTrace {
 // receives the descriptor addresses of a successful walk.
 WalkResult WalkPageTable(const PhysMemory& mem, paddr l1_base, vaddr va,
                          WalkTrace* trace = nullptr);
-
-// All user-writable page base addresses reachable from `l1_base`, in
-// ascending VA order. This is the footprint the paper's model havocs after
-// user-mode execution (§5.1), and the basis of several PageDB invariants.
-struct WritableMapping {
-  vaddr va;
-  paddr page_base;
-};
-std::vector<WritableMapping> WritablePages(const PhysMemory& mem, paddr l1_base);
 
 // True if `addr` (word-aligned) lies inside the L1 table at `l1_base` or any
 // second-level table it references — used to model TLB-consistency tracking

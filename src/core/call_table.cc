@@ -30,8 +30,8 @@ Monitor::CallResult Monitor::DispatchImpl(const CallCtx& ctx) {
   const word a3 = ctx.args[2];
   const word a4 = ctx.args[3];
   switch (ctx.call) {
-#define KOM_SMC(name, nr, arity, argnames, insec, contents, impl, spec, errors) \
-  case nr:                                                                      \
+#define KOM_SMC(name, nr, arity, argnames, impl, spec, errors) \
+  case nr:                                                     \
     return impl;
 #define KOM_SVC(name, nr, arity, argnames, impl, spec, errors)
 #include "src/core/call_list.inc"
@@ -63,7 +63,7 @@ Monitor::SvcResult Monitor::DispatchSvcImpl(const SvcCtx& ctx) {
   const word a3 = ctx.args[2];
   const PageNr as_page = ctx.as_page;
   switch (ctx.call) {
-#define KOM_SMC(name, nr, arity, argnames, insec, contents, impl, spec, errors)
+#define KOM_SMC(name, nr, arity, argnames, impl, spec, errors)
 #define KOM_SVC(name, nr, arity, argnames, impl, spec, errors) \
   case nr:                                                     \
     return impl;

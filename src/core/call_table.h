@@ -23,18 +23,12 @@ struct CallInfo {
   CallKind kind;
   int arity;              // architectural arguments r1..r{arity}
   const char* arg_names;  // "as_page, l1pt_page" ("" when arity == 0)
-  // 1-based index of an argument naming an insecure page number that must be
-  // validated against the memory map (MapSecure/MapInsecure); -1 otherwise.
-  int insecure_arg;
-  // True when the call's specification consumes the insecure source page's
-  // contents (MapSecure measures them).
-  bool copies_contents;
   const char* errors;     // '|'-separated error names; "-" = cannot fail
 };
 
 inline constexpr CallInfo kSmcCalls[] = {
-#define KOM_SMC(name, nr, arity, argnames, insec, contents, impl, spec, errors) \
-  {nr, #name, CallKind::kSmc, arity, argnames, insec, (contents) != 0, errors},
+#define KOM_SMC(name, nr, arity, argnames, impl, spec, errors) \
+  {nr, #name, CallKind::kSmc, arity, argnames, errors},
 #define KOM_SVC(name, nr, arity, argnames, impl, spec, errors)
 #include "src/core/call_list.inc"
 #undef KOM_SMC
@@ -42,9 +36,9 @@ inline constexpr CallInfo kSmcCalls[] = {
 };
 
 inline constexpr CallInfo kSvcCalls[] = {
-#define KOM_SMC(name, nr, arity, argnames, insec, contents, impl, spec, errors)
+#define KOM_SMC(name, nr, arity, argnames, impl, spec, errors)
 #define KOM_SVC(name, nr, arity, argnames, impl, spec, errors) \
-  {nr, #name, CallKind::kSvc, arity, argnames, -1, false, errors},
+  {nr, #name, CallKind::kSvc, arity, argnames, errors},
 #include "src/core/call_list.inc"
 #undef KOM_SMC
 #undef KOM_SVC

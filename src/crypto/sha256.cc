@@ -245,14 +245,6 @@ void Sha256::Import(const std::array<uint32_t, kExportWords>& words) {
   total_len_ = static_cast<uint64_t>(words[25]) | (static_cast<uint64_t>(words[26]) << 32);
 }
 
-DigestWords Sha256::StateWords() const {
-  DigestWords w;
-  for (int i = 0; i < 8; ++i) {
-    w[i] = state_[i];
-  }
-  return w;
-}
-
 Digest Sha256Hash(const uint8_t* data, size_t len) {
   Sha256 h;
   h.Update(data, len);

@@ -37,10 +37,6 @@ class Sha256 {
   // monitor charges per compression-function invocation).
   uint64_t total_bytes() const { return total_len_; }
 
-  // Direct snapshot of the running state as 8 words — the measurement the
-  // monitor stores in the address-space page before finalisation.
-  DigestWords StateWords() const;
-
   // Full streaming-state serialisation (8 state words, 16 buffer words,
   // buffer length, 64-bit total length): lets the monitor persist an
   // in-progress measurement inside a simulated secure page across calls.

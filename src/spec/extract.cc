@@ -228,10 +228,4 @@ PageDb ExtractPageDb(const arm::MachineState& m, ExtractCache* cache) {
   return std::move(*d);
 }
 
-DataPage::Words ReadInsecurePage(const arm::MachineState& m, word insecure_pgnr) {
-  DataPage::Words out;
-  m.mem.ReadPage(insecure_pgnr * arm::kPageSize, out.data());
-  return out;
-}
-
 }  // namespace komodo::spec

@@ -69,9 +69,6 @@ class ExtractCache {
   PageDb db_;
 };
 
-// Reads one insecure physical page as words (spec input for MapSecure).
-DataPage::Words ReadInsecurePage(const arm::MachineState& m, word insecure_pgnr);
-
 }  // namespace komodo::spec
 
 #endif  // SRC_SPEC_EXTRACT_H_

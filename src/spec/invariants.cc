@@ -1,8 +1,5 @@
 #include "src/spec/invariants.h"
 
-#include <map>
-#include <set>
-
 namespace komodo::spec {
 
 namespace {
@@ -15,7 +12,10 @@ std::vector<std::string> PageDbViolations(const PageDb& d) {
   std::vector<std::string> out;
   const auto fail = [&out](const std::string& msg) { out.push_back(msg); };
 
-  std::map<PageNr, word> owned_counts;  // non-addrspace pages per addrspace
+  // Tallies indexed by page number.
+  std::vector<word> owned_counts(d.NPages());  // non-addrspace pages per addrspace
+  std::vector<bool> l2_seen(d.NPages());       // each L2 table appears in at most one L1 slot
+  std::vector<bool> data_mapped(d.NPages());   // each data page is mapped at most once
 
   for (PageNr n = 0; n < d.NPages(); ++n) {
     const PageDbEntry& e = d[n];
@@ -57,7 +57,7 @@ std::vector<std::string> PageDbViolations(const PageDb& d) {
     if (d[n].type() != PageType::kAddrspace) {
       continue;
     }
-    const word expected = owned_counts.count(n) ? owned_counts[n] : 0;
+    const word expected = owned_counts[n];
     if (d[n].As<AddrspacePage>().refcount != expected) {
       fail(PageStr(n) + ": refcount " + std::to_string(d[n].As<AddrspacePage>().refcount) +
            " != owned pages " + std::to_string(expected));
@@ -67,7 +67,6 @@ std::vector<std::string> PageDbViolations(const PageDb& d) {
   // Page-table referential integrity. Stopped address spaces are exempt
   // entirely: their pages may have been removed and even reallocated to other
   // enclaves, and a stopped enclave can never execute again (§5.2).
-  std::set<PageNr> l2_seen;  // each L2 table appears in at most one L1 slot
   for (PageNr n = 0; n < d.NPages(); ++n) {
     if (d[n].type() != PageType::kL1PTable) {
       continue;
@@ -92,15 +91,15 @@ std::vector<std::string> PageDbViolations(const PageDb& d) {
       if (d[l2].owner != as_page) {
         fail(PageStr(n) + ": L1 slot " + std::to_string(i) + " references foreign L2 table");
       }
-      if (!l2_seen.insert(l2).second) {
+      if (l2_seen[l2]) {
         fail(PageStr(l2) + ": L2 table referenced from multiple L1 slots");
       }
+      l2_seen[l2] = true;
     }
   }
 
   // Leaf mappings: secure mappings must point at data pages of the same
   // addrspace; each data page is mapped at most once.
-  std::set<PageNr> data_mapped;
   for (PageNr n = 0; n < d.NPages(); ++n) {
     if (d[n].type() != PageType::kL2PTable) {
       continue;
@@ -129,9 +128,10 @@ std::vector<std::string> PageDbViolations(const PageDb& d) {
       if (d[sm->data_page].owner != as_page) {
         fail(PageStr(n) + ": L2 slot " + std::to_string(i) + " maps foreign data page");
       }
-      if (!data_mapped.insert(sm->data_page).second) {
+      if (data_mapped[sm->data_page]) {
         fail(PageStr(sm->data_page) + ": data page mapped more than once");
       }
+      data_mapped[sm->data_page] = true;
     }
   }
 
@@ -146,7 +146,7 @@ std::vector<std::string> PageDbViolations(const PageDb& d) {
         d[as_page].As<AddrspacePage>().state == AddrspaceState::kStopped) {
       continue;
     }
-    if (!data_mapped.count(n)) {
+    if (!data_mapped[n]) {
       fail(PageStr(n) + ": data page not mapped anywhere");
     }
   }

@@ -92,15 +92,9 @@ Result SpecSvcExit(PageDb d) { return {kErrSuccess, std::move(d)}; }
 
 Result SpecSvcGetRandom(PageDb d) { return {kErrSuccess, std::move(d)}; }
 
-Result SpecSvcAttest(PageDb d, PageNr as_page) {
-  (void)as_page;
-  return {kErrSuccess, std::move(d)};
-}
+Result SpecSvcAttest(PageDb d) { return {kErrSuccess, std::move(d)}; }
 
-Result SpecSvcVerify(PageDb d, PageNr as_page) {
-  (void)as_page;
-  return {kErrSuccess, std::move(d)};
-}
+Result SpecSvcVerify(PageDb d) { return {kErrSuccess, std::move(d)}; }
 
 Result SpecInitAddrspace(PageDb d, PageNr as_page, PageNr l1pt_page) {
   if (!d.ValidPageNr(as_page) || !d.ValidPageNr(l1pt_page)) {
@@ -163,8 +157,8 @@ Result SpecInitL2Table(PageDb d, PageNr as_page, PageNr l2pt_page, word l1index)
   return {kErrSuccess, std::move(d)};
 }
 
-Result SpecMapSecure(PageDb d, PageNr as_page, PageNr data_page, word mapping, bool insecure_ok,
-                     const std::array<word, arm::kWordsPerPage>& contents) {
+Result SpecMapSecure(PageDb d, PageNr as_page, PageNr data_page, word mapping,
+                     const std::optional<DataPage::Words>& contents) {
   if (const auto err = CheckAddrspaceForInit(d, as_page)) {
     return {*err, std::move(d)};
   }
@@ -177,7 +171,7 @@ Result SpecMapSecure(PageDb d, PageNr as_page, PageNr data_page, word mapping, b
   if (!MappingValid(mapping)) {
     return {kErrInvalidMapping, std::move(d)};
   }
-  if (!insecure_ok) {
+  if (!contents.has_value()) {
     return {kErrInvalidArgument, std::move(d)};
   }
   const auto slot = SpecL2Slot(d, as_page, mapping);
@@ -190,14 +184,14 @@ Result SpecMapSecure(PageDb d, PageNr as_page, PageNr data_page, word mapping, b
   }
   const word perms = MappingPerms(mapping);
   l2.Set(slot->second, SecureMapping{data_page, (perms & kMapW) != 0, (perms & kMapX) != 0});
-  d[data_page] = PageDbEntry{as_page, DataPage(contents)};
+  d[data_page] = PageDbEntry{as_page, DataPage(*contents)};
   Bump(d, as_page, 1);
 
   AddrspacePage& as = d[as_page].As<AddrspacePage>();
   crypto::Sha256 stream = LoadStream(as);
   stream.UpdateWordLe(kMeasureMapSecure);
   stream.UpdateWordLe(mapping);
-  for (word w : contents) {
+  for (word w : *contents) {
     stream.UpdateWordLe(w);
   }
   StoreStream(as, stream);

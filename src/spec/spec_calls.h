@@ -9,7 +9,7 @@
 #ifndef SRC_SPEC_SPEC_CALLS_H_
 #define SRC_SPEC_SPEC_CALLS_H_
 
-#include <array>
+#include <optional>
 
 #include "src/spec/abstract_state.h"
 
@@ -27,12 +27,12 @@ Result SpecGetPhysPages(PageDb d);
 Result SpecInitAddrspace(PageDb d, PageNr as_page, PageNr l1pt_page);
 Result SpecInitThread(PageDb d, PageNr as_page, PageNr disp_page, word entrypoint);
 Result SpecInitL2Table(PageDb d, PageNr as_page, PageNr l2pt_page, word l1index);
-// `insecure_ok` abstracts the machine-level validity of the source page
-// (inside insecure RAM, overlapping neither monitor nor secure region);
-// `contents` is that page's data at call time.
-Result SpecMapSecure(PageDb d, PageNr as_page, PageNr data_page, word mapping, bool insecure_ok,
-                     const std::array<word, arm::kWordsPerPage>& contents);
+// `contents` is the source page's data at call time, or nothing when that
+// page is not in insecure RAM.
+Result SpecMapSecure(PageDb d, PageNr as_page, PageNr data_page, word mapping,
+                     const std::optional<DataPage::Words>& contents);
 Result SpecAllocSpare(PageDb d, PageNr as_page, PageNr spare_page);
+// `insecure_ok`: the page `insecure_pgnr` lies in insecure RAM.
 Result SpecMapInsecure(PageDb d, PageNr as_page, word mapping, bool insecure_ok,
                        word insecure_pgnr);
 Result SpecRemove(PageDb d, PageNr page);
@@ -46,13 +46,13 @@ Result SpecEnter(PageDb d, PageNr disp_page);
 Result SpecResume(PageDb d, PageNr disp_page);
 
 // --- Execution/crypto SVCs (guard-only specs) ---------------------------------------
-// Exit and GetRandom never touch the PageDb; Attest/Verify read the
-// measurement and attestation key but mutate nothing (their user-memory
-// argument faults are part of the execution havoc, not the PageDb relation).
+// None of them touches the PageDb: Attest/Verify read the measurement and
+// attestation key but mutate nothing (their user-memory argument faults are
+// part of the execution havoc, not the PageDb relation).
 Result SpecSvcExit(PageDb d);
 Result SpecSvcGetRandom(PageDb d);
-Result SpecSvcAttest(PageDb d, PageNr as_page);
-Result SpecSvcVerify(PageDb d, PageNr as_page);
+Result SpecSvcAttest(PageDb d);
+Result SpecSvcVerify(PageDb d);
 
 // --- Dynamic-memory SVCs (issued by the enclave owning `as_page`) -------------------
 Result SpecSvcInitL2Table(PageDb d, PageNr as_page, PageNr spare_page, word l1index);

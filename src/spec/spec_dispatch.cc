@@ -1,33 +1,23 @@
 #include "src/spec/spec_dispatch.h"
 
+#include <optional>
+
 #include "src/arm/memory.h"
-#include "src/core/call_table.h"
-#include "src/spec/extract.h"
 
 namespace komodo::spec {
 
 namespace {
 
-// Machine-derived environment for calls whose spec depends on insecure
-// memory: the validity of the insecure page-number argument and (when the
-// call copies contents, i.e. MapSecure's measurement) the source page's data
-// at call time.
-struct SpecEnv {
-  bool insecure_ok = false;
-  std::array<word, arm::kWordsPerPage> contents{};
-};
-
-SpecEnv MakeEnv(const CallInfo& info, const arm::MachineState& m,
-                const std::array<word, 4>& args) {
-  SpecEnv env;
-  if (info.insecure_arg > 0) {
-    const word pgnr = args[info.insecure_arg - 1];
-    env.insecure_ok = arm::IsInsecurePageAddr(m.mem, pgnr * arm::kPageSize);
-    if (env.insecure_ok && info.copies_contents) {
-      env.contents = ReadInsecurePage(m, pgnr);
-    }
+// MapSecure's source page at call time: its words, or nothing when the page
+// is not in insecure RAM (the check §9.1 reports the prototype got wrong).
+std::optional<DataPage::Words> InsecureSourcePage(const arm::MachineState& m, word pgnr) {
+  const arm::paddr base = pgnr * arm::kPageSize;
+  if (!arm::IsInsecurePageAddr(m.mem, base)) {
+    return std::nullopt;
   }
-  return env;
+  DataPage::Words words;
+  m.mem.ReadPage(base, words.data());
+  return words;
 }
 
 }  // namespace
@@ -37,14 +27,10 @@ Result ApplySmc(PageDb d, const arm::MachineState& m, word call, const std::arra
   const word a2 = args[1];
   const word a3 = args[2];
   const word a4 = args[3];
-  (void)a4;  // no current spec consumes r4 directly (MapSecure's r4 arrives via env)
   switch (call) {
-#define KOM_SMC(name, nr, arity, argnames, insec, contents, impl, spec, errors) \
-  case nr: {                                                                    \
-    const SpecEnv env = MakeEnv(*FindSmc(nr), m, args);                         \
-    (void)env;                                                                  \
-    return spec;                                                                \
-  }
+#define KOM_SMC(name, nr, arity, argnames, impl, spec, errors) \
+  case nr:                                                     \
+    return spec;
 #define KOM_SVC(name, nr, arity, argnames, impl, spec, errors)
 #include "src/core/call_list.inc"
 #undef KOM_SMC
@@ -57,11 +43,8 @@ Result ApplySmc(PageDb d, const arm::MachineState& m, word call, const std::arra
 Result ApplySvc(PageDb d, PageNr as_page, word call, const std::array<word, 3>& args) {
   const word a1 = args[0];
   const word a2 = args[1];
-  const word a3 = args[2];
-  (void)a3;  // no current SVC spec consumes r3 (Verify's MAC comparison is havoc)
-  (void)as_page;
   switch (call) {
-#define KOM_SMC(name, nr, arity, argnames, insec, contents, impl, spec, errors)
+#define KOM_SMC(name, nr, arity, argnames, impl, spec, errors)
 #define KOM_SVC(name, nr, arity, argnames, impl, spec, errors) \
   case nr:                                                     \
     return spec;
@@ -72,9 +55,5 @@ Result ApplySvc(PageDb d, PageNr as_page, word call, const std::array<word, 3>& 
       return {kErrInvalidSvc, std::move(d)};
   }
 }
-
-bool HasSmcSpec(word call) { return FindSmc(call) != nullptr; }
-
-bool HasSvcSpec(word call) { return FindSvc(call) != nullptr; }
 
 }  // namespace komodo::spec

@@ -1,9 +1,7 @@
 // Registry-driven specification dispatch: applies the spec function for any
-// Table 1 call by number, with the machine-derived environment (insecure-page
-// validity, source-page contents) computed from the registry's metadata.
-// This is the spec-side counterpart of Monitor::Dispatch — both expand
-// src/core/call_list.inc, so an SMC/SVC added to the registry automatically
-// reaches the refinement suite.
+// Table 1 call by number. This is the spec-side counterpart of
+// Monitor::Dispatch — both expand src/core/call_list.inc, so an SMC/SVC added
+// to the registry automatically reaches the refinement suite.
 #ifndef SRC_SPEC_SPEC_DISPATCH_H_
 #define SRC_SPEC_SPEC_DISPATCH_H_
 
@@ -14,21 +12,16 @@
 
 namespace komodo::spec {
 
-// Applies the spec of SMC `call` to `d`. The machine state is consulted only
-// for the insecure-memory environment of MapSecure/MapInsecure (per the
-// registry's insecure_arg/copies_contents columns); the PageDb relation
-// itself is pure. Unknown call numbers return kErrInvalidArgument with the
+// Applies the spec of SMC `call` to `d`. Only MapSecure and MapInsecure read
+// the machine state: each checks that its insecure page lies in insecure RAM,
+// and MapSecure measures that page's contents. Every other relation is pure
+// in the PageDb. Unknown call numbers return kErrInvalidArgument with the
 // database unchanged, matching the implementation's dispatch default.
 Result ApplySmc(PageDb d, const arm::MachineState& m, word call, const std::array<word, 4>& args);
 
 // Applies the spec of SVC `call` issued by the enclave owning `as_page`.
 // Unknown numbers return kErrInvalidSvc with the database unchanged.
 Result ApplySvc(PageDb d, PageNr as_page, word call, const std::array<word, 3>& args);
-
-// True when the registry carries a spec for the call number (used by the
-// registry-completeness test).
-bool HasSmcSpec(word call);
-bool HasSvcSpec(word call);
 
 }  // namespace komodo::spec
 

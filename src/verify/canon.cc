@@ -198,27 +198,6 @@ void ForEachCandidate(const SigClasses& classes, size_t npages, Fn&& fn) {
   }
 }
 
-struct CanonResult {
-  std::string key;
-  Perm perm;
-};
-
-CanonResult CanonicalForm(const PageDb& d) {
-  const SigClasses classes = ClassifyPages(d);
-  CanonResult best;
-  ForEachCandidate(classes, d.NPages(), [&](const Perm& perm) {
-    std::string s = SerializeUnder(d, perm);
-    if (best.key.empty() || s < best.key) {
-      best.key = std::move(s);
-      best.perm = perm;
-    }
-  });
-  if (best.perm.empty()) {  // zero-page world
-    best.key = SerializeUnder(d, {});
-  }
-  return best;
-}
-
 }  // namespace
 
 spec::PageDb ApplyPermutation(const spec::PageDb& d, const Perm& perm) {
@@ -264,14 +243,15 @@ std::string Serialize(const spec::PageDb& d) {
   return SerializeUnder(d, id);
 }
 
-std::string CanonicalKey(const spec::PageDb& d) { return CanonicalForm(d).key; }
-
-spec::PageDb Canonicalize(const spec::PageDb& d) {
-  const CanonResult best = CanonicalForm(d);
-  if (best.perm.empty()) {
-    return d;
-  }
-  return ApplyPermutation(d, best.perm);
+std::string CanonicalKey(const spec::PageDb& d) {
+  std::string best;
+  ForEachCandidate(ClassifyPages(d), d.NPages(), [&](const Perm& perm) {
+    std::string s = SerializeUnder(d, perm);
+    if (best.empty() || s < best) {
+      best = std::move(s);
+    }
+  });
+  return best;
 }
 
 }  // namespace komodo::verify

@@ -43,11 +43,6 @@ std::string Serialize(const spec::PageDb& d);
 // == CanonicalKey(d) for any permutation p.
 std::string CanonicalKey(const spec::PageDb& d);
 
-// A representative of d's orbit whose Serialize() equals CanonicalKey(d).
-// Idempotent up to measurements: Canonicalize(Canonicalize(d)) differs from
-// Canonicalize(d) at most in fields the key excludes.
-spec::PageDb Canonicalize(const spec::PageDb& d);
-
 }  // namespace komodo::verify
 
 #endif  // SRC_VERIFY_CANON_H_

@@ -42,9 +42,7 @@ void ConcreteWorld::PreparePath(const std::vector<VerifyOp>& path) {
     if (op.irq) {
       world_.machine.pending_irq = true;
     }
-    word err = 0;
-    word val = 0;
-    Execute(op, &err, &val);
+    Execute(op);
     world_.machine.pending_irq = false;
   }
 
@@ -60,13 +58,9 @@ void ConcreteWorld::PreparePath(const std::vector<VerifyOp>& path) {
 
 void ConcreteWorld::ResetToMid() { world_.machine.ResetTo(*mid_); }
 
-void ConcreteWorld::Execute(const VerifyOp& op, word* err, word* val) {
+word ConcreteWorld::Execute(const VerifyOp& op) {
   if (!op.is_svc) {
-    const os::SmcRet r =
-        world_.os.Smc(op.call, op.args[0], op.args[1], op.args[2], op.args[3]);
-    *err = r.err;
-    *val = r.val;
-    return;
+    return world_.os.Smc(op.call, op.args[0], op.args[1], op.args[2], op.args[3]).err;
   }
   // The SVC handlers never dereference the dispatcher page and only consult
   // as_page, so driving DispatchSvc directly covers the production handler
@@ -76,9 +70,7 @@ void ConcreteWorld::Execute(const VerifyOp& op, word* err, word* val) {
   ctx.call = op.call;
   ctx.args = {op.args[0], op.args[1], op.args[2]};
   ctx.as_page = op.as_page;
-  const Monitor::SvcResult r = world_.monitor.DispatchSvc(ctx);
-  *err = ToWord(r.err);
-  *val = r.val;
+  return ToWord(world_.monitor.DispatchSvc(ctx).err);
 }
 
 ConcreteWorld::Outcome ConcreteWorld::RunStaged(const VerifyOp& op) {
@@ -86,7 +78,7 @@ ConcreteWorld::Outcome ConcreteWorld::RunStaged(const VerifyOp& op) {
   if (op.irq) {
     world_.machine.pending_irq = true;
   }
-  Execute(op, &out.impl_err, &out.impl_val);
+  out.impl_err = Execute(op);
   world_.machine.pending_irq = false;  // an un-taken IRQ must not leak onward
   out.db_changed = !world_.machine.mem.dirty_pages().empty();
   if (out.db_changed) {
@@ -107,8 +99,8 @@ ObligationResult CheckTransition(ConcreteWorld& world, const spec::PageDb& d,
                                  const VerifyOp& op) {
   world.ResetToMid();
 
-  // Spec side first: ApplySmc reads the machine for the insecure-memory
-  // environment, which must be sampled in the pre-state.
+  // Spec side first: ApplySmc reads MapSecure's and MapInsecure's insecure
+  // page from the machine, which must be sampled in the pre-state.
   spec::Result sres =
       op.is_svc
           ? spec::ApplySvc(d, op.as_page, op.call, {op.args[0], op.args[1], op.args[2]})

@@ -70,12 +70,11 @@ class ConcreteWorld {
   void PreparePath(const std::vector<VerifyOp>& path);
 
   // Restores the machine to the prepared mid state (the abstract state under
-  // test). Call before reading the machine for spec env or running an op.
+  // test). Call before reading the machine for the spec or running an op.
   void ResetToMid();
 
   struct Outcome {
     word impl_err = 0;  // ABI error word the call returned
-    word impl_val = 0;
     bool db_changed = false;              // any physical page was written
     std::optional<spec::PageDb> post;     // extraction, when db_changed
     std::string extract_error;            // non-empty: extraction failed
@@ -92,7 +91,8 @@ class ConcreteWorld {
   const spec::PageDb& boot_db() const { return boot_db_; }
 
  private:
-  void Execute(const VerifyOp& op, word* err, word* val);
+  // Issues `op` and returns its ABI error word.
+  word Execute(const VerifyOp& op);
 
   os::World world_;
   spec::PageDb boot_db_;

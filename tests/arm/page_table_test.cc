@@ -92,16 +92,6 @@ TEST_F(PageTableTest, SecondLevelTableSelection) {
   EXPECT_FALSE(w.user_write);
 }
 
-TEST_F(PageTableTest, WritablePagesEnumeratesOnlyWritable) {
-  InstallL2();
-  Map(0x8000, data_page_, /*w=*/false, /*x=*/true);
-  Map(0xa000, data_page_ + kPageSize, /*w=*/true, /*x=*/false);
-  const std::vector<WritableMapping> pages = WritablePages(mem_, l1_base_);
-  ASSERT_EQ(pages.size(), 1u);
-  EXPECT_EQ(pages[0].va, 0xa000u);
-  EXPECT_EQ(pages[0].page_base, data_page_ + kPageSize);
-}
-
 TEST_F(PageTableTest, AddrInLivePageTableCoversBothLevels) {
   InstallL2();
   EXPECT_TRUE(AddrInLivePageTable(mem_, l1_base_, l1_base_ + 0x40));

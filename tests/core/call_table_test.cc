@@ -1,8 +1,9 @@
 // Registry tests for the table-driven monitor-call dispatch (DESIGN.md §9,
 // src/core/call_list.inc): the registry must cover exactly the Table 1 API,
-// its metadata must be internally consistent, every registered call must
-// have a specification, and unknown call numbers must be rejected by both
-// the implementation and the spec dispatch.
+// its metadata must be internally consistent, and unknown call numbers must
+// be rejected by both the implementation and the spec dispatch. Every row
+// carries its spec expression, so a registered call without a spec does not
+// compile.
 #include "src/core/call_table.h"
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include "src/core/kom_defs.h"
 #include "src/core/monitor.h"
 #include "src/os/world.h"
+#include "src/spec/extract.h"
 #include "src/spec/spec_dispatch.h"
 
 namespace komodo {
@@ -122,15 +124,6 @@ TEST(CallTable, MetadataConsistent) {
       }
       EXPECT_EQ(names, c.arity);
     }
-    // insecure_arg, when present, indexes a real argument.
-    if (c.insecure_arg != -1) {
-      EXPECT_GE(c.insecure_arg, 1);
-      EXPECT_LE(c.insecure_arg, c.arity);
-    }
-    if (c.copies_contents) {
-      EXPECT_NE(c.insecure_arg, -1)
-          << "copies_contents without an insecure source argument";
-    }
     // Every declared error name is a known KomErrName.
     if (std::string(c.errors) != "-") {
       for (const std::string& err : SplitErrors(c.errors)) {
@@ -152,11 +145,6 @@ TEST(CallTable, MetadataConsistent) {
   for (const CallInfo& c : kSvcCalls) {
     check(c, 3);
   }
-  // The two calls taking insecure page numbers, per Table 1.
-  EXPECT_EQ(FindSmc(kSmcMapSecure)->insecure_arg, 4);
-  EXPECT_TRUE(FindSmc(kSmcMapSecure)->copies_contents);
-  EXPECT_EQ(FindSmc(kSmcMapInsecure)->insecure_arg, 3);
-  EXPECT_FALSE(FindSmc(kSmcMapInsecure)->copies_contents);
 }
 
 TEST(CallTable, FindRejectsUnknownNumbers) {
@@ -166,17 +154,6 @@ TEST(CallTable, FindRejectsUnknownNumbers) {
   EXPECT_EQ(FindSvc(0), nullptr);
   EXPECT_EQ(FindSvc(5), nullptr);
   EXPECT_EQ(FindSvc(999), nullptr);
-}
-
-TEST(CallTable, EveryCallHasASpec) {
-  for (const CallInfo& c : kSmcCalls) {
-    EXPECT_TRUE(spec::HasSmcSpec(c.number)) << c.name;
-  }
-  for (const CallInfo& c : kSvcCalls) {
-    EXPECT_TRUE(spec::HasSvcSpec(c.number)) << c.name;
-  }
-  EXPECT_FALSE(spec::HasSmcSpec(999));
-  EXPECT_FALSE(spec::HasSvcSpec(999));
 }
 
 TEST(CallTable, DispatchRejectsUnknownNumbers) {
@@ -191,6 +168,14 @@ TEST(CallTable, DispatchRejectsUnknownNumbers) {
   const Monitor::SvcResult sres = w.monitor.DispatchSvc(svc);
   EXPECT_EQ(sres.err, KomErr::kInvalidSvc);
   EXPECT_FALSE(sres.exits);
+
+  const spec::PageDb d = spec::ExtractPageDb(w.machine);
+  const spec::Result sp = spec::ApplySmc(d, w.machine, 999, {});
+  EXPECT_EQ(sp.err, kErrInvalidArgument);
+  EXPECT_TRUE(sp.db == d);
+  const spec::Result sv = spec::ApplySvc(d, 0, 999, {});
+  EXPECT_EQ(sv.err, kErrInvalidSvc);
+  EXPECT_TRUE(sv.db == d);
 }
 
 TEST(CallTable, KomErrMatchesAbiWords) {

@@ -131,7 +131,7 @@ TEST(InvariantsTest, SpecCallsPreserveValidity) {
   step(SpecInitAddrspace(d, 0, 1));
   step(SpecInitL2Table(d, 0, 2, 0));
   std::array<word, arm::kWordsPerPage> contents{};
-  step(SpecMapSecure(d, 0, 3, MakeMapping(0x8000, kMapR | kMapX), true, contents));
+  step(SpecMapSecure(d, 0, 3, MakeMapping(0x8000, kMapR | kMapX), contents));
   step(SpecInitThread(d, 0, 4, 0x8000));
   step(SpecAllocSpare(d, 0, 5));
   step(SpecMapInsecure(d, 0, MakeMapping(0x9000, kMapR | kMapW), true, 40));

@@ -5,6 +5,7 @@
 // functional-correctness proof (§5.2).
 #include <gtest/gtest.h>
 
+#include "src/core/call_table.h"
 #include "src/fuzz/generator.h"
 #include "src/fuzz/oracles.h"
 #include "src/os/adversary.h"
@@ -27,7 +28,7 @@ using os::World;
 // (src/core/call_list.inc): the refinement suite exercises the production
 // spec dispatch rather than a hand-maintained parallel table.
 spec::Result ApplySpec(const spec::PageDb& d, const AdvAction& a, const arm::MachineState& m) {
-  EXPECT_TRUE(spec::HasSmcSpec(a.call)) << "unexpected call " << a.call;
+  EXPECT_NE(FindSmc(a.call), nullptr) << "unexpected call " << a.call;
   return spec::ApplySmc(d, m, a.call, {a.args[0], a.args[1], a.args[2], a.args[3]});
 }
 
@@ -51,6 +52,15 @@ TEST(RefinementTest, DirectedLifecycleMatchesSpec) {
   }
   run(kSmcInitAddrspace, 0, 1);
   run(kSmcInitL2Table, 0, 2, 0);
+  // Insecure page arguments outside insecure RAM (§9.1): the page just past
+  // it, the monitor image, the first and last secure page, and the page just
+  // past the secure region.
+  const word secure = arm::kSecurePagesBase / arm::kPageSize;
+  for (const word pgnr : {arm::kInsecureSize / arm::kPageSize, arm::kMonitorBase / arm::kPageSize,
+                          secure, secure + 31, secure + 32}) {
+    run(kSmcMapSecure, 0, 3, MakeMapping(0x8000, kMapR | kMapX), pgnr);
+    run(kSmcMapInsecure, 0, MakeMapping(0x9000, kMapR | kMapW), pgnr);
+  }
   run(kSmcMapSecure, 0, 3, MakeMapping(0x8000, kMapR | kMapX), staging);
   run(kSmcInitThread, 0, 4, 0x8000);
   run(kSmcAllocSpare, 0, 5);

@@ -38,7 +38,7 @@ class SpecCallsTest : public ::testing::Test {
   void BuildFinalised() {
     Apply(SpecInitAddrspace(d, 0, 1));
     Apply(SpecInitL2Table(d, 0, 2, 0));
-    Apply(SpecMapSecure(d, 0, 3, MakeMapping(0x8000, kMapR | kMapX), true, Fill(7)));
+    Apply(SpecMapSecure(d, 0, 3, MakeMapping(0x8000, kMapR | kMapX), Fill(7)));
     Apply(SpecInitThread(d, 0, 4, 0x8000));
     Apply(SpecFinalise(d, 0));
   }
@@ -70,21 +70,21 @@ TEST_F(SpecCallsTest, InitAddrspaceErrors) {
 TEST_F(SpecCallsTest, MapSecureErrorsInDocumentedOrder) {
   // Addrspace validity outranks page validity outranks mapping validity
   // outranks source validity outranks table presence outranks slot vacancy.
-  EXPECT_EQ(SpecMapSecure(d, 0, 3, 0, false, Fill(0)).err, kErrInvalidAddrspace);
+  EXPECT_EQ(SpecMapSecure(d, 0, 3, 0, std::nullopt).err, kErrInvalidAddrspace);
   Apply(SpecInitAddrspace(d, 0, 1));
-  EXPECT_EQ(SpecMapSecure(d, 0, 16, MakeMapping(0x8000, kMapR), true, Fill(0)).err,
+  EXPECT_EQ(SpecMapSecure(d, 0, 16, MakeMapping(0x8000, kMapR), Fill(0)).err,
             kErrInvalidPageNo);
-  EXPECT_EQ(SpecMapSecure(d, 0, 3, 0, true, Fill(0)).err, kErrInvalidMapping);
-  EXPECT_EQ(SpecMapSecure(d, 0, 3, MakeMapping(0x8000, kMapR), false, Fill(0)).err,
+  EXPECT_EQ(SpecMapSecure(d, 0, 3, 0, Fill(0)).err, kErrInvalidMapping);
+  EXPECT_EQ(SpecMapSecure(d, 0, 3, MakeMapping(0x8000, kMapR), std::nullopt).err,
             kErrInvalidArgument);
-  EXPECT_EQ(SpecMapSecure(d, 0, 3, MakeMapping(0x8000, kMapR), true, Fill(0)).err,
+  EXPECT_EQ(SpecMapSecure(d, 0, 3, MakeMapping(0x8000, kMapR), Fill(0)).err,
             kErrPageTableMissing);
   Apply(SpecInitL2Table(d, 0, 2, 0));
-  Apply(SpecMapSecure(d, 0, 3, MakeMapping(0x8000, kMapR), true, Fill(0)));
-  EXPECT_EQ(SpecMapSecure(d, 0, 5, MakeMapping(0x8000, kMapR), true, Fill(0)).err,
+  Apply(SpecMapSecure(d, 0, 3, MakeMapping(0x8000, kMapR), Fill(0)));
+  EXPECT_EQ(SpecMapSecure(d, 0, 5, MakeMapping(0x8000, kMapR), Fill(0)).err,
             kErrAddrInUse);
   Apply(SpecFinalise(d, 0));
-  EXPECT_EQ(SpecMapSecure(d, 0, 5, MakeMapping(0x9000, kMapR), true, Fill(0)).err,
+  EXPECT_EQ(SpecMapSecure(d, 0, 5, MakeMapping(0x9000, kMapR), Fill(0)).err,
             kErrAlreadyFinal);
 }
 

@@ -67,14 +67,6 @@ TEST(CanonTest, SerializeFormatIsPinned) {
             "2:0|d,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0;0:ffffffff;");
 }
 
-TEST(CanonTest, CanonicalizeIsIdempotent) {
-  const PageDb d = EnclaveDb();
-  const PageDb c = Canonicalize(d);
-  EXPECT_EQ(CanonicalKey(d), CanonicalKey(c));
-  EXPECT_TRUE(Canonicalize(c) == c);
-  EXPECT_EQ(Serialize(Canonicalize(c)), Serialize(c));
-}
-
 TEST(CanonTest, KeyIsInvariantUnderEveryPermutation) {
   const PageDb d = EnclaveDb();
   const std::string key = CanonicalKey(d);

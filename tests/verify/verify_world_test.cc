@@ -2,12 +2,10 @@
 // closes with every obligation holding, the registry's declared error sets
 // are exactly the observable ones (both directions), an injected monitor
 // bug is found with a counterexample the fuzzer replays, and the result is
-// the same at any worker count.
+// the same at any worker count, each injection's outcome pinned.
 #include <gtest/gtest.h>
 
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "src/core/call_table.h"
 #include "src/fuzz/inject.h"
@@ -96,6 +94,53 @@ void ExpectSameResult(const ExploreResult& a, const ExploreResult& b) {
   }
 }
 
+// The small world under each injection, as `komodo-verify --world small
+// --inject X` reports it: the first failure's depth, text and witness trace,
+// or a pass at the clean closure. The checker misses skip-scratch-clear (a
+// register leak, which only noninterference sees) and stale-decode (an
+// interpreter-cache bug): it checks no noninterference and runs no enclave
+// code.
+struct InjectOutcome {
+  const char* inject;
+  uint64_t states;
+  uint64_t transitions;
+  size_t fail_depth;    // 0: the run passes
+  const char* detail;   // failure text; for a pass, the closure hash
+  const char* witness;  // counterexample trace of a failure
+};
+
+constexpr const char* kCleanClosure =
+    "99065585178cb71f885bfa8ba99bf856dc77b6245624a671f044a030b2640e31";
+
+constexpr InjectOutcome kInjectOutcomes[] = {
+    {"initaddrspace-alias", 0, 3, 1,
+     "extraction failed after impl call: page 0: L1 slot 4: descriptor 0x6a09e667 is neither "
+     "fault nor page-table",
+     "komodo-fuzz-trace v1\noracle refinement\nseed 0\npages 5\ninject initaddrspace-alias\n"
+     "smc 10 0x0 0x0 0x0 0x0\nend\n"},
+    {"remove-skip-refcount", 0, 984, 2, "smc 20 impl=success spec=page_in_use",
+     "komodo-fuzz-trace v1\noracle refinement\nseed 0\npages 5\ninject remove-skip-refcount\n"
+     "smc 10 0x1 0x0 0x0 0x0\nsmc 20 0x1 0x0 0x0 0x0\nend\n"},
+    {"skip-scratch-clear", 2874, 1551702, 0, kCleanClosure, ""},
+    {"stale-decode", 2874, 1551702, 0, kCleanClosure, ""},
+};
+
+void ExpectOutcome(const ExploreResult& r, const InjectOutcome& pin) {
+  EXPECT_TRUE(r.harness_error.empty()) << r.harness_error;
+  EXPECT_EQ(r.states, pin.states);
+  EXPECT_EQ(r.transitions, pin.transitions);
+  if (pin.fail_depth == 0) {
+    EXPECT_TRUE(r.ok);
+    EXPECT_EQ(r.closure_hash, pin.detail);
+    return;
+  }
+  EXPECT_FALSE(r.ok);
+  ASSERT_TRUE(r.failure.has_value());
+  EXPECT_EQ(r.failure->depth, pin.fail_depth);
+  EXPECT_EQ(r.failure->detail, pin.detail);
+  EXPECT_EQ(r.failure->trace.Format(), pin.witness);
+}
+
 // Workers expand states concurrently but commit them in queue order, so one
 // worker and four reach the same result: the same closure, and under an
 // injection the same first failure with the counts stopped at it. The
@@ -108,19 +153,23 @@ TEST(VerifyWorldTest, ResultIsTheSameAtAnyJobCount) {
     SCOPED_TRACE("small");
     ExpectSameResult(Explore(WithJobs(WorldSpec{}, 1)), SmallWorld());
   }
-  std::vector<std::pair<std::string, WorldSpec>> cases;
-  WorldSpec mini;
-  mini.pages = 2;
-  mini.max_addrspaces = 1;
-  cases.emplace_back("mini", mini);
-  for (const char* name : fuzz::kInjectNames) {
-    WorldSpec injected;
-    injected.inject = name;
-    cases.emplace_back(name, injected);
+  {
+    SCOPED_TRACE("mini");
+    WorldSpec mini;
+    mini.pages = 2;
+    mini.max_addrspaces = 1;
+    ExpectSameResult(Explore(WithJobs(mini, 1)), Explore(WithJobs(mini, 4)));
   }
-  for (const auto& [label, spec] : cases) {
-    SCOPED_TRACE(label);
-    ExpectSameResult(Explore(WithJobs(spec, 1)), Explore(WithJobs(spec, 4)));
+  ASSERT_EQ(std::size(kInjectOutcomes), std::size(fuzz::kInjectNames));
+  for (size_t i = 0; i < std::size(kInjectOutcomes); ++i) {
+    const InjectOutcome& pin = kInjectOutcomes[i];
+    SCOPED_TRACE(pin.inject);
+    ASSERT_STREQ(pin.inject, fuzz::kInjectNames[i]);
+    WorldSpec injected;
+    injected.inject = pin.inject;
+    const ExploreResult one = Explore(WithJobs(injected, 1));
+    ExpectOutcome(one, pin);
+    ExpectSameResult(one, Explore(WithJobs(injected, 4)));
   }
 }
 
