@@ -164,8 +164,11 @@ echo "=== [9/13] komodo-verify: exhaustive small-world, 6-page and 7-page closur
 # any drift in the PageDb serialization, the symmetry quotient, or a spec
 # guard shows up here before it is merged. Re-pin the hash (and the
 # EXPERIMENTS.md table) when a change to the spec or canon serialization is
-# *intended*.
+# *intended*. The whole report is pinned too (VERIFY_SMALL_SHA256): its
+# per-call table of vectors, transitions and observed error sets can move
+# while the closure stays put.
 VERIFY_CLOSURE_HASH=99065585178cb71f885bfa8ba99bf856dc77b6245624a671f044a030b2640e31
+VERIFY_SMALL_SHA256=0ef6400ade971ab102e5df006dea8a7668af46373b02f2c47225fc8e15b4ae53
 ./build/tools/komodo-verify --world small \
   --bench-out build/bench/BENCH_verify.json 2>/dev/null > build/verify-small-1.out
 ./build/tools/komodo-verify --world small 2>/dev/null > build/verify-small-2.out
@@ -177,6 +180,8 @@ cmp build/verify-small-2.out build/verify-small-jobs1.out \
   || { echo "komodo-verify: --jobs changed the exploration output" >&2; exit 1; }
 grep -q "^closure-hash ${VERIFY_CLOSURE_HASH}\$" build/verify-small-1.out \
   || { echo "komodo-verify: closure hash drifted from the pinned value" >&2; exit 1; }
+echo "${VERIFY_SMALL_SHA256}  build/verify-small-2.out" | sha256sum --check --quiet - \
+  || { echo "komodo-verify: small-world report drifted from the pinned sha256" >&2; exit 1; }
 ./build/tools/komodo-benchjson build/bench/BENCH_verify.json
 # The 6-page and 7-page worlds (2 addrspaces) are pinned the same way: their
 # counts and closure hashes. At the default --jobs on a 4-vCPU x86-64 VM
@@ -306,6 +311,8 @@ else
     > build-asan/verify-small.out
   grep -q "^closure-hash ${VERIFY_CLOSURE_HASH}\$" build-asan/verify-small.out \
     || { echo "komodo-verify: ASan closure hash differs from plain build" >&2; exit 1; }
+  echo "${VERIFY_SMALL_SHA256}  build-asan/verify-small.out" | sha256sum --check --quiet - \
+    || { echo "komodo-verify: ASan small-world report differs from the pinned sha256" >&2; exit 1; }
 
   echo "=== TSan komodo-fuzz parallel smoke ==="
   # Thread sanitizer over the parallel campaign: per-worker world pools,
@@ -343,6 +350,8 @@ else
     > build-tsan/verify-small-jobs8.out
   grep -q "^closure-hash ${VERIFY_CLOSURE_HASH}\$" build-tsan/verify-small-jobs8.out \
     || { echo "komodo-verify: TSan closure hash differs from plain build" >&2; exit 1; }
+  echo "${VERIFY_SMALL_SHA256}  build-tsan/verify-small-jobs8.out" | sha256sum --check --quiet - \
+    || { echo "komodo-verify: TSan small-world report differs from the pinned sha256" >&2; exit 1; }
   expect_exit 1 ./build-tsan/tools/komodo-verify --world small --inject remove-skip-refcount \
     --jobs 8 > build-tsan/verify-inject-jobs8.out
   cmp build/verify-inject-jobs1.out build-tsan/verify-inject-jobs8.out \

@@ -233,15 +233,17 @@ std::optional<size_t> MemoryCompare::FirstDifference(const PhysMemory& a, const 
   return std::nullopt;
 }
 
-bool IsInsecurePageAddr(const PhysMemory& mem, paddr page_base) {
-  if (!IsPageAligned(page_base)) {
+bool IsInsecurePage(const PhysMemory& mem, word pgnr) {
+  // Range first: the multiply below wraps for a number of 2^20 or more.
+  if (pgnr >= (uint64_t{1} << 32) / kPageSize) {
     return false;
   }
   // The whole page must fall in insecure RAM. Regions are page-aligned, so
   // checking the base suffices, but we check the last word as well to stay
   // robust if the map constants ever change.
-  return mem.RegionOf(page_base) == MemRegion::kInsecure &&
-         mem.RegionOf(page_base + kPageSize - kWordSize) == MemRegion::kInsecure;
+  const paddr base = pgnr * kPageSize;
+  return mem.RegionOf(base) == MemRegion::kInsecure &&
+         mem.RegionOf(base + kPageSize - kWordSize) == MemRegion::kInsecure;
 }
 
 }  // namespace komodo::arm

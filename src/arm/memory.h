@@ -4,7 +4,9 @@
 // physical addresses to 32-bit words; only aligned word accesses exist.
 // Memory is split into the three regions of the physical map (insecure RAM,
 // monitor image, secure pages) so that region predicates — which the monitor's
-// validity checks depend on — are cheap and explicit.
+// validity checks depend on — are cheap and explicit. The insecure-page check
+// that the monitor and the spec share (IsInsecurePage) takes a page number, so
+// it range-checks the number before any caller multiplies it into an address.
 //
 // Hot-path design: the three regions are flat word arrays and the word
 // accessors are inline single-branch span lookups (DESIGN.md §8). Each region
@@ -150,9 +152,10 @@ class PhysMemory {
   uint32_t PageGen(paddr addr) const { return PageGenAt(PageIndexOf(addr)); }
 
   // Raw views for the JIT's probe stubs (DESIGN.md §13), which serve a load
-  // or store from emitted code: the first word of page `page_index` in host
-  // memory (null for kNoPage), and the generation array, which an inline
-  // store bumps exactly as Write does.
+  // or store from emitted code, and for the spec's view of MapSecure's source
+  // page: the first word of page `page_index` in host memory (null for
+  // kNoPage), and the generation array, which an inline store bumps exactly
+  // as Write does.
   const word* PageHost(size_t page_index) const {
     return page_index == kNoPage ? nullptr : PageWords(page_index);
   }
@@ -324,11 +327,11 @@ class MemoryCompare {
   std::vector<uint32_t> gen_b_;
 };
 
-// True iff the page-aligned physical address `page_base` lies entirely in
-// insecure RAM — i.e. it overlaps neither the monitor image nor the secure
-// page region. This is exactly the check §9.1 reports the unverified
-// prototype got wrong.
-bool IsInsecurePageAddr(const PhysMemory& mem, paddr page_base);
+// True iff page number `pgnr` names a page of insecure RAM — i.e. neither
+// the monitor image nor the secure page region, and not a number whose byte
+// address does not fit in 32 bits and so would wrap onto some other page.
+// This is exactly the check §9.1 reports the unverified prototype got wrong.
+bool IsInsecurePage(const PhysMemory& mem, word pgnr);
 
 }  // namespace komodo::arm
 

@@ -291,10 +291,10 @@ Monitor::CallResult Monitor::SmcMapSecure(PageNr as_page, PageNr data_page, word
   }
   // The source of the initial contents must be genuinely insecure memory —
   // not the monitor image nor a secure page (§9.1's second bug class).
-  const paddr src = insecure_pgnr * arm::kPageSize;
-  if (!arm::IsInsecurePageAddr(machine_.mem, src)) {
+  if (!arm::IsInsecurePage(machine_.mem, insecure_pgnr)) {
     return {KomErr::kInvalidArgument, 0};
   }
+  const paddr src = insecure_pgnr * arm::kPageSize;
   const paddr slot = L2SlotAddr(as_page, mapping);
   if (slot == 0) {
     return {KomErr::kPageTableMissing, 0};
@@ -348,10 +348,10 @@ Monitor::CallResult Monitor::SmcMapInsecure(PageNr as_page, word mapping, word i
   if (!MappingValid(mapping)) {
     return {KomErr::kInvalidMapping, 0};
   }
-  const paddr target = insecure_pgnr * arm::kPageSize;
-  if (!arm::IsInsecurePageAddr(machine_.mem, target)) {
+  if (!arm::IsInsecurePage(machine_.mem, insecure_pgnr)) {
     return {KomErr::kInvalidArgument, 0};
   }
+  const paddr target = insecure_pgnr * arm::kPageSize;
   // Insecure pages must never be executable inside an enclave: the OS could
   // change their contents after measurement.
   if ((MappingPerms(mapping) & kMapX) != 0) {

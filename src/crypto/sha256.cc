@@ -16,21 +16,6 @@ namespace komodo::crypto {
 
 namespace {
 
-constexpr uint32_t kInitState[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-                                    0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
-
-constexpr uint32_t kRoundConstants[64] = {
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4,
-    0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe,
-    0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f,
-    0x4a7484aa, 0x5cb0a9dc, 0x76f988da, 0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7,
-    0xc6e00bf3, 0xd5a79147, 0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc,
-    0x53380d13, 0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
-    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070, 0x19a4c116,
-    0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
-    0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7,
-    0xc67178f2};
-
 inline uint32_t Rotr(uint32_t x, unsigned n) { return (x >> n) | (x << (32 - n)); }
 inline uint32_t Ch(uint32_t x, uint32_t y, uint32_t z) { return (x & y) ^ (~x & z); }
 inline uint32_t Maj(uint32_t x, uint32_t y, uint32_t z) { return (x & y) ^ (x & z) ^ (y & z); }
@@ -42,7 +27,7 @@ inline uint32_t SmallSigma1(uint32_t x) { return Rotr(x, 17) ^ Rotr(x, 19) ^ (x 
 }  // namespace
 
 void Sha256::Reset() {
-  std::memcpy(state_.data(), kInitState, sizeof(kInitState));
+  state_ = kSha256InitState;
   // Zeroed so Export() is a pure function of the absorbed input (the
   // refinement tests compare serialised streams bit-for-bit).
   std::memset(buffer_, 0, sizeof(buffer_));
@@ -66,7 +51,7 @@ void CompressPortable(uint32_t state[8], const uint8_t block[kSha256BlockBytes])
   uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
   uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
   for (int i = 0; i < 64; ++i) {
-    const uint32_t t1 = h + BigSigma1(e) + Ch(e, f, g) + kRoundConstants[i] + w[i];
+    const uint32_t t1 = h + BigSigma1(e) + Ch(e, f, g) + kSha256RoundConstants[i] + w[i];
     const uint32_t t2 = BigSigma0(a) + Maj(a, b, c);
     h = g;
     g = f;
@@ -130,7 +115,8 @@ __attribute__((target("sha,sse4.1,ssse3"))) void CompressShaNi(
           _mm_loadu_si128(reinterpret_cast<const __m128i*>(block + 16 * g)), kByteSwap);
     }
     __m128i msg = _mm_add_epi32(
-        w[g % 4], _mm_loadu_si128(reinterpret_cast<const __m128i*>(kRoundConstants + 4 * g)));
+        w[g % 4],
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(kSha256RoundConstants.data() + 4 * g)));
     cdgh = _mm_sha256rnds2_epu32(cdgh, abef, msg);
     if (g >= 3 && g <= 14) {
       __m128i& next = w[(g + 1) % 4];

@@ -1,6 +1,7 @@
 // Abstract PageDB — the state space of the paper's functional specification
-// (§5.2). Pure value types: spec functions map (PageDb, args) to
-// (error, PageDb) with no machine in sight. The refinement tests extract this
+// (§5.2). Pure value types: spec functions read a PageDb and their arguments
+// and return an error and, when the call writes the database, its successor
+// (spec_calls.h), with no machine in sight. The refinement tests extract this
 // representation from the monitor's in-memory state and compare.
 #ifndef SRC_SPEC_ABSTRACT_STATE_H_
 #define SRC_SPEC_ABSTRACT_STATE_H_
@@ -11,6 +12,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -127,7 +129,12 @@ class DataPage {
   using Words = std::array<word, arm::kWordsPerPage>;
 
   DataPage() = default;
-  explicit DataPage(const Words& words) : words_(std::make_shared<const Words>(words)) {}
+  // Copies a page's words, e.g. from a view of a machine page.
+  explicit DataPage(std::span<const word, arm::kWordsPerPage> words) {
+    auto copy = std::make_shared_for_overwrite<Words>();
+    std::copy(words.begin(), words.end(), copy->begin());
+    words_ = std::move(copy);
+  }
 
   const Words& contents() const { return words_ != nullptr ? *words_ : kZero; }
   bool operator==(const DataPage& o) const {

@@ -129,17 +129,19 @@ RefinementStep CheckRefinement(const PageDb& pre, bool is_svc, word call, Result
   }
   if (havoc) {
     step.successor = std::move(got);
-  } else if (expected.err != kErrSuccess) {
-    // A failed spec leaves the PageDb as it was (SpecErrorsTest pins this), so
-    // a post-state the call never wrote needs no compare.
-    if (got.has_value() && !(*got == expected.db)) {
-      step.failure =
-          label() + " failed with " + KomErrName(impl_err) + " but mutated the pagedb";
-    }
-  } else if (!((got.has_value() ? *got : pre) == expected.db)) {
-    step.failure = label() + " pagedb diverges from spec";
-  } else {
+    return step;
+  }
+  // A failed call's post-state is the pre-state, and so is a success's that
+  // the spec did not write, or the implementation's when it wrote no memory.
+  // When both sides are the pre-state there is nothing to compare.
+  const PageDb* want = expected.db.has_value() ? &*expected.db : &pre;
+  const PageDb* have = got.has_value() ? &*got : &pre;
+  if (have == want || *have == *want) {
     step.successor = std::move(expected.db);
+  } else if (expected.err != kErrSuccess) {
+    step.failure = label() + " failed with " + KomErrName(impl_err) + " but mutated the pagedb";
+  } else {
+    step.failure = label() + " pagedb diverges from spec";
   }
   return step;
 }

@@ -47,15 +47,18 @@ inline bool ObsEquivAdv(const arm::MachineState& m1, const PageDb& d1,
 }
 
 // Refinement: a call refines its spec when it returns the spec's error word
-// and lands on the spec's PageDb. The exception is the havoc set, whose
-// effects the spec leaves to user-mode execution (§5.1): Enter/Resume whose
-// guard passed (which must then return success, interrupted or fault), and
-// the Exit/Attest/Verify SVCs (whose failures live in user memory). There the
-// spec fixes only the guard and the implementation's post-state is taken as
-// the successor.
+// and lands on the spec's PageDb: the spec's successor when it has one, and
+// the pre-state when the call failed or wrote nothing. The exception is the
+// havoc set, whose effects the spec leaves to user-mode execution (§5.1):
+// Enter/Resume whose guard passed (which must then return success,
+// interrupted or fault), and the Exit/Attest/Verify SVCs (whose failures live
+// in user memory). There the spec fixes only the guard and the
+// implementation's post-state is taken as the successor.
 struct RefinementStep {
-  std::string failure;              // empty: the call refines the spec
-  std::optional<PageDb> successor;  // abstract post-state; nullopt: unchanged
+  std::string failure;  // empty: the call refines the spec
+  // The abstract post-state; nullopt when nothing was written, so the
+  // post-state is the pre-state.
+  std::optional<PageDb> successor;
 };
 
 // The implementation's post-state, extracted on demand: its PageDb, nullopt
@@ -66,7 +69,8 @@ using ExtractPost = std::function<std::optional<PageDb>(std::string* why)>;
 // Relates one call (SMC, or SVC when `is_svc`) from pre-state `pre` to the
 // spec's `expected` result. The error word is compared before `post` is
 // called, so a post-state that does not decode is reported only when the
-// error words agree.
+// error words agree. When neither the spec nor the implementation wrote
+// anything, no PageDb is compared.
 RefinementStep CheckRefinement(const PageDb& pre, bool is_svc, word call, Result expected,
                                word impl_err, const ExtractPost& post);
 

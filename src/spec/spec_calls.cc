@@ -28,9 +28,7 @@ crypto::Sha256 LoadStream(const AddrspacePage& as) {
 
 void StoreStream(AddrspacePage& as, const crypto::Sha256& s) { as.measurement_stream = s.Export(); }
 
-// Checks whether a zeroed L2 table page can be installed at `l1index`; the
-// caller only mutates the PageDb once this returns success, so no defensive
-// copy of the whole database is needed.
+// Checks whether a zeroed L2 table page can be installed at `l1index`.
 word CheckInstallL2(const PageDb& d, PageNr as_page, word l1index) {
   if (l1index >= 256) {
     return kErrInvalidMapping;
@@ -70,277 +68,273 @@ std::optional<word> CheckDispatcherForEntry(const PageDb& d, PageNr disp_page, b
 
 }  // namespace
 
-Result SpecQuery(PageDb d) { return {kErrSuccess, std::move(d)}; }
-
-Result SpecGetPhysPages(PageDb d) { return {kErrSuccess, std::move(d)}; }
-
-Result SpecEnter(PageDb d, PageNr disp_page) {
-  if (const auto err = CheckDispatcherForEntry(d, disp_page, /*resuming=*/false)) {
-    return {*err, std::move(d)};
-  }
-  return {kErrSuccess, std::move(d)};
+Result SpecEnter(const PageDb& d, PageNr disp_page) {
+  return {CheckDispatcherForEntry(d, disp_page, /*resuming=*/false).value_or(kErrSuccess)};
 }
 
-Result SpecResume(PageDb d, PageNr disp_page) {
-  if (const auto err = CheckDispatcherForEntry(d, disp_page, /*resuming=*/true)) {
-    return {*err, std::move(d)};
-  }
-  return {kErrSuccess, std::move(d)};
+Result SpecResume(const PageDb& d, PageNr disp_page) {
+  return {CheckDispatcherForEntry(d, disp_page, /*resuming=*/true).value_or(kErrSuccess)};
 }
 
-Result SpecSvcExit(PageDb d) { return {kErrSuccess, std::move(d)}; }
-
-Result SpecSvcGetRandom(PageDb d) { return {kErrSuccess, std::move(d)}; }
-
-Result SpecSvcAttest(PageDb d) { return {kErrSuccess, std::move(d)}; }
-
-Result SpecSvcVerify(PageDb d) { return {kErrSuccess, std::move(d)}; }
-
-Result SpecInitAddrspace(PageDb d, PageNr as_page, PageNr l1pt_page) {
+Result SpecInitAddrspace(const PageDb& d, PageNr as_page, PageNr l1pt_page) {
   if (!d.ValidPageNr(as_page) || !d.ValidPageNr(l1pt_page)) {
-    return {kErrInvalidPageNo, std::move(d)};
+    return {kErrInvalidPageNo};
   }
   if (as_page == l1pt_page) {
-    return {kErrInvalidPageNo, std::move(d)};
+    return {kErrInvalidPageNo};
   }
   if (!d[as_page].IsFree() || !d[l1pt_page].IsFree()) {
-    return {kErrPageInUse, std::move(d)};
+    return {kErrPageInUse};
   }
   AddrspacePage as;
   as.l1pt_page = l1pt_page;
   as.refcount = 1;
   as.state = AddrspaceState::kInit;
   StoreStream(as, crypto::Sha256());
-  d[as_page] = PageDbEntry{as_page, as};
-  d[l1pt_page] = PageDbEntry{as_page, L1PTablePage{}};
-  return {kErrSuccess, std::move(d)};
+  PageDb next = d;
+  next[as_page] = PageDbEntry{as_page, as};
+  next[l1pt_page] = PageDbEntry{as_page, L1PTablePage{}};
+  return {kErrSuccess, std::move(next)};
 }
 
-Result SpecInitThread(PageDb d, PageNr as_page, PageNr disp_page, word entrypoint) {
+Result SpecInitThread(const PageDb& d, PageNr as_page, PageNr disp_page, word entrypoint) {
   if (const auto err = CheckAddrspaceForInit(d, as_page)) {
-    return {*err, std::move(d)};
+    return {*err};
   }
   if (!d.ValidPageNr(disp_page)) {
-    return {kErrInvalidPageNo, std::move(d)};
+    return {kErrInvalidPageNo};
   }
   if (!d[disp_page].IsFree()) {
-    return {kErrPageInUse, std::move(d)};
+    return {kErrPageInUse};
   }
   DispatcherPage disp;
   disp.entrypoint = entrypoint;
-  d[disp_page] = PageDbEntry{as_page, disp};
-  Bump(d, as_page, 1);
-  AddrspacePage& as = d[as_page].As<AddrspacePage>();
+  PageDb next = d;
+  next[disp_page] = PageDbEntry{as_page, disp};
+  Bump(next, as_page, 1);
+  AddrspacePage& as = next[as_page].As<AddrspacePage>();
   crypto::Sha256 stream = LoadStream(as);
   stream.UpdateWordLe(kMeasureInitThread);
   stream.UpdateWordLe(entrypoint);
   StoreStream(as, stream);
-  return {kErrSuccess, std::move(d)};
+  return {kErrSuccess, std::move(next)};
 }
 
-Result SpecInitL2Table(PageDb d, PageNr as_page, PageNr l2pt_page, word l1index) {
+Result SpecInitL2Table(const PageDb& d, PageNr as_page, PageNr l2pt_page, word l1index) {
   if (const auto err = CheckAddrspaceForInit(d, as_page)) {
-    return {*err, std::move(d)};
+    return {*err};
   }
   if (!d.ValidPageNr(l2pt_page)) {
-    return {kErrInvalidPageNo, std::move(d)};
+    return {kErrInvalidPageNo};
   }
   if (!d[l2pt_page].IsFree()) {
-    return {kErrPageInUse, std::move(d)};
+    return {kErrPageInUse};
   }
   if (const word err = CheckInstallL2(d, as_page, l1index); err != kErrSuccess) {
-    return {err, std::move(d)};
+    return {err};
   }
-  d[l2pt_page] = PageDbEntry{as_page, L2PTablePage{}};
-  InstallL2(d, as_page, l2pt_page, l1index);
-  Bump(d, as_page, 1);
-  return {kErrSuccess, std::move(d)};
+  PageDb next = d;
+  next[l2pt_page] = PageDbEntry{as_page, L2PTablePage{}};
+  InstallL2(next, as_page, l2pt_page, l1index);
+  Bump(next, as_page, 1);
+  return {kErrSuccess, std::move(next)};
 }
 
-Result SpecMapSecure(PageDb d, PageNr as_page, PageNr data_page, word mapping,
-                     const std::optional<DataPage::Words>& contents) {
+Result SpecMapSecure(const PageDb& d, PageNr as_page, PageNr data_page, word mapping,
+                     std::span<const word> contents) {
   if (const auto err = CheckAddrspaceForInit(d, as_page)) {
-    return {*err, std::move(d)};
+    return {*err};
   }
   if (!d.ValidPageNr(data_page)) {
-    return {kErrInvalidPageNo, std::move(d)};
+    return {kErrInvalidPageNo};
   }
   if (!d[data_page].IsFree()) {
-    return {kErrPageInUse, std::move(d)};
+    return {kErrPageInUse};
   }
   if (!MappingValid(mapping)) {
-    return {kErrInvalidMapping, std::move(d)};
+    return {kErrInvalidMapping};
   }
-  if (!contents.has_value()) {
-    return {kErrInvalidArgument, std::move(d)};
+  if (contents.empty()) {
+    return {kErrInvalidArgument};
   }
   const auto slot = SpecL2Slot(d, as_page, mapping);
   if (!slot.has_value()) {
-    return {kErrPageTableMissing, std::move(d)};
+    return {kErrPageTableMissing};
   }
-  L2PTablePage& l2 = d[slot->first].As<L2PTablePage>();
-  if (!std::holds_alternative<std::monostate>(l2.Get(slot->second))) {
-    return {kErrAddrInUse, std::move(d)};
+  if (!std::holds_alternative<std::monostate>(
+          d[slot->first].As<L2PTablePage>().Get(slot->second))) {
+    return {kErrAddrInUse};
   }
   const word perms = MappingPerms(mapping);
-  l2.Set(slot->second, SecureMapping{data_page, (perms & kMapW) != 0, (perms & kMapX) != 0});
-  d[data_page] = PageDbEntry{as_page, DataPage(*contents)};
-  Bump(d, as_page, 1);
+  PageDb next = d;
+  next[slot->first].As<L2PTablePage>().Set(
+      slot->second, SecureMapping{data_page, (perms & kMapW) != 0, (perms & kMapX) != 0});
+  next[data_page] = PageDbEntry{as_page, DataPage(contents.first<arm::kWordsPerPage>())};
+  Bump(next, as_page, 1);
 
-  AddrspacePage& as = d[as_page].As<AddrspacePage>();
+  AddrspacePage& as = next[as_page].As<AddrspacePage>();
   crypto::Sha256 stream = LoadStream(as);
   stream.UpdateWordLe(kMeasureMapSecure);
   stream.UpdateWordLe(mapping);
-  for (word w : *contents) {
+  for (word w : contents) {
     stream.UpdateWordLe(w);
   }
   StoreStream(as, stream);
-  return {kErrSuccess, std::move(d)};
+  return {kErrSuccess, std::move(next)};
 }
 
-Result SpecAllocSpare(PageDb d, PageNr as_page, PageNr spare_page) {
+Result SpecAllocSpare(const PageDb& d, PageNr as_page, PageNr spare_page) {
   if (!IsAddrspace(d, as_page)) {
-    return {kErrInvalidAddrspace, std::move(d)};
+    return {kErrInvalidAddrspace};
   }
   if (d[as_page].As<AddrspacePage>().state == AddrspaceState::kStopped) {
-    return {kErrInvalidAddrspace, std::move(d)};
+    return {kErrInvalidAddrspace};
   }
   if (!d.ValidPageNr(spare_page)) {
-    return {kErrInvalidPageNo, std::move(d)};
+    return {kErrInvalidPageNo};
   }
   if (!d[spare_page].IsFree()) {
-    return {kErrPageInUse, std::move(d)};
+    return {kErrPageInUse};
   }
-  d[spare_page] = PageDbEntry{as_page, SparePage{}};
-  Bump(d, as_page, 1);
-  return {kErrSuccess, std::move(d)};
+  PageDb next = d;
+  next[spare_page] = PageDbEntry{as_page, SparePage{}};
+  Bump(next, as_page, 1);
+  return {kErrSuccess, std::move(next)};
 }
 
-Result SpecMapInsecure(PageDb d, PageNr as_page, word mapping, bool insecure_ok,
+Result SpecMapInsecure(const PageDb& d, PageNr as_page, word mapping, bool insecure_ok,
                        word insecure_pgnr) {
   if (const auto err = CheckAddrspaceForInit(d, as_page)) {
-    return {*err, std::move(d)};
+    return {*err};
   }
   if (!MappingValid(mapping)) {
-    return {kErrInvalidMapping, std::move(d)};
+    return {kErrInvalidMapping};
   }
   if (!insecure_ok) {
-    return {kErrInvalidArgument, std::move(d)};
+    return {kErrInvalidArgument};
   }
   if ((MappingPerms(mapping) & kMapX) != 0) {
-    return {kErrInvalidMapping, std::move(d)};
+    return {kErrInvalidMapping};
   }
   const auto slot = SpecL2Slot(d, as_page, mapping);
   if (!slot.has_value()) {
-    return {kErrPageTableMissing, std::move(d)};
+    return {kErrPageTableMissing};
   }
-  L2PTablePage& l2 = d[slot->first].As<L2PTablePage>();
-  if (!std::holds_alternative<std::monostate>(l2.Get(slot->second))) {
-    return {kErrAddrInUse, std::move(d)};
+  if (!std::holds_alternative<std::monostate>(
+          d[slot->first].As<L2PTablePage>().Get(slot->second))) {
+    return {kErrAddrInUse};
   }
-  l2.Set(slot->second, InsecureMapping{insecure_pgnr, (MappingPerms(mapping) & kMapW) != 0});
-  return {kErrSuccess, std::move(d)};
+  PageDb next = d;
+  next[slot->first].As<L2PTablePage>().Set(
+      slot->second, InsecureMapping{insecure_pgnr, (MappingPerms(mapping) & kMapW) != 0});
+  return {kErrSuccess, std::move(next)};
 }
 
-Result SpecRemove(PageDb d, PageNr page) {
+Result SpecRemove(const PageDb& d, PageNr page) {
   if (!d.ValidPageNr(page)) {
-    return {kErrInvalidPageNo, std::move(d)};
+    return {kErrInvalidPageNo};
   }
   const PageType type = d[page].type();
   if (type == PageType::kFree) {
-    return {kErrSuccess, std::move(d)};
+    return {kErrSuccess};
   }
+  const PageNr owner = d[page].owner;
   if (type == PageType::kAddrspace) {
     if (d[page].As<AddrspacePage>().refcount != 0) {
-      return {kErrPageInUse, std::move(d)};
+      return {kErrPageInUse};
     }
-  } else {
-    const PageNr owner = d[page].owner;
-    if (type != PageType::kSparePage &&
-        d[owner].As<AddrspacePage>().state != AddrspaceState::kStopped) {
-      return {kErrNotStopped, std::move(d)};
-    }
-    Bump(d, owner, -1);
+  } else if (type != PageType::kSparePage &&
+             d[owner].As<AddrspacePage>().state != AddrspaceState::kStopped) {
+    return {kErrNotStopped};
   }
-  d[page] = PageDbEntry{kInvalidPage, FreePage{}};
-  return {kErrSuccess, std::move(d)};
+  PageDb next = d;
+  if (type != PageType::kAddrspace) {
+    Bump(next, owner, -1);
+  }
+  next[page] = PageDbEntry{kInvalidPage, FreePage{}};
+  return {kErrSuccess, std::move(next)};
 }
 
-Result SpecFinalise(PageDb d, PageNr as_page) {
+Result SpecFinalise(const PageDb& d, PageNr as_page) {
   if (const auto err = CheckAddrspaceForInit(d, as_page)) {
-    return {*err, std::move(d)};
+    return {*err};
   }
-  AddrspacePage& as = d[as_page].As<AddrspacePage>();
+  PageDb next = d;
+  AddrspacePage& as = next[as_page].As<AddrspacePage>();
   as.measurement = SpecMeasurementAfterFinalise(as);
   as.state = AddrspaceState::kFinal;
-  return {kErrSuccess, std::move(d)};
+  return {kErrSuccess, std::move(next)};
 }
 
-Result SpecStop(PageDb d, PageNr as_page) {
+Result SpecStop(const PageDb& d, PageNr as_page) {
   if (!IsAddrspace(d, as_page)) {
-    return {kErrInvalidAddrspace, std::move(d)};
+    return {kErrInvalidAddrspace};
   }
-  d[as_page].As<AddrspacePage>().state = AddrspaceState::kStopped;
-  return {kErrSuccess, std::move(d)};
+  PageDb next = d;
+  next[as_page].As<AddrspacePage>().state = AddrspaceState::kStopped;
+  return {kErrSuccess, std::move(next)};
 }
 
-Result SpecSvcInitL2Table(PageDb d, PageNr as_page, PageNr spare_page, word l1index) {
+Result SpecSvcInitL2Table(const PageDb& d, PageNr as_page, PageNr spare_page, word l1index) {
   if (!d.ValidPageNr(spare_page) || d[spare_page].type() != PageType::kSparePage ||
       d[spare_page].owner != as_page) {
-    return {kErrNotSpare, std::move(d)};
+    return {kErrNotSpare};
   }
   if (const word err = CheckInstallL2(d, as_page, l1index); err != kErrSuccess) {
-    return {err, std::move(d)};
+    return {err};
   }
-  d[spare_page] = PageDbEntry{as_page, L2PTablePage{}};
-  InstallL2(d, as_page, spare_page, l1index);
-  return {kErrSuccess, std::move(d)};
+  PageDb next = d;
+  next[spare_page] = PageDbEntry{as_page, L2PTablePage{}};
+  InstallL2(next, as_page, spare_page, l1index);
+  return {kErrSuccess, std::move(next)};
 }
 
-Result SpecSvcMapData(PageDb d, PageNr as_page, PageNr spare_page, word mapping) {
+Result SpecSvcMapData(const PageDb& d, PageNr as_page, PageNr spare_page, word mapping) {
   if (!d.ValidPageNr(spare_page) || d[spare_page].type() != PageType::kSparePage ||
       d[spare_page].owner != as_page) {
-    return {kErrNotSpare, std::move(d)};
+    return {kErrNotSpare};
   }
   if (!MappingValid(mapping)) {
-    return {kErrInvalidMapping, std::move(d)};
+    return {kErrInvalidMapping};
   }
   const auto slot = SpecL2Slot(d, as_page, mapping);
   if (!slot.has_value()) {
-    return {kErrPageTableMissing, std::move(d)};
+    return {kErrPageTableMissing};
   }
-  L2PTablePage& l2 = d[slot->first].As<L2PTablePage>();
-  if (!std::holds_alternative<std::monostate>(l2.Get(slot->second))) {
-    return {kErrAddrInUse, std::move(d)};
+  if (!std::holds_alternative<std::monostate>(
+          d[slot->first].As<L2PTablePage>().Get(slot->second))) {
+    return {kErrAddrInUse};
   }
   const word perms = MappingPerms(mapping);
-  l2.Set(slot->second, SecureMapping{spare_page, (perms & kMapW) != 0, (perms & kMapX) != 0});
-  d[spare_page] = PageDbEntry{as_page, DataPage{}};  // zero-filled
-  return {kErrSuccess, std::move(d)};
+  PageDb next = d;
+  next[slot->first].As<L2PTablePage>().Set(
+      slot->second, SecureMapping{spare_page, (perms & kMapW) != 0, (perms & kMapX) != 0});
+  next[spare_page] = PageDbEntry{as_page, DataPage{}};  // zero-filled
+  return {kErrSuccess, std::move(next)};
 }
 
-Result SpecSvcUnmapData(PageDb d, PageNr as_page, PageNr data_page, word mapping) {
+Result SpecSvcUnmapData(const PageDb& d, PageNr as_page, PageNr data_page, word mapping) {
   if (!d.ValidPageNr(data_page) || d[data_page].type() != PageType::kDataPage ||
       d[data_page].owner != as_page) {
-    return {kErrInvalidPageNo, std::move(d)};
+    return {kErrInvalidPageNo};
   }
   if (!MappingValid(mapping)) {
-    return {kErrInvalidMapping, std::move(d)};
+    return {kErrInvalidMapping};
   }
   const auto slot = SpecL2Slot(d, as_page, mapping);
   if (!slot.has_value()) {
-    return {kErrPageTableMissing, std::move(d)};
+    return {kErrPageTableMissing};
   }
-  L2PTablePage& l2 = d[slot->first].As<L2PTablePage>();
-  const L2Entry entry = l2.Get(slot->second);
+  const L2Entry entry = d[slot->first].As<L2PTablePage>().Get(slot->second);
   const SecureMapping* sm = std::get_if<SecureMapping>(&entry);
   if (sm == nullptr || sm->data_page != data_page) {
-    return {kErrInvalidMapping, std::move(d)};
+    return {kErrInvalidMapping};
   }
-  l2.Set(slot->second, std::monostate{});
+  PageDb next = d;
+  next[slot->first].As<L2PTablePage>().Set(slot->second, std::monostate{});
   // Contents are retained while the page is spare (only re-mapping zeroes).
-  d[data_page] = PageDbEntry{as_page, SparePage{}};
-  return {kErrSuccess, std::move(d)};
+  next[data_page] = PageDbEntry{as_page, SparePage{}};
+  return {kErrSuccess, std::move(next)};
 }
 
 crypto::DigestWords SpecMeasurementAfterFinalise(const AddrspacePage& as) {

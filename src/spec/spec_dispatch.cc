@@ -1,6 +1,6 @@
 #include "src/spec/spec_dispatch.h"
 
-#include <optional>
+#include <span>
 
 #include "src/arm/memory.h"
 
@@ -8,21 +8,20 @@ namespace komodo::spec {
 
 namespace {
 
-// MapSecure's source page at call time: its words, or nothing when the page
-// is not in insecure RAM (the check §9.1 reports the prototype got wrong).
-std::optional<DataPage::Words> InsecureSourcePage(const arm::MachineState& m, word pgnr) {
-  const arm::paddr base = pgnr * arm::kPageSize;
-  if (!arm::IsInsecurePageAddr(m.mem, base)) {
-    return std::nullopt;
+// MapSecure's source page at call time, viewed in place in the machine's
+// memory: its words, or an empty span when the page is not in insecure RAM
+// (the check §9.1 reports the prototype got wrong).
+std::span<const word> InsecureSourcePage(const arm::MachineState& m, word pgnr) {
+  if (!arm::IsInsecurePage(m.mem, pgnr)) {
+    return {};
   }
-  DataPage::Words words;
-  m.mem.ReadPage(base, words.data());
-  return words;
+  return {m.mem.PageHost(m.mem.PageIndexOf(pgnr * arm::kPageSize)), arm::kWordsPerPage};
 }
 
 }  // namespace
 
-Result ApplySmc(PageDb d, const arm::MachineState& m, word call, const std::array<word, 4>& args) {
+Result ApplySmc(const PageDb& d, const arm::MachineState& m, word call,
+                const std::array<word, 4>& args) {
   const word a1 = args[0];
   const word a2 = args[1];
   const word a3 = args[2];
@@ -36,11 +35,11 @@ Result ApplySmc(PageDb d, const arm::MachineState& m, word call, const std::arra
 #undef KOM_SMC
 #undef KOM_SVC
     default:
-      return {kErrInvalidArgument, std::move(d)};
+      return {kErrInvalidArgument};
   }
 }
 
-Result ApplySvc(PageDb d, PageNr as_page, word call, const std::array<word, 3>& args) {
+Result ApplySvc(const PageDb& d, PageNr as_page, word call, const std::array<word, 3>& args) {
   const word a1 = args[0];
   const word a2 = args[1];
   switch (call) {
@@ -52,7 +51,7 @@ Result ApplySvc(PageDb d, PageNr as_page, word call, const std::array<word, 3>& 
 #undef KOM_SMC
 #undef KOM_SVC
     default:
-      return {kErrInvalidSvc, std::move(d)};
+      return {kErrInvalidSvc};
   }
 }
 

@@ -1,9 +1,10 @@
 // Per-transition proof obligations for the model checker (DESIGN.md §12).
 //
 // For one abstract state d and one call vector, three things must hold:
-//   1. invariant preservation — when the spec's guard passes, the successor
-//      PageDb has no PageDbViolations (checked on the spec output, so this is
-//      an inductive proof over the explored world, not a sampled one);
+//   1. invariant preservation — when the spec returns a successor (the call
+//      succeeded and wrote the PageDb), it has no PageDbViolations (checked
+//      on the spec output, so this is an inductive proof over the explored
+//      world, not a sampled one);
 //   2. refinement — the concrete monitor, run from a machine whose extraction
 //      equals d, returns the spec's error word and lands on the spec's PageDb
 //      (spec::CheckRefinement, the relation the fuzzer's refinement oracle
@@ -107,7 +108,7 @@ struct ObligationResult {
   bool ok = true;
   std::string detail;                  // failure description when !ok
   word impl_err = 0;                   // for error-set accounting
-  std::optional<spec::PageDb> successor;  // present iff the PageDb changed
+  std::optional<spec::PageDb> successor;  // present iff the call wrote the PageDb
 };
 
 // Checks one transition from abstract state `d` (the extraction of the

@@ -70,12 +70,17 @@ TEST(MemoryTest, PageBytesLittleEndian) {
 
 TEST(MemoryTest, InsecurePagePredicateRejectsMonitorAndSecure) {
   PhysMemory mem(16);
-  EXPECT_TRUE(IsInsecurePageAddr(mem, 0x10000));
-  EXPECT_FALSE(IsInsecurePageAddr(mem, kMonitorBase));
-  EXPECT_FALSE(IsInsecurePageAddr(mem, kSecurePagesBase));
-  EXPECT_FALSE(IsInsecurePageAddr(mem, kMonitorBase + kPageSize));
-  EXPECT_FALSE(IsInsecurePageAddr(mem, 0x10001));  // unaligned
-  EXPECT_FALSE(IsInsecurePageAddr(mem, 0xf000'0000));  // unmapped
+  EXPECT_TRUE(IsInsecurePage(mem, 0x10));
+  EXPECT_TRUE(IsInsecurePage(mem, kInsecureSize / kPageSize - 1));
+  EXPECT_FALSE(IsInsecurePage(mem, kInsecureSize / kPageSize));
+  EXPECT_FALSE(IsInsecurePage(mem, kMonitorBase / kPageSize));
+  EXPECT_FALSE(IsInsecurePage(mem, kSecurePagesBase / kPageSize));
+  EXPECT_FALSE(IsInsecurePage(mem, kMonitorBase / kPageSize + 1));
+  EXPECT_FALSE(IsInsecurePage(mem, 0xf000'0000 / kPageSize));  // unmapped
+  // Numbers whose byte address does not fit in 32 bits: multiplied out, they
+  // would wrap onto insecure page 0x10.
+  EXPECT_FALSE(IsInsecurePage(mem, (1u << 20) + 0x10));
+  EXPECT_FALSE(IsInsecurePage(mem, (0xfffu << 20) + 0x10));
 }
 
 TEST(MemoryTest, EqualityDetectsSingleWordChange) {

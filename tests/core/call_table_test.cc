@@ -172,10 +172,10 @@ TEST(CallTable, DispatchRejectsUnknownNumbers) {
   const spec::PageDb d = spec::ExtractPageDb(w.machine);
   const spec::Result sp = spec::ApplySmc(d, w.machine, 999, {});
   EXPECT_EQ(sp.err, kErrInvalidArgument);
-  EXPECT_TRUE(sp.db == d);
+  EXPECT_FALSE(sp.db.has_value());
   const spec::Result sv = spec::ApplySvc(d, 0, 999, {});
   EXPECT_EQ(sv.err, kErrInvalidSvc);
-  EXPECT_TRUE(sv.db == d);
+  EXPECT_FALSE(sv.db.has_value());
 }
 
 TEST(CallTable, KomErrMatchesAbiWords) {

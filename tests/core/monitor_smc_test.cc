@@ -126,6 +126,13 @@ TEST_F(SmcTest, MapSecureRejectsMonitorAndSecureSources) {
   EXPECT_EQ(w.os.MapSecure(3, 6, mapping, arm::kSecurePagesBase / arm::kPageSize).err,
             kErrInvalidArgument);
   EXPECT_EQ(w.os.MapSecure(3, 6, mapping, 0xffff0).err, kErrInvalidArgument);  // unmapped
+  // Numbers of 2^20 and above name no page: their 32-bit byte addresses
+  // would wrap onto the staging page.
+  const word staging = StagePage(1);
+  for (const word wrapped : {(1u << 20) + staging, (0xfffu << 20) + staging}) {
+    EXPECT_EQ(w.os.MapSecure(3, 6, mapping, wrapped).err, kErrInvalidArgument);
+    EXPECT_EQ(w.os.MapInsecure(3, MakeMapping(0x9000, kMapR), wrapped).err, kErrInvalidArgument);
+  }
   ExpectValid();
 }
 

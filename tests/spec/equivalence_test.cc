@@ -152,11 +152,11 @@ TEST(RefinementRelationTest, ErrorWordIsComparedBeforeThePostStateIsExtracted) {
   Post post;
   post.why = "undecodable";
   const RefinementStep step = CheckRefinement(pre, /*is_svc=*/false, kSmcRemove,
-                                              {kErrInvalidPageNo, pre}, kErrSuccess, post.Fn());
+                                              {kErrInvalidPageNo}, kErrSuccess, post.Fn());
   EXPECT_EQ(step.failure, "smc 20 impl=success spec=invalid_pageno");
   EXPECT_FALSE(post.called);
   // With the error words agreeing, the undecodable post-state is the failure.
-  EXPECT_EQ(CheckRefinement(pre, false, kSmcRemove, {kErrInvalidPageNo, pre}, kErrInvalidPageNo,
+  EXPECT_EQ(CheckRefinement(pre, false, kSmcRemove, {kErrInvalidPageNo}, kErrInvalidPageNo,
                             post.Fn())
                 .failure,
             "undecodable");
@@ -178,12 +178,20 @@ TEST(RefinementRelationTest, ModelledCallsMustLandOnTheSpecPageDb) {
   EXPECT_EQ(step.failure, "smc 13 pagedb diverges from spec");
   // A failed call must leave the PageDb as it was.
   post.db = spec_db;
-  step = CheckRefinement(pre, true, kSvcMapData, {kErrNotSpare, pre}, kErrNotSpare, post.Fn());
+  step = CheckRefinement(pre, true, kSvcMapData, {kErrNotSpare}, kErrNotSpare, post.Fn());
   EXPECT_EQ(step.failure, "svc 11 failed with not_spare but mutated the pagedb");
   post.db.reset();
-  step = CheckRefinement(pre, true, kSvcMapData, {kErrNotSpare, pre}, kErrNotSpare, post.Fn());
+  step = CheckRefinement(pre, true, kSvcMapData, {kErrNotSpare}, kErrNotSpare, post.Fn());
   EXPECT_TRUE(step.failure.empty());
   EXPECT_FALSE(step.successor.has_value());
+  // A success the spec did not write: neither side wrote, so no successor.
+  step = CheckRefinement(pre, false, kSmcQuery, {kErrSuccess}, kErrSuccess, post.Fn());
+  EXPECT_TRUE(step.failure.empty());
+  EXPECT_FALSE(step.successor.has_value());
+  // The implementation wrote a PageDb the spec did not.
+  post.db = spec_db;
+  step = CheckRefinement(pre, false, kSmcQuery, {kErrSuccess}, kErrSuccess, post.Fn());
+  EXPECT_EQ(step.failure, "smc 1 pagedb diverges from spec");
 }
 
 TEST(RefinementRelationTest, HavocCallsResynchronizeFromTheImplementation) {
@@ -195,25 +203,25 @@ TEST(RefinementRelationTest, HavocCallsResynchronizeFromTheImplementation) {
   // Enter whose guard passed: any legitimate outcome, successor from the impl.
   for (const word err : {kErrSuccess, kErrInterrupted, kErrFault}) {
     const RefinementStep step =
-        CheckRefinement(pre, false, kSmcEnter, {kErrSuccess, pre}, err, post.Fn());
+        CheckRefinement(pre, false, kSmcEnter, {kErrSuccess}, err, post.Fn());
     EXPECT_TRUE(step.failure.empty());
     EXPECT_TRUE(step.successor == impl_db);
   }
-  EXPECT_EQ(CheckRefinement(pre, false, kSmcResume, {kErrSuccess, pre}, kErrNotEntered,
+  EXPECT_EQ(CheckRefinement(pre, false, kSmcResume, {kErrSuccess}, kErrNotEntered,
                             post.Fn())
                 .failure,
             "enter/resume guard passed in spec but impl says not_entered");
   // Enter whose guard failed is modelled: the error word must match.
-  EXPECT_EQ(CheckRefinement(pre, false, kSmcEnter, {kErrNotFinal, pre}, kErrSuccess, post.Fn())
+  EXPECT_EQ(CheckRefinement(pre, false, kSmcEnter, {kErrNotFinal}, kErrSuccess, post.Fn())
                 .failure,
             "smc 22 impl=success spec=not_final");
   // Exit/Attest/Verify are havoc whatever they return; GetRandom is not.
   for (const word svc : {kSvcExit, kSvcAttest, kSvcVerify}) {
     EXPECT_TRUE(
-        CheckRefinement(pre, true, svc, {kErrSuccess, pre}, kErrFault, post.Fn()).failure.empty());
+        CheckRefinement(pre, true, svc, {kErrSuccess}, kErrFault, post.Fn()).failure.empty());
   }
   EXPECT_FALSE(
-      CheckRefinement(pre, true, kSvcGetRandom, {kErrSuccess, pre}, kErrSuccess, post.Fn())
+      CheckRefinement(pre, true, kSvcGetRandom, {kErrSuccess}, kErrSuccess, post.Fn())
           .failure.empty());
 }
 
