@@ -218,7 +218,11 @@ grep -q "^campaign-hash ${FUZZ_SMOKE_HASH}\$" build/fuzz-smoke-1.out \
   || { echo "komodo-fuzz: smoke campaign hash drifted from the pinned value" >&2; exit 1; }
 # Fresh worlds track no dirty pages, so with --no-reuse every carried memory
 # compare takes the generation scan instead of the dirty lists (DESIGN.md
-# §10); the two paths must reach the same verdict on every trace.
+# §10), and the interp oracle's JIT lane stores inline instead of through the
+# runtime helper (a pooled world's dirty tracking sends every translated
+# store there, DESIGN.md §13): this leg is the only check.sh campaign whose
+# JIT lane takes inline stores. The two paths must reach the same verdict on
+# every trace.
 ./build/tools/komodo-fuzz "${FUZZ_ARGS[@]}" --no-reuse 2>/dev/null > build/fuzz-smoke-fresh.out
 cmp build/fuzz-smoke-1.out build/fuzz-smoke-fresh.out \
   || { echo "komodo-fuzz: --no-reuse changed the campaign output" >&2; exit 1; }
@@ -292,8 +296,13 @@ else
   cmake --build build-asan -j "$JOBS"
   ctest --test-dir build-asan --output-on-failure -j "$JOBS"
   echo "=== ASan+UBSan komodo-fuzz smoke ==="
-  ./build-asan/tools/komodo-fuzz --seed 20260807 --calls 150 --trace-len 40 \
-    --out build-asan >/dev/null
+  # The blind smoke at the plain build's config and pinned hash: the oracles
+  # read their worlds' extracted PageDbs in place, so a read past a state's
+  # lifetime shows here, and a verdict that moves fails the hash.
+  ./build-asan/tools/komodo-fuzz --seed 20260807 --calls 400 --trace-len 60 \
+    --out build-asan 2>/dev/null > build-asan/fuzz-smoke.out
+  grep -q "^campaign-hash ${FUZZ_SMOKE_HASH}\$" build-asan/fuzz-smoke.out \
+    || { echo "komodo-fuzz: ASan smoke hash differs from plain build" >&2; exit 1; }
   echo "=== ASan+UBSan komodo-fuzz evolve smoke ==="
   # The mutation/coverage/corpus path under ASan, at the same pinned hash as
   # the plain build: instrumented and plain campaigns must agree byte for
@@ -317,17 +326,20 @@ else
   echo "=== TSan komodo-fuzz parallel smoke ==="
   # Thread sanitizer over the parallel campaign: per-worker world pools,
   # thread-local inject flags and the outcome-slot handoff must all be
-  # race-free, and the parallel run must still reproduce the serial hash.
+  # race-free, and the parallel run must still reproduce the serial output,
+  # which must carry the plain build's pinned smoke hash.
   cmake -B build-tsan -S . $(generator_for build-tsan) \
     -DKOMODO_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j "$JOBS" --target komodo-fuzz komodo-verify
-  TSAN_FUZZ_ARGS=(--seed 20260807 --calls 150 --trace-len 40 --out build-tsan)
+  TSAN_FUZZ_ARGS=(--seed 20260807 --calls 400 --trace-len 60 --out build-tsan)
   ./build-tsan/tools/komodo-fuzz "${TSAN_FUZZ_ARGS[@]}" --jobs 1 2>/dev/null \
     > build-tsan/fuzz-smoke-serial.out
   ./build-tsan/tools/komodo-fuzz "${TSAN_FUZZ_ARGS[@]}" --jobs 8 2>/dev/null \
     > build-tsan/fuzz-smoke-jobs8.out
   cmp build-tsan/fuzz-smoke-serial.out build-tsan/fuzz-smoke-jobs8.out \
     || { echo "komodo-fuzz: --jobs changed the campaign output under TSan" >&2; exit 1; }
+  grep -q "^campaign-hash ${FUZZ_SMOKE_HASH}\$" build-tsan/fuzz-smoke-serial.out \
+    || { echo "komodo-fuzz: TSan smoke hash differs from plain build" >&2; exit 1; }
   echo "=== TSan komodo-fuzz evolve smoke ==="
   # The round barrier under the race detector: each round hands every world
   # pool to a new worker thread, and campaigns run on worker threads even at

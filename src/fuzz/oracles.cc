@@ -139,31 +139,20 @@ bool BuildVictim(os::World& w, const std::string& name, os::EnclaveHandle* out,
   return true;
 }
 
-// Reifies the abstract state mid-replay. An undecodable representation
-// (possible only when a fault injection corrupted the monitor's structures)
-// is an oracle failure with a replayable verdict, not a harness abort — the
-// corpus pins traces whose whole point is reproducing exactly that. Returns
-// nullopt with `*why` set then. Each world's extractions go through one
-// cache, so an op costs a decode of only the pages it changed.
-std::optional<spec::PageDb> Extract(const os::World& w, spec::ExtractCache& cache,
-                                    std::string* why) {
+// Reifies the abstract state mid-replay, read in place from `cache`. An
+// undecodable representation (possible only when a fault injection corrupted
+// the monitor's structures) is an oracle failure with a replayable verdict,
+// not a harness abort — the corpus pins traces whose whole point is
+// reproducing exactly that. Returns null with `*why` set then. Each world's
+// extractions go through one cache, so an op costs a decode of only the
+// pages it changed.
+const spec::PageDb* Extract(const os::World& w, spec::ExtractCache& cache, std::string* why) {
   spec::ExtractError xerr;
-  std::optional<spec::PageDb> got = spec::TryExtractPageDb(w.machine, &xerr, &cache);
-  if (!got.has_value()) {
+  const spec::PageDb* got = cache.Extract(w.machine, &xerr);
+  if (got == nullptr) {
     *why = "spec extraction failed at page " + std::to_string(xerr.page) + ": " + xerr.detail;
   }
   return got;
-}
-
-std::optional<Verdict> ExtractInto(const os::World& w, spec::ExtractCache& cache, const Trace& t,
-                                   size_t i, spec::PageDb* out) {
-  std::string why;
-  std::optional<spec::PageDb> got = Extract(w, cache, &why);
-  if (!got.has_value()) {
-    return Fail(static_cast<int>(i), OpLabel(t, i) + ": " + why);
-  }
-  *out = std::move(*got);
-  return std::nullopt;
 }
 
 // The SVC driver: loads (call, a1, a2, a3) staged in its data page into
@@ -188,8 +177,8 @@ std::vector<word> DriverProgram() {
 
 // One replay loop serves both spec-backed oracles: with `with_spec` every
 // call is related to its spec by spec::CheckRefinement, without it only the
-// PageDB invariants are checked. Either way `d` is the extraction after the
-// previous op, which refinement has just shown to be the spec's state.
+// PageDB invariants are checked. Each call's post-state is extracted once and
+// read in place.
 Verdict RunSpecBacked(const Trace& t, bool with_spec, WorldPool& pool, CoverageMap* cover) {
   WorldPool::Lease lease = pool.Acquire(t.pages);
   os::World& w = lease.world();
@@ -209,14 +198,33 @@ Verdict RunSpecBacked(const Trace& t, bool with_spec, WorldPool& pool, CoverageM
     driver = *std::move(built);
   }
 
+  // `d` is the state each op starts from. Under refinement it is the spec's
+  // state: the boot extraction, then each passing step's successor, since
+  // the step has shown that the machine extracts to it. The invariants
+  // oracle has no spec, so its state is the last extraction, in the cache.
   spec::ExtractCache cache;
-  const spec::ExtractPost extract = [&w, &cache](std::string* why) {
-    return Extract(w, cache, why);
+  spec::PageDb spec_db = spec::ExtractPageDb(w.machine);
+  const spec::PageDb* d = &spec_db;
+  // Extracts the post-state of the op's monitor call and, under refinement,
+  // relates the call to the spec's `expected` result. Returns the failure
+  // detail, or "" when the call passes.
+  const auto settle = [&](bool is_svc, word call, spec::Result expected, word impl_err) {
+    std::string why;
+    const spec::PageDb* post = Extract(w, cache, &why);
+    if (!with_spec) {
+      d = post != nullptr ? post : d;
+      return why;
+    }
+    spec::RefinementStep step =
+        spec::CheckRefinement(*d, is_svc, call, std::move(expected), impl_err, post, why);
+    if (step.successor.has_value()) {
+      spec_db = std::move(*step.successor);
+    }
+    return step.failure;
   };
-  spec::PageDb d = spec::ExtractPageDb(w.machine, &cache);
   for (size_t i = 0; i < t.ops.size(); ++i) {
     const TraceOp& op = t.ops[i];
-    spec::RefinementStep step;
+    std::string failure;
     switch (op.kind) {
       case OpKind::kPoke:
         ApplyPoke(w, op);  // insecure RAM is outside the PageDb
@@ -226,14 +234,10 @@ Verdict RunSpecBacked(const Trace& t, bool with_spec, WorldPool& pool, CoverageM
         break;  // no victim in spec-backed traces
       case OpKind::kSmc: {
         const std::array<word, 4> args{op.a[1], op.a[2], op.a[3], op.a[4]};
-        if (!with_spec) {
-          w.os.Smc(op.a[0], args[0], args[1], args[2], args[3]);
-          break;
-        }
-        spec::Result expected = spec::ApplySmc(d, w.machine, op.a[0], args);
+        spec::Result expected =
+            with_spec ? spec::ApplySmc(*d, w.machine, op.a[0], args) : spec::Result{};
         const os::SmcRet got = w.os.Smc(op.a[0], args[0], args[1], args[2], args[3]);
-        step = spec::CheckRefinement(d, /*is_svc=*/false, op.a[0], std::move(expected), got.err,
-                                     extract);
+        failure = settle(/*is_svc=*/false, op.a[0], std::move(expected), got.err);
         break;
       }
       case OpKind::kSvc: {
@@ -243,54 +247,58 @@ Verdict RunSpecBacked(const Trace& t, bool with_spec, WorldPool& pool, CoverageM
         // data page: the adversary may have stopped and dismantled the driver
         // and recycled its pages into, say, another enclave's page tables,
         // which a direct write would corrupt in ways no real OS can.
+        const spec::PageDb& pre = *d;
         const PageNr data_page = driver.data_pages[1];
-        const bool intact = d.ValidPageNr(driver.thread) &&
-                            d[driver.thread].type() == PageType::kDispatcher &&
-                            d[driver.thread].owner == driver.addrspace &&
-                            d.ValidPageNr(data_page) &&
-                            d[data_page].type() == PageType::kDataPage &&
-                            d[data_page].owner == driver.addrspace;
+        const bool intact = pre.ValidPageNr(driver.thread) &&
+                            pre[driver.thread].type() == PageType::kDispatcher &&
+                            pre[driver.thread].owner == driver.addrspace &&
+                            pre.ValidPageNr(data_page) &&
+                            pre[data_page].type() == PageType::kDataPage &&
+                            pre[data_page].owner == driver.addrspace;
         if (intact) {
           const paddr data = PagePaddr(data_page);
           for (int j = 0; j < 4; ++j) {
             w.machine.mem.Write(data + static_cast<word>(j) * arm::kWordSize, op.a[j]);
           }
-          if (auto bad = ExtractInto(w, cache, t, i, &d)) {
-            return *bad;
-          }
         }
         if (!with_spec) {
           w.os.Enter(driver.thread);
+          failure = settle(false, kSmcEnter, {}, 0);
           break;
+        }
+        if (intact) {
+          // The staged words enter the spec's state through the one page
+          // they were written to.
+          const spec::PageDb* staged = Extract(w, cache, &failure);
+          if (staged == nullptr) {
+            break;
+          }
+          spec_db[data_page] = (*staged)[data_page];
         }
         // Only when the intact driver ran to its exit is the SVC itself
         // comparable against the spec. Otherwise the Enter is: its guard
         // failed, some other enclave's code ran, or the driver faulted or was
         // interrupted mid-program (user-execution havoc).
-        spec::Result guard = spec::ApplySmc(d, w.machine, kSmcEnter, {driver.thread, 0, 0, 0});
+        spec::Result guard = spec::ApplySmc(pre, w.machine, kSmcEnter, {driver.thread, 0, 0, 0});
         const os::SmcRet got = AbiWords(w.os.Enter(driver.thread));
         if (intact && guard.err == kErrSuccess && got.err == kErrSuccess) {
-          step = spec::CheckRefinement(
-              d, /*is_svc=*/true, op.a[0],
-              spec::ApplySvc(d, driver.addrspace, op.a[0], {op.a[1], op.a[2], op.a[3]}),
-              got.val, extract);
+          failure = settle(
+              /*is_svc=*/true, op.a[0],
+              spec::ApplySvc(pre, driver.addrspace, op.a[0], {op.a[1], op.a[2], op.a[3]}),
+              got.val);
         } else {
-          step = spec::CheckRefinement(d, /*is_svc=*/false, kSmcEnter, std::move(guard), got.err,
-                                       extract);
+          failure = settle(false, kSmcEnter, std::move(guard), got.err);
         }
         break;
       }
     }
-    if (!step.failure.empty()) {
-      return Fail(static_cast<int>(i), OpLabel(t, i) + ": " + step.failure);
-    }
-    if (auto bad = ExtractInto(w, cache, t, i, &d)) {
-      return *bad;
+    if (!failure.empty()) {
+      return Fail(static_cast<int>(i), OpLabel(t, i) + ": " + failure);
     }
     if (cover != nullptr) {
-      HarvestPageDbCoverage(d, cover);
+      HarvestPageDbCoverage(*d, cover);
     }
-    const auto violations = spec::PageDbViolations(d);
+    const auto violations = spec::PageDbViolations(*d);
     if (!violations.empty()) {
       return Fail(static_cast<int>(i), OpLabel(t, i) + ": invariant: " + violations.front());
     }
@@ -416,12 +424,12 @@ Verdict RunNoninterference(const Trace& t, WorldPool& pool, CoverageMap* cover) 
     if (!detail.empty()) {
       return detail;
     }
-    const std::optional<spec::PageDb> d1 = Extract(*l[0].world, caches[0], &detail);
-    if (!d1.has_value()) {
+    const spec::PageDb* d1 = Extract(*l[0].world, caches[0], &detail);
+    if (d1 == nullptr) {
       return detail;
     }
-    const std::optional<spec::PageDb> d2 = Extract(*l[1].world, caches[1], &detail);
-    if (!d2.has_value()) {
+    const spec::PageDb* d2 = Extract(*l[1].world, caches[1], &detail);
+    if (d2 == nullptr) {
       return detail;
     }
     if (cover != nullptr) {

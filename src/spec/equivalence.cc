@@ -106,7 +106,7 @@ std::vector<std::string> AdvEquivViolations(const arm::MachineState& m1, const P
 }
 
 RefinementStep CheckRefinement(const PageDb& pre, bool is_svc, word call, Result expected,
-                               word impl_err, const ExtractPost& post) {
+                               word impl_err, const PageDb* post, const std::string& post_error) {
   RefinementStep step;
   const bool enterish = !is_svc && (call == kSmcEnter || call == kSmcResume);
   const bool havoc = is_svc ? call == kSvcExit || call == kSvcAttest || call == kSvcVerify
@@ -123,19 +123,21 @@ RefinementStep CheckRefinement(const PageDb& pre, bool is_svc, word call, Result
         label() + " impl=" + KomErrName(impl_err) + " spec=" + KomErrName(expected.err);
     return step;
   }
-  std::optional<PageDb> got = post(&step.failure);
-  if (!step.failure.empty()) {
+  if (!post_error.empty()) {
+    step.failure = post_error;
     return step;
   }
   if (havoc) {
-    step.successor = std::move(got);
+    if (post != nullptr) {
+      step.successor = *post;
+    }
     return step;
   }
   // A failed call's post-state is the pre-state, and so is a success's that
   // the spec did not write, or the implementation's when it wrote no memory.
   // When both sides are the pre-state there is nothing to compare.
   const PageDb* want = expected.db.has_value() ? &*expected.db : &pre;
-  const PageDb* have = got.has_value() ? &*got : &pre;
+  const PageDb* have = post != nullptr ? post : &pre;
   if (have == want || *have == *want) {
     step.successor = std::move(expected.db);
   } else if (expected.err != kErrSuccess) {

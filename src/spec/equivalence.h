@@ -3,11 +3,11 @@
 // equivalence ≈enc (Definition 2), and the OS-adversary relation ≈adv, which
 // additionally compares general-purpose registers, non-monitor banked
 // registers, and all of insecure memory. For functional correctness (§5.2):
-// the refinement relation between one implementation call and its spec.
+// the refinement relation between one implementation call and its spec, over
+// a post-state the caller has extracted.
 #ifndef SRC_SPEC_EQUIVALENCE_H_
 #define SRC_SPEC_EQUIVALENCE_H_
 
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -56,23 +56,21 @@ inline bool ObsEquivAdv(const arm::MachineState& m1, const PageDb& d1,
 // implementation's post-state is taken as the successor.
 struct RefinementStep {
   std::string failure;  // empty: the call refines the spec
-  // The abstract post-state; nullopt when nothing was written, so the
-  // post-state is the pre-state.
+  // The abstract post-state: the spec's successor, or a copy of a havoc
+  // call's post-state; nullopt when the post-state is the pre-state.
   std::optional<PageDb> successor;
 };
 
-// The implementation's post-state, extracted on demand: its PageDb, nullopt
-// when the call wrote no memory (the post-state is the pre-state), or nullopt
-// with `*why` set when the machine does not decode.
-using ExtractPost = std::function<std::optional<PageDb>(std::string* why)>;
-
 // Relates one call (SMC, or SVC when `is_svc`) from pre-state `pre` to the
-// spec's `expected` result. The error word is compared before `post` is
-// called, so a post-state that does not decode is reported only when the
-// error words agree. When neither the spec nor the implementation wrote
-// anything, no PageDb is compared.
+// spec's `expected` result. `post` is the implementation's post-state as the
+// caller extracted it (read in place, copied only when a havoc call keeps
+// it): null when the call wrote no memory, so the post-state is the
+// pre-state, or when it did not decode, which `post_error` then says. The
+// error word is compared first, so an undecodable post-state is reported only
+// when the error words agree. When neither the spec nor the implementation
+// wrote anything, no PageDb is compared.
 RefinementStep CheckRefinement(const PageDb& pre, bool is_svc, word call, Result expected,
-                               word impl_err, const ExtractPost& post);
+                               word impl_err, const PageDb* post, const std::string& post_error);
 
 }  // namespace komodo::spec
 

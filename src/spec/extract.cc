@@ -186,40 +186,44 @@ PageDbEntry ExtractPage(Extraction& x, PageNr n, word type_word, PageNr owner) {
 
 }  // namespace
 
-std::optional<PageDb> TryExtractPageDb(const arm::MachineState& m, ExtractError* err,
-                                       ExtractCache* cache) {
-  // An uncached extraction is one into a fresh cache, so both take one path.
-  ExtractCache fresh;
-  ExtractCache& c = cache != nullptr ? *cache : fresh;
+const PageDb* ExtractCache::Extract(const arm::MachineState& m, ExtractError* err) {
   Extraction x{m, ReadGlobal(m, kGlobalNPages)};
-  const bool warm = c.mem_ == &m.mem && c.db_.NPages() == x.npages;
+  const bool warm = mem_ == &m.mem && db_.NPages() == x.npages;
   if (!warm) {
-    c.stamps_.assign(x.npages, {});
-    c.db_ = PageDb(x.npages);
+    stamps_.assign(x.npages, {});
+    db_ = PageDb(x.npages);
   }
   for (PageNr n = 0; n < x.npages && !x.failed; ++n) {
-    const ExtractCache::Stamp stamp{m.mem.PageGen(PagePaddr(n)), ReadDbField(m, n, 0),
-                                    ReadDbField(m, n, 1)};
-    if (warm && stamp == c.stamps_[n]) {
+    const Stamp stamp{m.mem.PageGen(PagePaddr(n)), ReadDbField(m, n, 0), ReadDbField(m, n, 1)};
+    if (warm && stamp == stamps_[n]) {
       continue;
     }
-    c.db_[n] = ExtractPage(x, n, stamp.type, stamp.owner);
-    c.stamps_[n] = stamp;
+    db_[n] = ExtractPage(x, n, stamp.type, stamp.owner);
+    stamps_[n] = stamp;
   }
   if (x.failed) {
-    c.mem_ = nullptr;
+    mem_ = nullptr;
     if (err != nullptr) {
       *err = std::move(x.err);
     }
-    return std::nullopt;
+    return nullptr;
   }
-  c.mem_ = &m.mem;
-  return cache != nullptr ? c.db_ : std::move(c.db_);
+  mem_ = &m.mem;
+  return &db_;
 }
 
-PageDb ExtractPageDb(const arm::MachineState& m, ExtractCache* cache) {
+std::optional<PageDb> TryExtractPageDb(const arm::MachineState& m, ExtractError* err) {
+  // An uncached extraction is one into a fresh cache, so both take one path.
+  ExtractCache fresh;
+  if (fresh.Extract(m, err) == nullptr) {
+    return std::nullopt;
+  }
+  return std::move(fresh.db_);
+}
+
+PageDb ExtractPageDb(const arm::MachineState& m) {
   ExtractError err{};
-  std::optional<PageDb> d = TryExtractPageDb(m, &err, cache);
+  std::optional<PageDb> d = TryExtractPageDb(m, &err);
   if (!d.has_value()) {
     std::fprintf(stderr, "komodo: spec extraction failed at page %u: %s\n",
                  static_cast<unsigned>(err.page), err.detail.c_str());

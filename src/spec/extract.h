@@ -2,7 +2,8 @@
 // representation — the refinement relation between implementation and spec.
 // The refinement tests require ExtractPageDb(machine after impl call) to
 // equal the spec function's output; the implementation keeps no C++ shadow
-// state it could cheat with.
+// state it could cheat with. The oracles and the model checker extract each
+// call's post-state once, through an ExtractCache, and read it in place.
 #ifndef SRC_SPEC_EXTRACT_H_
 #define SRC_SPEC_EXTRACT_H_
 
@@ -24,37 +25,39 @@ struct ExtractError {
   std::string detail;
 };
 
-class ExtractCache;
-
 // Reads the PageDB region, typed secure pages and hardware page tables out of
 // simulated memory and reifies the abstract state. Returns nullopt (filling
 // *err when non-null) if the representation cannot be decoded; semantic
-// invariants are checked separately (invariants.h). With a `cache`, pages
-// unchanged since its last extraction reuse their entries (see ExtractCache);
-// the result is the same either way.
-std::optional<PageDb> TryExtractPageDb(const arm::MachineState& m, ExtractError* err = nullptr,
-                                       ExtractCache* cache = nullptr);
+// invariants are checked separately (invariants.h). Every call decodes every
+// page; a caller extracting one machine repeatedly uses an ExtractCache.
+std::optional<PageDb> TryExtractPageDb(const arm::MachineState& m, ExtractError* err = nullptr);
 
 // Abort-on-failure wrapper for callers that have already established
 // decodability (the refinement and property tests). The differential oracles
-// and the model checker use TryExtractPageDb so an injected fault surfaces as
-// an oracle failure instead of killing the process.
-PageDb ExtractPageDb(const arm::MachineState& m, ExtractCache* cache = nullptr);
+// and the model checker extract with a fallible call so an injected fault
+// surfaces as an oracle failure instead of killing the process.
+PageDb ExtractPageDb(const arm::MachineState& m);
 
-// The last successful extraction from one PhysMemory (DESIGN.md §12). A
-// page's entry is a function of its PageDB type and owner words, its secure
-// page's contents and the world size alone, and every store into a page bumps
-// its generation (PhysMemory::PageGen). So an extraction through the cache
-// from the same memory, at the same world size, reuses the entry of every page
+// The one owner of a live world's extracted PageDb (DESIGN.md §12). A page's
+// entry is a function of its PageDB type and owner words, its secure page's
+// contents and the world size alone, and every store into a page bumps its
+// generation (PhysMemory::PageGen). So an extraction through the cache from
+// the same memory, at the same world size, keeps the entry of every page
 // whose generation, type and owner are all unchanged, and decodes every other
-// page as an uncached extraction would. A cache handed another memory decodes
-// every page and rebinds; a failed extraction empties it. Like a carried
+// page as TryExtractPageDb would. A cache handed another memory decodes every
+// page and rebinds; a failed extraction empties it. Like a carried
 // MemoryCompare, the cache holds a pointer to the memory, which must outlive
 // its use, and relies on 32-bit generations not wrapping between two calls.
 class ExtractCache {
+ public:
+  // Extracts `m` and returns the cache's own PageDb, which stays valid until
+  // the next Extract through this cache; a caller that keeps a state past
+  // that copies it. Returns null (filling *err when non-null) when the
+  // representation does not decode.
+  const PageDb* Extract(const arm::MachineState& m, ExtractError* err = nullptr);
+
  private:
-  friend std::optional<PageDb> TryExtractPageDb(const arm::MachineState& m, ExtractError* err,
-                                                ExtractCache* cache);
+  friend std::optional<PageDb> TryExtractPageDb(const arm::MachineState& m, ExtractError* err);
 
   // What one page's entry was decoded from.
   struct Stamp {

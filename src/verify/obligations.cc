@@ -80,16 +80,11 @@ ConcreteWorld::Outcome ConcreteWorld::RunStaged(const VerifyOp& op) {
   }
   out.impl_err = Execute(op);
   world_.machine.pending_irq = false;  // an un-taken IRQ must not leak onward
-  out.db_changed = !world_.machine.mem.dirty_pages().empty();
-  if (out.db_changed) {
+  if (!world_.machine.mem.dirty_pages().empty()) {
     spec::ExtractError xerr;
-    std::optional<spec::PageDb> post =
-        spec::TryExtractPageDb(world_.machine, &xerr, &extract_cache_);
-    if (post.has_value()) {
-      out.post = std::move(*post);
-    } else {
-      out.extract_error =
-          "page " + std::to_string(xerr.page) + ": " + xerr.detail;
+    out.post = extract_cache_.Extract(world_.machine, &xerr);
+    if (out.post == nullptr) {
+      out.extract_error = "page " + std::to_string(xerr.page) + ": " + xerr.detail;
     }
   }
   return out;
@@ -117,13 +112,13 @@ ObligationResult CheckTransition(ConcreteWorld& world, const spec::PageDb& d,
 
   // Obligation 2: the implementation refines the spec. RunStaged extracts
   // eagerly, so an undecodable post-state outranks an error-word mismatch.
-  ConcreteWorld::Outcome out = world.RunStaged(op);
+  const ConcreteWorld::Outcome out = world.RunStaged(op);
   if (!out.extract_error.empty()) {
     return FailOb("extraction failed after impl call: " + out.extract_error, out.impl_err);
   }
+  const bool spec_wrote = sres.db.has_value();
   spec::RefinementStep step =
-      spec::CheckRefinement(d, op.is_svc, op.call, std::move(sres), out.impl_err,
-                            [&out](std::string*) { return std::move(out.post); });
+      spec::CheckRefinement(d, op.is_svc, op.call, std::move(sres), out.impl_err, out.post, {});
   if (!step.failure.empty()) {
     return FailOb(std::move(step.failure), out.impl_err);
   }
@@ -131,9 +126,10 @@ ObligationResult CheckTransition(ConcreteWorld& world, const spec::PageDb& d,
   res.impl_err = out.impl_err;
   res.successor = std::move(step.successor);
 
-  // Obligation 1 on the implementation side of havoc transitions: states we
-  // resynchronized from the machine never went through the spec check above.
-  if (res.successor.has_value()) {
+  // Obligation 1 on the implementation side of havoc transitions: a
+  // successor the spec did not write was resynchronized from the machine and
+  // never went through the spec check above.
+  if (res.successor.has_value() && !spec_wrote) {
     const auto violations = spec::PageDbViolations(*res.successor);
     if (!violations.empty()) {
       return FailOb("impl breaks invariant: " + violations.front(), out.impl_err);

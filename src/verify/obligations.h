@@ -4,11 +4,13 @@
 //   1. invariant preservation — when the spec returns a successor (the call
 //      succeeded and wrote the PageDb), it has no PageDbViolations (checked
 //      on the spec output, so this is an inductive proof over the explored
-//      world, not a sampled one);
+//      world, not a sampled one); a havoc call's successor, which the spec
+//      did not write, is checked once the implementation has produced it;
 //   2. refinement — the concrete monitor, run from a machine whose extraction
 //      equals d, returns the spec's error word and lands on the spec's PageDb
 //      (spec::CheckRefinement, the relation the fuzzer's refinement oracle
-//      uses, havoc set included);
+//      uses, havoc set included), over a post-state read in place from the
+//      world's extraction cache;
 //   3. error-code agreement — every error the implementation actually returns
 //      is recorded so the explorer can compare the per-call observation
 //      against the registry row's declared `errors` set.
@@ -76,9 +78,11 @@ class ConcreteWorld {
 
   struct Outcome {
     word impl_err = 0;  // ABI error word the call returned
-    bool db_changed = false;              // any physical page was written
-    std::optional<spec::PageDb> post;     // extraction, when db_changed
-    std::string extract_error;            // non-empty: extraction failed
+    // The post-state, read in place from the world's extraction cache and
+    // valid until the next RunStaged; null when the call wrote no page or
+    // the extraction failed.
+    const spec::PageDb* post = nullptr;
+    std::string extract_error;  // non-empty: extraction failed
   };
 
   // Runs one op from the current machine state (caller must ResetToMid
@@ -108,7 +112,9 @@ struct ObligationResult {
   bool ok = true;
   std::string detail;                  // failure description when !ok
   word impl_err = 0;                   // for error-set accounting
-  std::optional<spec::PageDb> successor;  // present iff the call wrote the PageDb
+  // Present iff the call wrote the PageDb: the spec's successor, or a copy of
+  // a havoc call's post-state.
+  std::optional<spec::PageDb> successor;
 };
 
 // Checks one transition from abstract state `d` (the extraction of the

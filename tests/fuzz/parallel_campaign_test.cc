@@ -47,8 +47,11 @@ TEST(ParallelCampaign, JobsInvariantHashAndStats) {
   }
 }
 
-// World pooling is a pure perf knob: disabling reuse reruns every trace on a
-// freshly constructed world and must reproduce the pooled hash exactly.
+// World pooling changes no result: disabling reuse reruns every trace on a
+// freshly constructed world and must reproduce the pooled hash exactly. The
+// fresh run is also one of the few randomized runs whose interp oracle sees
+// the JIT's inline stores: a pooled world tracks dirty pages, which sends
+// every translated store to the runtime helper (DESIGN.md §11, §13).
 TEST(ParallelCampaign, PoolReuseDoesNotChangeTheHash) {
   CampaignOptions pooled = SmokeOptions();
   CampaignOptions fresh = SmokeOptions();

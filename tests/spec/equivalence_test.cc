@@ -133,31 +133,16 @@ TEST(AdvEquivTest, MonitorBankAndSecureMemoryInvisible) {
   EXPECT_TRUE(ObsEquivAdv(m1, d1, m2, d2, kInvalidPage));
 }
 
-// A post-state provider that records whether the relation asked for it.
-struct Post {
-  std::optional<PageDb> db;
-  std::string why;
-  bool called = false;
-  ExtractPost Fn() {
-    return [this](std::string* out) {
-      called = true;
-      *out = why;
-      return db;
-    };
-  }
-};
-
-TEST(RefinementRelationTest, ErrorWordIsComparedBeforeThePostStateIsExtracted) {
+TEST(RefinementRelationTest, ErrorWordOutranksAnUndecodablePostState) {
   const PageDb pre(4);
-  Post post;
-  post.why = "undecodable";
-  const RefinementStep step = CheckRefinement(pre, /*is_svc=*/false, kSmcRemove,
-                                              {kErrInvalidPageNo}, kErrSuccess, post.Fn());
-  EXPECT_EQ(step.failure, "smc 20 impl=success spec=invalid_pageno");
-  EXPECT_FALSE(post.called);
+  const std::string undecodable = "undecodable";
+  EXPECT_EQ(CheckRefinement(pre, /*is_svc=*/false, kSmcRemove, {kErrInvalidPageNo}, kErrSuccess,
+                            nullptr, undecodable)
+                .failure,
+            "smc 20 impl=success spec=invalid_pageno");
   // With the error words agreeing, the undecodable post-state is the failure.
   EXPECT_EQ(CheckRefinement(pre, false, kSmcRemove, {kErrInvalidPageNo}, kErrInvalidPageNo,
-                            post.Fn())
+                            nullptr, undecodable)
                 .failure,
             "undecodable");
 }
@@ -166,31 +151,27 @@ TEST(RefinementRelationTest, ModelledCallsMustLandOnTheSpecPageDb) {
   const PageDb pre(4);
   PageDb spec_db = pre;
   spec_db[1] = Data(0, 0);
-  Post post;
-  post.db = spec_db;
+  const PageDb post = spec_db;
   RefinementStep step =
-      CheckRefinement(pre, false, kSmcMapSecure, {kErrSuccess, spec_db}, kErrSuccess, post.Fn());
+      CheckRefinement(pre, false, kSmcMapSecure, {kErrSuccess, spec_db}, kErrSuccess, &post, {});
   EXPECT_TRUE(step.failure.empty());
   EXPECT_TRUE(step.successor == spec_db);
   // Wrote nothing, but the spec says the PageDb changed.
-  post.db.reset();
-  step = CheckRefinement(pre, false, kSmcMapSecure, {kErrSuccess, spec_db}, kErrSuccess, post.Fn());
+  step =
+      CheckRefinement(pre, false, kSmcMapSecure, {kErrSuccess, spec_db}, kErrSuccess, nullptr, {});
   EXPECT_EQ(step.failure, "smc 13 pagedb diverges from spec");
   // A failed call must leave the PageDb as it was.
-  post.db = spec_db;
-  step = CheckRefinement(pre, true, kSvcMapData, {kErrNotSpare}, kErrNotSpare, post.Fn());
+  step = CheckRefinement(pre, true, kSvcMapData, {kErrNotSpare}, kErrNotSpare, &post, {});
   EXPECT_EQ(step.failure, "svc 11 failed with not_spare but mutated the pagedb");
-  post.db.reset();
-  step = CheckRefinement(pre, true, kSvcMapData, {kErrNotSpare}, kErrNotSpare, post.Fn());
+  step = CheckRefinement(pre, true, kSvcMapData, {kErrNotSpare}, kErrNotSpare, nullptr, {});
   EXPECT_TRUE(step.failure.empty());
   EXPECT_FALSE(step.successor.has_value());
   // A success the spec did not write: neither side wrote, so no successor.
-  step = CheckRefinement(pre, false, kSmcQuery, {kErrSuccess}, kErrSuccess, post.Fn());
+  step = CheckRefinement(pre, false, kSmcQuery, {kErrSuccess}, kErrSuccess, nullptr, {});
   EXPECT_TRUE(step.failure.empty());
   EXPECT_FALSE(step.successor.has_value());
   // The implementation wrote a PageDb the spec did not.
-  post.db = spec_db;
-  step = CheckRefinement(pre, false, kSmcQuery, {kErrSuccess}, kErrSuccess, post.Fn());
+  step = CheckRefinement(pre, false, kSmcQuery, {kErrSuccess}, kErrSuccess, &post, {});
   EXPECT_EQ(step.failure, "smc 1 pagedb diverges from spec");
 }
 
@@ -198,31 +179,26 @@ TEST(RefinementRelationTest, HavocCallsResynchronizeFromTheImplementation) {
   const PageDb pre(4);
   PageDb impl_db = pre;
   impl_db[2] = Disp(0, true, 0x8000);
-  Post post;
-  post.db = impl_db;
+  const PageDb* post = &impl_db;
   // Enter whose guard passed: any legitimate outcome, successor from the impl.
   for (const word err : {kErrSuccess, kErrInterrupted, kErrFault}) {
     const RefinementStep step =
-        CheckRefinement(pre, false, kSmcEnter, {kErrSuccess}, err, post.Fn());
+        CheckRefinement(pre, false, kSmcEnter, {kErrSuccess}, err, post, {});
     EXPECT_TRUE(step.failure.empty());
     EXPECT_TRUE(step.successor == impl_db);
   }
-  EXPECT_EQ(CheckRefinement(pre, false, kSmcResume, {kErrSuccess}, kErrNotEntered,
-                            post.Fn())
+  EXPECT_EQ(CheckRefinement(pre, false, kSmcResume, {kErrSuccess}, kErrNotEntered, post, {})
                 .failure,
             "enter/resume guard passed in spec but impl says not_entered");
   // Enter whose guard failed is modelled: the error word must match.
-  EXPECT_EQ(CheckRefinement(pre, false, kSmcEnter, {kErrNotFinal}, kErrSuccess, post.Fn())
-                .failure,
+  EXPECT_EQ(CheckRefinement(pre, false, kSmcEnter, {kErrNotFinal}, kErrSuccess, post, {}).failure,
             "smc 22 impl=success spec=not_final");
   // Exit/Attest/Verify are havoc whatever they return; GetRandom is not.
   for (const word svc : {kSvcExit, kSvcAttest, kSvcVerify}) {
-    EXPECT_TRUE(
-        CheckRefinement(pre, true, svc, {kErrSuccess}, kErrFault, post.Fn()).failure.empty());
+    EXPECT_TRUE(CheckRefinement(pre, true, svc, {kErrSuccess}, kErrFault, post, {}).failure.empty());
   }
-  EXPECT_FALSE(
-      CheckRefinement(pre, true, kSvcGetRandom, {kErrSuccess}, kErrSuccess, post.Fn())
-          .failure.empty());
+  EXPECT_FALSE(CheckRefinement(pre, true, kSvcGetRandom, {kErrSuccess}, kErrSuccess, post, {})
+                   .failure.empty());
 }
 
 }  // namespace

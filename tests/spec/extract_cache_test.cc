@@ -1,8 +1,8 @@
-// The extraction cache (DESIGN.md §12): an extraction through an ExtractCache
-// must equal a fresh TryExtractPageDb after every kind of write a machine
-// takes — word and page stores, page zeroing, snapshot resets, enclave code,
-// and monitor calls that retype a page without writing it — and a cache
-// filled on one world must never answer for another.
+// The extraction cache (DESIGN.md §12): ExtractCache::Extract must equal a
+// fresh TryExtractPageDb after every kind of write a machine takes — word and
+// page stores, page zeroing, snapshot resets, enclave code, and monitor calls
+// that retype a page without writing it — a cache filled on one world must
+// never answer for another, and an unchanged machine is read in place.
 #include "src/spec/extract.h"
 
 #include <gtest/gtest.h>
@@ -38,11 +38,16 @@ class ExtractCacheTest : public ::testing::Test {
  protected:
   ExtractCacheTest() : w(16), e(BuildCounter(w)) { before = Cached(); }
 
-  // Extracts through the cache; a fresh extraction must agree.
+  // Extracts through the cache and copies the result out; a fresh extraction
+  // must agree.
   PageDb Cached() {
-    const PageDb cached = ExtractPageDb(w.machine, &cache);
-    EXPECT_TRUE(SameDb(cached, ExtractPageDb(w.machine)));
-    return cached;
+    const PageDb* cached = cache.Extract(w.machine);
+    EXPECT_NE(cached, nullptr);
+    if (cached == nullptr) {
+      return PageDb();
+    }
+    EXPECT_TRUE(SameDb(*cached, ExtractPageDb(w.machine)));
+    return *cached;
   }
 
   paddr DataPaddr() const { return PagePaddr(e.data_pages[1]); }
@@ -55,6 +60,29 @@ class ExtractCacheTest : public ::testing::Test {
 
 TEST_F(ExtractCacheTest, UnchangedMachineReusesEveryEntry) {
   EXPECT_TRUE(SameDb(Cached(), before));
+}
+
+TEST_F(ExtractCacheTest, UnchangedMachineIsReadInPlace) {
+  // The cache hands out its own PageDb, and a second extraction of an
+  // unchanged machine neither re-decodes a page nor copies the database: the
+  // same object comes back, its data pages holding the same buffers.
+  const PageDb* first = cache.Extract(w.machine);
+  ASSERT_NE(first, nullptr);
+  std::vector<const DataPage::Words*> buffers;
+  for (const PageDbEntry& entry : first->pages) {
+    if (entry.type() == PageType::kDataPage) {
+      buffers.push_back(&entry.As<DataPage>().contents());
+    }
+  }
+  ASSERT_FALSE(buffers.empty());
+  const PageDb* second = cache.Extract(w.machine);
+  ASSERT_EQ(second, first);
+  size_t k = 0;
+  for (const PageDbEntry& entry : second->pages) {
+    if (entry.type() == PageType::kDataPage) {
+      EXPECT_EQ(&entry.As<DataPage>().contents(), buffers[k++]);
+    }
+  }
 }
 
 TEST_F(ExtractCacheTest, WordStore) {
@@ -121,17 +149,17 @@ TEST(ExtractCacheWorldsTest, CacheFilledOnOneWorldIsNotReusedOnAnother) {
   ASSERT_EQ(a.machine.mem.PageGen(data), b.machine.mem.PageGen(data));
 
   ExtractCache cache;
-  const PageDb da = ExtractPageDb(a.machine, &cache);
-  const PageDb db = ExtractPageDb(b.machine, &cache);
+  const PageDb da = *cache.Extract(a.machine);
+  const PageDb db = *cache.Extract(b.machine);
   EXPECT_TRUE(SameDb(db, ExtractPageDb(b.machine)));
   EXPECT_FALSE(da == db);
-  EXPECT_TRUE(SameDb(ExtractPageDb(a.machine, &cache), da));
+  EXPECT_TRUE(SameDb(*cache.Extract(a.machine), da));
 }
 
 TEST(ExtractCacheWorldsTest, FailedExtractionMatchesUncachedError) {
   os::World w(16);
   ExtractCache cache;
-  const PageDb good = ExtractPageDb(w.machine, &cache);
+  const PageDb good = *cache.Extract(w.machine);
   // Type page 3 with a word that names no page type.
   const paddr record = arm::kMonitorBase + kPageDbOffset + 3 * kPageDbEntryWords * arm::kWordSize;
   w.machine.mem.Write(record, 0x7777);
@@ -141,13 +169,15 @@ TEST(ExtractCacheWorldsTest, FailedExtractionMatchesUncachedError) {
   // extraction of the same memory fails the same way.
   for (int i = 0; i < 2; ++i) {
     ExtractError cached_err;
-    EXPECT_FALSE(TryExtractPageDb(w.machine, &cached_err, &cache).has_value());
+    EXPECT_EQ(cache.Extract(w.machine, &cached_err), nullptr);
     EXPECT_EQ(cached_err.page, fresh_err.page);
     EXPECT_EQ(cached_err.detail, fresh_err.detail);
   }
   // Restoring the record restores the extraction, through the same cache.
   w.machine.mem.Write(record, static_cast<word>(PageType::kFree));
-  EXPECT_TRUE(SameDb(ExtractPageDb(w.machine, &cache), good));
+  const PageDb* restored = cache.Extract(w.machine);
+  ASSERT_NE(restored, nullptr);
+  EXPECT_TRUE(SameDb(*restored, good));
 }
 
 }  // namespace

@@ -12,7 +12,10 @@
 // bytes, and the campaign-hash line pins every generated trace and verdict
 // in canonical shard order (scripts/check.sh compares serial vs parallel).
 // --shards IS part of the hash domain: it defines how the trace stream is
-// split into independently seeded substreams.
+// split into independently seeded substreams. --no-reuse changes no output,
+// yet it stays: pooled worlds track dirty pages, which sends every
+// JIT-translated store to the runtime helper, so a --no-reuse campaign is the
+// one whose interp oracle sees the JIT's inline stores (DESIGN.md §11, §13).
 //
 // --mode evolve switches the campaign from the blind trace stream to
 // coverage-guided corpus evolution (DESIGN.md §15): the call budget splits
