@@ -1,9 +1,8 @@
 // Fuzz-campaign throughput benchmark (DESIGN.md §11, §15): monitor calls/sec
-// for the differential fuzzer under (a) fresh world construction per trace —
-// the pre-pooling baseline, (b) snapshot-reset world pooling, and (c) a
-// worker sweep over --jobs. Every sweep configuration must produce the same
-// campaign hash; the bench aborts if any run disagrees, so the numbers can
-// never come from different work.
+// for the differential fuzzer on snapshot-reset world pools, serial and over
+// a worker sweep over --jobs. Every sweep configuration must produce the
+// same campaign hash; the bench aborts if any run disagrees, so the numbers
+// can never come from different work.
 //
 // The jobs sweep clamps every requested worker count to the host's hardware
 // concurrency: running 8 threads on 1 core measures scheduler thrash, not
@@ -115,13 +114,8 @@ int main(int argc, char** argv) {
   sweep.trace_len = 60;
 
   std::vector<Run> runs;
-  {
-    komodo::fuzz::CampaignOptions fresh = sweep;
-    fresh.reuse_worlds = false;
-    runs.push_back(RunConfig("serial-fresh", fresh, 1, 1, reps));
-  }
-  runs.push_back(RunConfig("serial-pooled", sweep, 1, 1, reps));  // runs[1]: per-oracle rows
-  unsigned max_effective = 1;  // job counts already measured (1 = the serial runs)
+  runs.push_back(RunConfig("serial-pooled", sweep, 1, 1, reps));  // runs[0]: per-oracle rows
+  unsigned max_effective = 1;  // job counts already measured (1 = the serial run)
   for (const int jobs : {2, 4, 8}) {
     const unsigned effective = std::min<unsigned>(static_cast<unsigned>(jobs), host_cores);
     if (effective <= max_effective) {
@@ -222,7 +216,7 @@ int main(int argc, char** argv) {
     json.Result(run.name, "jobs_effective", static_cast<double>(run.effective_jobs), "jobs");
     json.Result(run.name, "wall_seconds", run.wall_seconds, "s");
     json.Result(run.name, "calls_per_sec", CallsPerSec(run), "calls/s");
-    json.Result(run.name, "speedup_vs_serial_fresh", speedup, "x");
+    json.Result(run.name, "speedup_vs_serial_pooled", speedup, "x");
     // Pool counts are a function of the options only on one worker. With
     // several, each worker keeps its own pool and claims shards as it frees
     // up, so which worlds get built and reused depends on the scheduling.
@@ -241,7 +235,7 @@ int main(int argc, char** argv) {
 
   // Per-oracle cost in the serial-pooled run: thread-CPU seconds are summed
   // per oracle, so calls per CPU-second rates each oracle on its own work.
-  const Run& pooled = runs[1];
+  const Run& pooled = runs.front();
   std::printf("\n=== per-oracle cost (%s) ===\n", pooled.name.c_str());
   for (const komodo::fuzz::OracleStats& st : pooled.result.stats) {
     const double rate = st.cpu_seconds > 0 ? static_cast<double>(st.calls) / st.cpu_seconds : 0.0;

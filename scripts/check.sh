@@ -216,16 +216,22 @@ cmp build/fuzz-smoke-1.out build/fuzz-smoke-2.out \
   || { echo "komodo-fuzz: nondeterministic campaign output" >&2; exit 1; }
 grep -q "^campaign-hash ${FUZZ_SMOKE_HASH}\$" build/fuzz-smoke-1.out \
   || { echo "komodo-fuzz: smoke campaign hash drifted from the pinned value" >&2; exit 1; }
-# Fresh worlds track no dirty pages, so with --no-reuse every carried memory
-# compare takes the generation scan instead of the dirty lists (DESIGN.md
-# §10), and the interp oracle's JIT lane stores inline instead of through the
-# runtime helper (a pooled world's dirty tracking sends every translated
-# store there, DESIGN.md §13): this leg is the only check.sh campaign whose
-# JIT lane takes inline stores. The two paths must reach the same verdict on
-# every trace.
-./build/tools/komodo-fuzz "${FUZZ_ARGS[@]}" --no-reuse 2>/dev/null > build/fuzz-smoke-fresh.out
-cmp build/fuzz-smoke-1.out build/fuzz-smoke-fresh.out \
-  || { echo "komodo-fuzz: --no-reuse changed the campaign output" >&2; exit 1; }
+# Every injection's witness replays through the CLI: the campaign fails
+# (exit 1), its shrunk witness fails again under --replay, and passes with
+# --no-inject. A replay builds its worlds fresh, outside any campaign pool,
+# so this leg also runs the oracles on fresh worlds (DESIGN.md §11).
+for inject in initaddrspace-alias remove-skip-refcount skip-scratch-clear stale-decode; do
+  dir="build/fuzz-witness-${inject}"
+  rm -rf "${dir}" && mkdir -p "${dir}"
+  expect_exit 1 ./build/tools/komodo-fuzz --seed 5 --calls 600 --inject "${inject}" \
+    --out "${dir}" > "${dir}/campaign.out"
+  witness=("${dir}"/witness-*.trace)
+  [[ ${#witness[@]} == 1 && -f "${witness[0]}" ]] \
+    || { echo "komodo-fuzz: --inject ${inject} wrote no single witness" >&2; exit 1; }
+  expect_exit 1 ./build/tools/komodo-fuzz --replay "${witness[0]}" > "${dir}/replay.out"
+  expect_exit 0 ./build/tools/komodo-fuzz --replay "${witness[0]}" --no-inject \
+    > "${dir}/replay-clean.out"
+done
 # 7.5x the smoke's calls per oracle at the default trace length.
 FUZZ_WIDE_HASH=f9452d68029e66a079c407a318396b494123ff93d3632cd92f08704677c90f31
 ./build/tools/komodo-fuzz --seed 1 --calls 3000 --jobs 2 --out build 2>/dev/null \

@@ -41,14 +41,14 @@ PhysMemory::PhysMemory(word nsecure_pages)
       insecure_(kInsecureSize / kWordSize),
       monitor_(kMonitorSize / kWordSize),
       secure_(static_cast<size_t>(nsecure_pages) * kWordsPerPage),
-      page_gen_((kInsecureSize + kMonitorSize) / kPageSize + nsecure_pages, 0) {
+      page_gen_((kInsecureSize + kMonitorSize) / kPageSize + nsecure_pages, 0),
+      dirty_map_(page_gen_.size(), 0) {
   assert(nsecure_pages >= 1 && nsecure_pages <= kMaxSecurePages);
 }
 
 PhysMemory::PhysMemory(const PhysMemory& o) : PhysMemory(o.nsecure_pages_) {
   resets_ = o.resets_;
   page_gen_ = o.page_gen_;
-  track_dirty_ = o.track_dirty_;
   dirty_map_ = o.dirty_map_;
   dirty_list_ = o.dirty_list_;
   // A page with generation 0 was never written, so the fresh mapping's zeros
@@ -97,9 +97,7 @@ void PhysMemory::WritePage(paddr page_base, const word in[kWordsPerPage]) {
   std::memcpy(backing->data() + index, in, kPageSize);
   const size_t page_index = PageIndexOf(page_base);
   ++page_gen_[page_index];
-  if (track_dirty_) {
-    MarkDirty(page_index);
-  }
+  MarkDirty(page_index);
 }
 
 void PhysMemory::ZeroPage(paddr page_base) {
@@ -110,9 +108,7 @@ void PhysMemory::ZeroPage(paddr page_base) {
   std::fill_n(backing->data() + index, kWordsPerPage, 0u);
   const size_t page_index = PageIndexOf(page_base);
   ++page_gen_[page_index];
-  if (track_dirty_) {
-    MarkDirty(page_index);
-  }
+  MarkDirty(page_index);
 }
 
 word* PhysMemory::PageWords(size_t page_index) {
@@ -128,15 +124,7 @@ word* PhysMemory::PageWords(size_t page_index) {
   return secure_.data() + (page_index - kInsecurePages - kMonitorPages) * kWordsPerPage;
 }
 
-void PhysMemory::EnableDirtyTracking() {
-  ++resets_;
-  track_dirty_ = true;
-  dirty_map_.assign(page_gen_.size(), 0);
-  dirty_list_.clear();
-}
-
 size_t PhysMemory::ResetTo(const PhysMemory& snapshot) {
-  assert(track_dirty_);
   assert(nsecure_pages_ == snapshot.nsecure_pages_);
   const size_t restored = dirty_list_.size();
   for (const uint32_t page_index : dirty_list_) {
@@ -181,8 +169,7 @@ std::optional<size_t> MemoryCompare::FirstDifference(const PhysMemory& a, const 
   };
   // Every page written since the carry is on a dirty list unless a reset
   // restarted one of the lists since.
-  const bool listed = carried && a.track_dirty_ && b.track_dirty_ && a.resets_ == resets_a_ &&
-                      b.resets_ == resets_b_;
+  const bool listed = carried && a.resets_ == resets_a_ && b.resets_ == resets_b_;
   // Calls `f` once for each in-scope page on either dirty list.
   const auto for_each_listed = [&](const auto& f) {
     for (const PhysMemory* m : {&a, &b}) {

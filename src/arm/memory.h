@@ -21,13 +21,14 @@
 // MemoryCompare leans on the same counters, and on the dirty lists below, to
 // compare two memories in O(pages written) rather than O(memory).
 //
-// Snapshot-reset (DESIGN.md §11): with dirty tracking enabled, every store
-// also records the containing page in a dirty list (once per page), so
+// Snapshot-reset (DESIGN.md §11): every store also records the containing
+// page in a dirty list (once per page), which only ResetTo empties, so
 // ResetTo(snapshot) can restore the memory to a previously copied state by
-// rewriting only the pages written since tracking began — O(pages actually
-// dirtied) instead of O(total memory). The fuzz campaign's per-worker world
-// pools lean on this to replace a ~17 MB zero-and-reconstruct per trace with
-// a copy of the handful of pages the previous trace touched.
+// rewriting only the pages written since — O(pages actually dirtied) instead
+// of O(total memory). The fuzz campaign's per-worker world pools lean on this
+// to replace a ~17 MB zero-and-reconstruct per trace with a copy of the
+// handful of pages the previous trace touched. The JIT's inline stores skip
+// the list, so they go only to pages already on it (DESIGN.md §13).
 #ifndef SRC_ARM_MEMORY_H_
 #define SRC_ARM_MEMORY_H_
 
@@ -127,9 +128,7 @@ class PhysMemory {
     assert(p != nullptr);
     *p = value;
     ++page_gen_[page_index];
-    if (track_dirty_) {
-      MarkDirty(page_index);
-    }
+    MarkDirty(page_index);
   }
 
   // Generation bookkeeping for the interpreter caches: every store bumps the
@@ -154,12 +153,15 @@ class PhysMemory {
   // Raw views for the JIT's probe stubs (DESIGN.md §13), which serve a load
   // or store from emitted code, and for the spec's view of MapSecure's source
   // page: the first word of page `page_index` in host memory (null for
-  // kNoPage), and the generation array, which an inline store bumps exactly
-  // as Write does.
+  // kNoPage), the generation array, which an inline store bumps exactly as
+  // Write does, and the dirty map (one byte per page, non-zero while the page
+  // is on the dirty list), which an inline store requires set instead of
+  // setting it.
   const word* PageHost(size_t page_index) const {
     return page_index == kNoPage ? nullptr : PageWords(page_index);
   }
   uint32_t* page_gens() { return page_gen_.data(); }
+  const uint8_t* dirty_map() const { return dirty_map_.data(); }
 
   // Bulk helpers used by loaders, page initialisation and hashing.
   void ReadPage(paddr page_base, word out[kWordsPerPage]) const;
@@ -171,32 +173,28 @@ class PhysMemory {
   void ReadPageBytes(paddr page_base, uint8_t* bytes_out) const;
 
   // --- Snapshot-reset support (DESIGN.md §11) --------------------------------
-  // Starts recording which pages are written from this point on (clears any
-  // previously recorded dirty set, which counts as a reset for MemoryCompare).
-  // Tracking is off by default; nothing in a normal run pays more than one
-  // predictable branch per store.
-  void EnableDirtyTracking();
-  bool dirty_tracking() const { return track_dirty_; }
-  // Pages written since EnableDirtyTracking / the last ResetTo, as global
-  // page indices (the PageIndexOf/PageGenAt space).
+  // Pages written since construction or the last ResetTo, as global page
+  // indices (the PageIndexOf/PageGenAt space). A copy starts with its
+  // original's list.
   const std::vector<uint32_t>& dirty_pages() const { return dirty_list_; }
   // Adds pages (in the same index space) to the dirty set without writing
   // them, so the next ResetTo restores them too.
   void MarkPagesDirty(const std::vector<uint32_t>& pages) {
-    assert(track_dirty_);
     for (const uint32_t page_index : pages) {
       MarkDirty(page_index);
     }
   }
 
-  // Restores this memory to `snapshot` (a copy taken when the dirty set was
-  // last empty, i.e. at EnableDirtyTracking or right after a ResetTo) by
-  // copying back only the dirty pages, then clears the dirty set. Each
-  // restored page's generation is bumped — never rolled back — so decode
-  // cache and micro-TLB entries can never mistake pre-reset contents for
-  // post-reset contents (the caller must still invalidate caches whose
-  // entries embed generation *indices* that stay valid; MachineState::ResetTo
-  // does). Geometries must match. Returns the number of pages restored.
+  // Restores this memory to `snapshot` by copying back only the dirty pages,
+  // then clears the dirty set. That is exact when every page where the two
+  // differ is listed: `snapshot` is a copy of this memory taken since its
+  // last ResetTo, or the target of that ResetTo, and the caller has marked
+  // any other page that differs with MarkPagesDirty. Each restored page's
+  // generation is bumped — never rolled back — so decode cache and micro-TLB
+  // entries can never mistake pre-reset contents for post-reset contents
+  // (the caller must still invalidate caches whose entries embed generation
+  // *indices* that stay valid; MachineState::ResetTo does). Geometries must
+  // match. Returns the number of pages restored.
   size_t ResetTo(const PhysMemory& snapshot);
 
   // Architectural equality: contents only (a fresh MemoryCompare). Page
@@ -237,8 +235,8 @@ class PhysMemory {
   }
 
   word nsecure_pages_;
-  // ResetTo and EnableDirtyTracking calls: each restarts the dirty list, so a
-  // MemoryCompare carry taken before one may miss pages it no longer lists.
+  // ResetTo calls: each restarts the dirty list, so a MemoryCompare carry
+  // taken before one may miss pages it no longer lists.
   // Sits in the padding after nsecure_pages_, so MachineState's field offsets,
   // which the JIT bakes into emitted code, do not move.
   uint32_t resets_ = 0;
@@ -248,9 +246,7 @@ class PhysMemory {
   // One generation counter per mapped page, across all three regions in
   // layout order (insecure, monitor, secure).
   std::vector<uint32_t> page_gen_;
-  // Dirty-page recording for snapshot-reset; empty/disabled unless
-  // EnableDirtyTracking was called.
-  bool track_dirty_ = false;
+  // Dirty-page recording for snapshot-reset.
   std::vector<uint8_t> dirty_map_;    // one flag per mapped page
   std::vector<uint32_t> dirty_list_;  // insertion-ordered dirty page indices
 };
@@ -288,13 +284,13 @@ inline const word* PhysMemory::WordPtr(paddr addr, size_t* page_index) const {
 // for the same pair rescans only the pages whose generation has moved in
 // either memory since. That is sound because every store into a PhysMemory
 // bumps its page's generation and a PhysMemory is never assigned, so a page
-// whose generations have not moved still holds what compared equal. When both
-// memories track dirty pages and neither was reset since the carry was taken,
-// every page written since is on one of the two dirty lists, so the call
-// walks those lists instead of every generation; otherwise it scans the
-// generations. A MemoryCompare handed a different pair of memories starts
-// afresh; the memories must outlive it. Generations are 32-bit: a page would
-// have to take 2^32 stores between two calls for the carry to miss one.
+// whose generations have not moved still holds what compared equal. When
+// neither memory was reset since the carry was taken, every page written
+// since is on one of the two dirty lists, so the call walks those lists
+// instead of every generation; otherwise it scans the generations. A
+// MemoryCompare handed a different pair of memories starts afresh; the
+// memories must outlive it. Generations are 32-bit: a page would have to
+// take 2^32 stores between two calls for the carry to miss one.
 class MemoryCompare {
  public:
   // The pages compared: all of memory, or insecure RAM only (the OS's view).

@@ -159,7 +159,7 @@ void ReportFailure(const CampaignOptions& opts, const ShardFailure& failure,
     log(out.str());
   }
   if (opts.shrink) {
-    WorldPool shrink_pool(FuzzMonitorConfig(), opts.reuse_worlds);
+    WorldPool shrink_pool;
     result.witness = ShrinkTrace(
         result.original, [&](const Trace& c) { return RunTrace(c, true, &shrink_pool); },
         &result.shrink);
@@ -231,7 +231,7 @@ CampaignResult RunCampaign(const CampaignOptions& opts,
                                       : std::max(1u, std::thread::hardware_concurrency());
   std::vector<std::unique_ptr<WorldPool>> pools(std::min<size_t>(jobs, tasks.size()));
   for (auto& p : pools) {
-    p = std::make_unique<WorldPool>(FuzzMonitorConfig(), opts.reuse_worlds);
+    p = std::make_unique<WorldPool>();
   }
 
   // Per-(oracle, shard) call ledger, the only budget split. Each shard owns

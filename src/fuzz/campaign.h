@@ -57,7 +57,6 @@ struct CampaignOptions {
   bool shrink = true;            // minimize the canonically first failure
   int jobs = 1;                  // worker threads; <= 0 = hardware concurrency
   uint32_t shards = 16;          // work split per oracle; part of the hash domain
-  bool reuse_worlds = true;      // snapshot-reset world pooling (perf only)
   CampaignMode mode = CampaignMode::kBlind;
   // Evolve-mode knobs (all in the v3 hash domain):
   uint32_t rounds = 4;           // corpus generations the call budget splits over

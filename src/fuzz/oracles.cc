@@ -198,13 +198,23 @@ Verdict RunSpecBacked(const Trace& t, bool with_spec, WorldPool& pool, CoverageM
     driver = *std::move(built);
   }
 
-  // `d` is the state each op starts from. Under refinement it is the spec's
-  // state: the boot extraction, then each passing step's successor, since
-  // the step has shown that the machine extracts to it. The invariants
-  // oracle has no spec, so its state is the last extraction, in the cache.
+  // `d` is the state each op starts from. The boot state is the trace's
+  // first extraction through its cache, so the first call decodes only the
+  // pages it changed. Under refinement `d` is the spec's state: a copy of
+  // the boot state, then each passing step's successor, since the step has
+  // shown that the machine extracts to it. The invariants oracle has no
+  // spec, so its state is the last extraction, read in place in the cache.
   spec::ExtractCache cache;
-  spec::PageDb spec_db = spec::ExtractPageDb(w.machine);
-  const spec::PageDb* d = &spec_db;
+  std::string boot_why;
+  const spec::PageDb* d = Extract(w, cache, &boot_why);
+  if (d == nullptr) {
+    return Fail(-1, "harness: boot state: " + boot_why);
+  }
+  spec::PageDb spec_db;
+  if (with_spec) {
+    spec_db = *d;
+    d = &spec_db;
+  }
   // Extracts the post-state of the op's monitor call and, under refinement,
   // relates the call to the spec's `expected` result. Returns the failure
   // detail, or "" when the call passes.
@@ -533,8 +543,9 @@ std::vector<std::string> MachineDiff(const arm::MachineState& a, const arm::Mach
 }
 
 Verdict RunTrace(const Trace& t, bool apply_inject, WorldPool* pool, CoverageMap* cover) {
-  // One-shot callers get a throwaway pool, which degenerates to the old
-  // construct-per-run behaviour (every Acquire builds a fresh world).
+  // One-shot callers get a throwaway pool, so every Acquire builds a fresh
+  // world. Its memory tracks dirty pages as a pooled one does, so the run
+  // takes the same store path as in a campaign (DESIGN.md §13).
   WorldPool local_pool;
   WorldPool& p = pool != nullptr ? *pool : local_pool;
   const std::string inject = apply_inject ? t.inject : std::string();

@@ -27,22 +27,16 @@ WorldPool::Lease WorldPool::Acquire(word pages) {
   Lease::Slot slot;
   slot.world = std::make_unique<os::World>(pages, config_);
   ++stats_.constructions;
-  if (reuse_) {
-    slot.world->machine.mem.EnableDirtyTracking();
-    if (bucket.snapshot == nullptr) {
-      // Boot is deterministic, so this world's post-boot state doubles as the
-      // reset target for every later world of the same geometry.
-      bucket.snapshot = std::make_shared<const arm::MachineState>(slot.world->machine);
-    }
-    slot.snapshot = bucket.snapshot;
+  if (bucket.snapshot == nullptr) {
+    // Boot is deterministic, so this world's post-boot state doubles as the
+    // reset target for every later world of the same geometry.
+    bucket.snapshot = std::make_shared<const arm::MachineState>(slot.world->machine);
   }
+  slot.snapshot = bucket.snapshot;
   return Lease(this, std::move(slot));
 }
 
 void WorldPool::Release(Lease::Slot slot) {
-  if (!reuse_) {
-    return;  // drop it; the next Acquire constructs fresh (baseline mode)
-  }
   buckets_[slot.world->machine.mem.nsecure_pages()].free.push_back(std::move(slot));
 }
 

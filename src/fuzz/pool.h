@@ -7,17 +7,20 @@
 // pay it twice per trace. A WorldPool keeps booted worlds alive between
 // traces and resets them with the snapshot-reset machinery instead:
 //
-//   * at first construction the world's memory turns on dirty-page tracking
-//     and a full copy of the post-boot MachineState is captured (one shared
-//     copy per world geometry, since boot is deterministic);
+//   * at the first construction of a geometry a full copy of the post-boot
+//     MachineState is captured (one shared copy per world geometry, since
+//     boot is deterministic);
 //   * Acquire hands out a pooled world after os::World::ResetTo(snapshot):
-//     MachineState::ResetTo, which rewrites only the pages the previous trace
-//     dirtied and invalidates the interpreter caches, plus
-//     Monitor::ResetForReuse and Os::ResetForReuse for the C++-side
-//     bookkeeping.
+//     MachineState::ResetTo, which rewrites only the pages on the memory's
+//     dirty list (those the previous trace wrote, and at a world's first
+//     reset those boot wrote, which hold the snapshot's contents) and
+//     invalidates the interpreter caches, plus Monitor::ResetForReuse and
+//     Os::ResetForReuse for the C++-side bookkeeping.
 //
 // The result is state-equal to a fresh construction (pinned by
-// tests/fuzz/parallel_campaign_test.cc) at a small fraction of the cost.
+// tests/fuzz/parallel_campaign_test.cc) at a small fraction of the cost, and
+// every memory tracks its dirty pages, so a pooled world and a fresh one run
+// the same code, the JIT's store path included (DESIGN.md §11, §13).
 //
 // Pools are deliberately NOT thread-safe: the parallel campaign driver gives
 // each worker thread its own pool, which also keeps every Observability
@@ -43,9 +46,7 @@ Monitor::Config FuzzMonitorConfig();
 
 class WorldPool {
  public:
-  explicit WorldPool(const Monitor::Config& config = FuzzMonitorConfig(),
-                     bool reuse = true)
-      : config_(config), reuse_(reuse) {}
+  explicit WorldPool(const Monitor::Config& config = FuzzMonitorConfig()) : config_(config) {}
   WorldPool(const WorldPool&) = delete;
   WorldPool& operator=(const WorldPool&) = delete;
 
@@ -86,11 +87,10 @@ class WorldPool {
 
   // Hands out a world with `pages` secure pages, booted and in its pristine
   // post-boot state: a pooled world reset via snapshot, or a fresh
-  // construction when the pool is empty (or reuse is disabled).
+  // construction when the pool has no free world of that size.
   Lease Acquire(word pages);
 
   const Stats& stats() const { return stats_; }
-  bool reuse() const { return reuse_; }
 
  private:
   friend class Lease;
@@ -101,7 +101,6 @@ class WorldPool {
   void Release(Lease::Slot slot);
 
   Monitor::Config config_;
-  bool reuse_;
   std::unordered_map<word, Bucket> buckets_;  // keyed by secure-page count
   Stats stats_;
 };

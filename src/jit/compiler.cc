@@ -1131,10 +1131,12 @@ CompiledBlock CompileBlock(const arm::PhysMemory& mem, arm::vaddr va, arm::paddr
 // the access's permission to the micro-TLB entry and, if the access may hit,
 // records the key. Loads may use any hit: only user-readable walks are
 // cached. A store hits only when the entry allows inline stores (writable,
-// outside the live page-table footprint) and the page is not the running
-// block's code page; every store hit bumps the page's generation as
+// outside the live page-table footprint), the page is not the running
+// block's code page, and the page is already on the memory's dirty list, so
+// the store need not list it; every store hit bumps the page's generation as
 // PhysMemory::Write does. A hit counts in r15; everything else returns 0
-// with ZF set, and the access takes its helper.
+// with ZF set, and the access takes its helper, whose PhysMemory::Write
+// lists the page for the stores after it.
 void EmitStubs(std::vector<uint8_t>& out, size_t entry[kNumStubs]) {
   using Alu = X64Emitter::Alu;
   using Sh = X64Emitter::Sh;
@@ -1180,7 +1182,7 @@ void EmitStubs(std::vector<uint8_t>& out, size_t entry[kNumStubs]) {
     const auto miss_if = [&](uint8_t cc) { misses.push_back(e.JccForward(cc)); };
     e.PushR64(RCX);
     e.PushR64(RDX);
-    e.LoadMem64(RCX, RBP, store ? kRtOffStoreTlb : kRtOffLoadTlb);
+    e.LoadMem64(RCX, RBP, kRtOffTlb);
     e.AluRegReg64(Alu::kAdd, RCX, RDI);
     e.AluRegReg64(Alu::kAdd, RCX, RDI);  // rcx = &entries[slot]
     e.MovRegReg32(RDX, RSI);
@@ -1210,6 +1212,10 @@ void EmitStubs(std::vector<uint8_t>& out, size_t entry[kNumStubs]) {
       e.LoadMem64(RDX, RCX, offsetof(TlbEntry, gen_idx));
       e.CmpRegMem64(RDX, RBP, kRtOffCodeGenIdx);
       miss_if(kCcE);
+      e.AluRegMem64(Alu::kAdd, RDX, RBP, kRtOffDirty);
+      e.CmpMem8Imm(RDX, 0, 0);
+      miss_if(kCcE);  // not on the dirty list
+      e.AluRegMem64(Alu::kSub, RDX, RBP, kRtOffDirty);
       e.AluRegReg64(Alu::kAdd, RDX, RDX);
       e.AluRegReg64(Alu::kAdd, RDX, RDX);
       e.AluRegMem64(Alu::kAdd, RDX, RBP, kRtOffGens);

@@ -206,23 +206,22 @@ RunOutcome TryRunBlock(arm::MachineState& m, uint64_t max_steps) {
   rt.exit_jump = nullptr;
   rt.ttbr0 = m.ttbr0;
   rt.gens = m.mem.page_gens();
+  rt.dirty = m.mem.dirty_map();
   rt.code_gen_idx = e->gen_idx;
   // The probes may hit only where TranslateAddress would take the cached
-  // secure-user walk; stores also need PhysMemory::Write's dirty tracking
-  // off, since an inline store does not record its page. Chained blocks
-  // share all of this: nothing a translated block does changes the mode,
-  // the world, TTBR0 or dirty tracking, and a store that clears
-  // tlb_consistent ends the block through the restart exit. A new stamp
-  // orphans every pass the probes recorded in earlier runs.
+  // secure-user walk. Chained blocks share this: nothing a translated block
+  // does changes the mode, the world or TTBR0, and a store that clears
+  // tlb_consistent ends the block through the restart exit. A store probe
+  // also requires its page on the dirty list, which only a ResetTo between
+  // runs empties, so a pass stays true for the run. A new stamp orphans
+  // every pass the probes recorded in earlier runs.
   const arm::InterpCaches::TlbProbe tlb = m.interp.Probe();
-  rt.load_tlb = kMissTlb;
-  rt.store_tlb = kMissTlb;
+  rt.tlb = kMissTlb;
   rt.tlb_hits = tlb.hits;
   rt.NewStamp();
   if (m.cpsr.mode == arm::Mode::kUser && m.CurrentWorld() == arm::World::kSecure &&
       m.tlb_consistent) {
-    rt.load_tlb = tlb.entries;
-    rt.store_tlb = m.mem.dirty_tracking() ? kMissTlb : tlb.entries;
+    rt.tlb = tlb.entries;
     rt.tlb_epoch = tlb.epoch;
   }
   const uint64_t steps_before = m.steps_retired;

@@ -59,10 +59,10 @@ static_assert(sizeof(arm::word) == 4, "guest registers must be 32-bit");
 // disp8]`, 3 bytes): in esi the guest VA; out in rax the host address of the
 // byte or word with ZF clear, or rax = 0 with ZF set when the access must
 // take the runtime helper (a micro-TLB miss, a fault, or a store that needs
-// NoteStore or a restart check). Besides rax the stubs clobber only rdi, and
-// they keep rsi, so a miss hands the VA on to the helper unchanged. They
-// count each hit in r15, which the exit stubs add to
-// InterpCacheStats::tlb_hits.
+// NoteStore, a restart check or its page put on the dirty list). Besides rax
+// the stubs clobber only rdi, and they keep rsi, so a miss hands the VA on to
+// the helper unchanged. They count each hit in r15, which the exit stubs add
+// to InterpCacheStats::tlb_hits.
 //
 // A helper is called through a call stub of its own (`call [rbp + disp8]`)
 // with the VA in esi, a store's value in edi and the helper site (below) in
@@ -153,14 +153,15 @@ struct JitRt {
                            // remaining translated tail is stale)
   uint32_t restart;        // set by store helpers: exit after this instruction
   uint32_t ttbr0;          // the TTBR0 a probe hit must have been walked under
-  // Probe inputs (DESIGN.md §13). load_tlb is the live micro-TLB only when
-  // TranslateAddress would take its cached secure-user walk, store_tlb only
-  // when, in addition, a store may skip PhysMemory::Write's dirty tracking;
-  // otherwise each is kMissTlb, on which every probe misses.
-  const arm::InterpCaches::TlbEntry* load_tlb;
-  const arm::InterpCaches::TlbEntry* store_tlb;
+  // Probe inputs (DESIGN.md §13). tlb is the live micro-TLB only when
+  // TranslateAddress would take its cached secure-user walk, and otherwise
+  // kMissTlb, on which every probe misses.
+  const arm::InterpCaches::TlbEntry* tlb;
   uint64_t tlb_epoch;
   uint32_t* gens;         // PhysMemory's page generations
+  // PhysMemory's dirty map: a store probe hits only a page already on the
+  // dirty list, since an inline store does not list its page.
+  const uint8_t* dirty;
   uint64_t* tlb_hits;     // InterpCacheStats::tlb_hits, which the exit stubs add r15 to
   size_t code_gen_idx;    // generation index of the running block's code page
   uint8_t* exit_jump;     // set by the unlinked stub: its site's exit jump
@@ -201,10 +202,10 @@ inline constexpr int32_t kRtOffBlockPhysLo = RtDisp(offsetof(JitRt, block_phys_l
 inline constexpr int32_t kRtOffBlockPhysHi = RtDisp(offsetof(JitRt, block_phys_hi));
 inline constexpr int32_t kRtOffRestart = RtDisp(offsetof(JitRt, restart));
 inline constexpr int32_t kRtOffTtbr0 = RtDisp(offsetof(JitRt, ttbr0));
-inline constexpr int32_t kRtOffLoadTlb = RtDisp(offsetof(JitRt, load_tlb));
-inline constexpr int32_t kRtOffStoreTlb = RtDisp(offsetof(JitRt, store_tlb));
+inline constexpr int32_t kRtOffTlb = RtDisp(offsetof(JitRt, tlb));
 inline constexpr int32_t kRtOffTlbEpoch = RtDisp(offsetof(JitRt, tlb_epoch));
 inline constexpr int32_t kRtOffGens = RtDisp(offsetof(JitRt, gens));
+inline constexpr int32_t kRtOffDirty = RtDisp(offsetof(JitRt, dirty));
 inline constexpr int32_t kRtOffTlbHits = RtDisp(offsetof(JitRt, tlb_hits));
 inline constexpr int32_t kRtOffCodeGenIdx = RtDisp(offsetof(JitRt, code_gen_idx));
 inline constexpr int32_t kRtOffExitJump = RtDisp(offsetof(JitRt, exit_jump));

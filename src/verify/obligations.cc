@@ -24,7 +24,6 @@ ObligationResult FailOb(std::string detail, word impl_err) {
 
 ConcreteWorld::ConcreteWorld(const WorldSpec& spec)
     : world_(spec.pages, fuzz::FuzzMonitorConfig()), boot_db_(0) {
-  world_.machine.mem.EnableDirtyTracking();
   boot_ = std::make_unique<arm::MachineState>(world_.machine);
   mid_ = std::make_unique<arm::MachineState>(world_.machine);
   boot_db_ = spec::ExtractPageDb(world_.machine);

@@ -101,7 +101,7 @@ class ConcreteWorld {
 
   os::World world_;
   spec::PageDb boot_db_;
-  std::unique_ptr<arm::MachineState> boot_;  // post-boot, dirty set empty
+  std::unique_ptr<arm::MachineState> boot_;  // post-boot
   std::unique_ptr<arm::MachineState> mid_;   // post-replay, refreshed per path
   std::vector<uint32_t> path_pages_;         // pages where mid_ differs from boot_
   spec::ExtractCache extract_cache_;         // RunStaged's post-state extractions

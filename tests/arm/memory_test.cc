@@ -165,7 +165,6 @@ TEST(MemoryTest, MappedBackingReadsZeroAndCopiesDeep) {
   PhysMemory snapshot(8);
   snapshot.Write(kMonitorBase + kPageSize + 8, 11);
   PhysMemory b(8);
-  b.EnableDirtyTracking();
   b.Write(kSecurePagesBase + 3 * kPageSize + 12, 12);
   b.ZeroPage(kSecurePagesBase + 3 * kPageSize);
   b.Write(kInsecureBase, 13);
@@ -182,6 +181,34 @@ TEST(MemoryTest, MappedBackingReadsZeroAndCopiesDeep) {
     EXPECT_EQ(m->Read(kSecurePagesBase + 3 * kPageSize + 12), 0u);
     EXPECT_EQ(m->Read(kSecurePagesBase + 5 * kPageSize), 14u);
   }
+}
+
+// Every memory lists the pages it writes from construction on, whichever
+// call writes them, a copy starts with its source's list, and only ResetTo
+// empties it: the JIT's inline stores and every reset rely on the list.
+TEST(MemoryTest, EveryWriterListsItsPageUntilAReset) {
+  std::vector<uint32_t> pages;
+  PhysMemory snapshot(8);
+  for (word page = 0; page < 3; ++page) {
+    const paddr base = kSecurePagesBase + page * kPageSize;
+    snapshot.Write(base + 4, 0x50 + page);
+    pages.push_back(static_cast<uint32_t>(snapshot.PageIndexOf(base)));
+  }
+  EXPECT_EQ(snapshot.dirty_pages(), pages);
+  PhysMemory m(snapshot);
+  EXPECT_EQ(m.dirty_pages(), pages);
+  ASSERT_EQ(m.ResetTo(snapshot), 3u);
+  ASSERT_TRUE(m.dirty_pages().empty());
+
+  // One page each through Write, WritePage and ZeroPage, then one again.
+  const word in[kWordsPerPage] = {7};
+  m.Write(kSecurePagesBase + 8, 1);
+  m.WritePage(kSecurePagesBase + kPageSize, in);
+  m.ZeroPage(kSecurePagesBase + 2 * kPageSize);
+  m.Write(kSecurePagesBase + 12, 2);
+  EXPECT_EQ(m.dirty_pages(), pages);
+  EXPECT_EQ(m.ResetTo(snapshot), 3u);
+  EXPECT_EQ(ScanFirstDifference(m, snapshot), std::nullopt);
 }
 
 TEST(MemoryTest, CompareReportsLowestWordAndGeometry) {
@@ -256,8 +283,6 @@ TEST(MemoryTest, CarriedCompareMatchesFullScanUnderRandomStores) {
   }
   PhysMemory a(snapshot);
   PhysMemory b(snapshot);
-  a.EnableDirtyTracking();
-  b.EnableDirtyTracking();
 
   std::mt19937 rng(20261017);
   const auto below = [&rng](size_t n) { return static_cast<size_t>(rng() % n); };

@@ -1,12 +1,15 @@
 // Pins the parallel-campaign determinism contract (DESIGN.md §11): the
 // campaign hash, stats and failure report are a pure function of the options
 // for any --jobs count, and snapshot-reset world reuse is state-equal to
-// fresh construction.
+// fresh construction and reaches the same verdict on every trace.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <set>
 
 #include "src/fuzz/campaign.h"
+#include "src/fuzz/generator.h"
+#include "src/fuzz/inject.h"
 #include "src/fuzz/oracles.h"
 #include "src/fuzz/pool.h"
 #include "src/os/world.h"
@@ -37,6 +40,11 @@ TEST(ParallelCampaign, JobsInvariantHashAndStats) {
   EXPECT_FALSE(a.failed) << a.verdict.detail << "\n" << a.original.Format();
   EXPECT_FALSE(b.failed) << b.verdict.detail << "\n" << b.original.Format();
   EXPECT_EQ(a.hash, b.hash);
+  // The serial run's one pool serves nearly every trace from a reset world:
+  // pooling must beat one construction per acquire by a wide margin.
+  EXPECT_GT(a.worlds_reused, 0u);
+  EXPECT_GT(a.pages_restored, 0u);
+  EXPECT_LT(a.worlds_built, (a.worlds_built + a.worlds_reused) / 4);
   ASSERT_EQ(a.stats.size(), b.stats.size());
   for (size_t i = 0; i < a.stats.size(); ++i) {
     EXPECT_EQ(a.stats[i].oracle, b.stats[i].oracle);
@@ -47,24 +55,32 @@ TEST(ParallelCampaign, JobsInvariantHashAndStats) {
   }
 }
 
-// World pooling changes no result: disabling reuse reruns every trace on a
-// freshly constructed world and must reproduce the pooled hash exactly. The
-// fresh run is also one of the few randomized runs whose interp oracle sees
-// the JIT's inline stores: a pooled world tracks dirty pages, which sends
-// every translated store to the runtime helper (DESIGN.md §11, §13).
-TEST(ParallelCampaign, PoolReuseDoesNotChangeTheHash) {
-  CampaignOptions pooled = SmokeOptions();
-  CampaignOptions fresh = SmokeOptions();
-  fresh.reuse_worlds = false;
-
-  const CampaignResult a = RunCampaign(pooled);
-  const CampaignResult b = RunCampaign(fresh);
-  EXPECT_EQ(a.hash, b.hash);
-  EXPECT_GT(a.worlds_reused, 0u);
-  EXPECT_EQ(b.worlds_reused, 0u);
-  EXPECT_GT(a.pages_restored, 0u);
-  // Pooling must beat one-construction-per-acquire by a wide margin.
-  EXPECT_LT(a.worlds_built, b.worlds_built / 4);
+// World pooling changes no verdict: every trace of a fixed set, for all
+// four oracles, reaches the same verdict replayed through one pool shared
+// by all of them as through a pool of its own, which builds every world
+// fresh. The second trace of each shard carries an injection, so failing
+// verdicts, with their details, are compared too.
+TEST(ParallelCampaign, PooledAndFreshWorldsReachTheSameVerdicts) {
+  WorldPool shared;
+  int failures = 0;
+  for (const std::string& oracle : OracleNames()) {
+    for (uint32_t shard = 0; shard < 16; ++shard) {
+      for (uint64_t k = 0; k < 2; ++k) {
+        Trace t = GenerateTrace(oracle, ShardTraceSeed(20260807, shard, k), 40);
+        t.inject = k == 0 ? "" : kInjectNames[shard % std::size(kInjectNames)];
+        WorldPool own;
+        const Verdict pooled = RunTrace(t, /*apply_inject=*/true, &shared);
+        const Verdict fresh = RunTrace(t, /*apply_inject=*/true, &own);
+        EXPECT_EQ(pooled.failed, fresh.failed) << oracle << " seed " << t.seed;
+        EXPECT_EQ(pooled.failing_op, fresh.failing_op) << oracle << " seed " << t.seed;
+        EXPECT_EQ(pooled.detail, fresh.detail) << oracle << " seed " << t.seed;
+        EXPECT_EQ(own.stats().resets, 0u);
+        failures += pooled.failed ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_GT(shared.stats().resets, 0u);
+  EXPECT_GT(failures, 0);
 }
 
 // (b) An injected fault is caught, attributed and shrunk to the same witness
@@ -138,7 +154,6 @@ TEST(ParallelCampaign, ShardSeedStreamsAreDisjoint) {
 TEST(SnapshotReset, ResetToEqualsFreshConstruction) {
   const word pages = 24;
   os::World w(pages, FuzzMonitorConfig());
-  w.machine.mem.EnableDirtyTracking();
   const arm::MachineState snapshot = w.machine;
 
   // Dirty all three memory regions: insecure scratch, monitor globals and

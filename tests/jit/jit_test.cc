@@ -10,6 +10,7 @@
 // support.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <cstdlib>
@@ -115,7 +116,6 @@ TEST(ExecModeTest, CopiesAndResetsCarryTheModeButColdCaches) {
     EXPECT_EQ(copy.interp.ResidentDecodeAddrs().size(), 0u);
   }
   MachineState m(8);
-  m.mem.EnableDirtyTracking();
   m.SetExecMode(ExecMode::kUncached);
   const MachineState snapshot = m;
   m.SetExecMode(ExecMode::kJit);
@@ -1333,7 +1333,6 @@ TEST(JitChain, ResetBetweenRunsDropsLinks) {
     WriteWords(m, Page(2), code);
     EnterUser(m, kL1, kUserCode);
     m.r[2] = 10;
-    m.mem.EnableDirtyTracking();
     const MachineState snapshot = m;
     const auto run = [&m](word expected_r1) {
       ASSERT_EQ(RunUntilException(m, 1000), Exception::kSvc);
@@ -1469,10 +1468,11 @@ TEST(JitCodeSize, ShippedProgramsStayCompact) {
 }
 
 TEST(JitSecureUser, DirtyTrackedResetAfterTranslatedStoresMatchesTheSnapshot) {
-  // A fuzz-pool world tracks dirty pages and resets to its snapshot by
-  // restoring only those. Every store page is first warmed by a load, so a
-  // store served inline from the probe would leave its page off the dirty
-  // list, and the reset would keep the store.
+  // A memory tracks its dirty pages, and a reset to a snapshot restores only
+  // those. Every store page is first warmed by a load, and page 4 is not on
+  // the dirty list when the run starts, so a probe that served its first
+  // store inline would leave the page off the list, and the reset would keep
+  // the store.
   Assembler a(kUserCode);
   a.MovImm(R3, 0x10000);
   a.MovImm(R4, 0x11000);
@@ -1495,7 +1495,6 @@ TEST(JitSecureUser, DirtyTrackedResetAfterTranslatedStoresMatchesTheSnapshot) {
     WriteWords(m, Page(2), code);
     m.mem.Write(Page(3), 0x5a5a);
     EnterUser(m, kL1, kUserCode);
-    m.mem.EnableDirtyTracking();
     const MachineState snapshot = m;
     EXPECT_EQ(RunUntilException(m, 200), Exception::kSvc);
     ASSERT_NE(m.mem.Read(Page(3) + 8), 0u);
@@ -1505,6 +1504,42 @@ TEST(JitSecureUser, DirtyTrackedResetAfterTranslatedStoresMatchesTheSnapshot) {
       ADD_FAILURE() << "reset vs fresh copy: " << diff;
     }
     EXPECT_EQ(m.mem.Read(Page(3) + 8), 0u) << "an untracked store survived the reset";
+  });
+}
+
+TEST(JitSecureUser, FirstStoreToAnUnlistedPageTakesTheHelperAndListsIt) {
+  // A reset empties the dirty list. The load fills the data page's
+  // micro-TLB slot, yet the first store into the page must take the helper,
+  // whose PhysMemory::Write puts the page on the list; the second is served
+  // inline. The next reset must then restore the page.
+  Assembler a(kUserCode);
+  a.MovImm(R3, 0x10000);
+  a.Ldr(R1, R3, 0);  // miss: fills the slot
+  a.Str(R1, R3, 4);  // miss: the page is not on the dirty list
+  a.Str(R1, R3, 8);  // passes
+  a.Svc();
+  const std::vector<word> code = a.Finish();
+  RunThreeWays([&](MachineState& m) {
+    Map(m, kUserCode, Page(2), false, true);
+    Map(m, 0x10000, Page(3), true, false);
+    WriteWords(m, Page(2), code);
+    WriteWords(m, Page(3), {0x5a5a});
+    EnterUser(m, kL1, kUserCode);
+    const MachineState snapshot = m;
+    m.ResetTo(snapshot);
+    ASSERT_TRUE(m.mem.dirty_pages().empty());
+    ASSERT_EQ(RunUntilException(m, 10), Exception::kSvc);
+    EXPECT_EQ(m.mem.Read(Page(3) + 8), 0x5a5au);
+    if (m.exec_mode() == ExecMode::kJit) {
+      EXPECT_EQ(m.jit.stats().helper_accesses, 2u) << "the load and the first store";
+    }
+    const std::vector<uint32_t>& dirty = m.mem.dirty_pages();
+    EXPECT_NE(std::find(dirty.begin(), dirty.end(), m.mem.PageIndexOf(Page(3))), dirty.end());
+    m.ResetTo(snapshot);
+    const MachineState fresh = snapshot;
+    for (const std::string& diff : fuzz::MachineDiff(m, fresh)) {
+      ADD_FAILURE() << "reset vs fresh copy: " << diff;
+    }
   });
 }
 

@@ -109,7 +109,6 @@ TEST_F(ExtractCacheTest, ZeroPage) {
 }
 
 TEST_F(ExtractCacheTest, ResetToSnapshot) {
-  w.machine.mem.EnableDirtyTracking();
   const arm::PhysMemory snapshot(w.machine.mem);
   w.machine.mem.Write(DataPaddr(), 7);
   EXPECT_FALSE(Cached() == before);

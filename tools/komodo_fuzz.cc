@@ -6,30 +6,30 @@
 // reproducer and writes it as a small text file for tests/corpus/.
 //
 // Determinism contract: stdout is a pure function of the flags *except
-// --jobs and --no-reuse* (which only change how fast the same work runs) —
-// timing and progress go to stderr. `komodo-fuzz --seed N ... | sha256sum`
-// twice gives identical bytes, `--jobs 1` and `--jobs 8` give identical
-// bytes, and the campaign-hash line pins every generated trace and verdict
-// in canonical shard order (scripts/check.sh compares serial vs parallel).
-// --shards IS part of the hash domain: it defines how the trace stream is
-// split into independently seeded substreams. --no-reuse changes no output,
-// yet it stays: pooled worlds track dirty pages, which sends every
-// JIT-translated store to the runtime helper, so a --no-reuse campaign is the
-// one whose interp oracle sees the JIT's inline stores (DESIGN.md §11, §13).
+// --jobs* (which only changes how fast the same work runs) — timing and
+// progress go to stderr. `komodo-fuzz --seed N ... | sha256sum` twice gives
+// identical bytes, `--jobs 1` and `--jobs 8` give identical bytes, and the
+// campaign-hash line pins every generated trace and verdict in canonical
+// shard order (scripts/check.sh compares serial vs parallel). --shards IS
+// part of the hash domain: it defines how the trace stream is split into
+// independently seeded substreams. A campaign runs its traces on pooled
+// worlds and --replay on fresh ones; every world tracks its dirty pages, so
+// the JIT stores by one rule in both (DESIGN.md §11, §13), and a trace's
+// verdict does not depend on which it ran on.
 //
 // --mode evolve switches the campaign from the blind trace stream to
 // coverage-guided corpus evolution (DESIGN.md §15): the call budget splits
 // over --rounds synchronous generations, each mutating the traces that
 // discovered new coverage. Evolve stdout — including the v3 campaign hash,
 // per-oracle coverage/corpus counts and the coverage-curve line — obeys the
-// same determinism contract: a pure function of everything but --jobs and
-// --no-reuse. --rounds, --max-corpus and --corpus-dir shape evolve only, so
+// same determinism contract: a pure function of everything but --jobs.
+// --rounds, --max-corpus and --corpus-dir shape evolve only, so
 // a blind campaign given one exits 2.
 //
 // Usage:
 //   komodo-fuzz [--seed N] [--calls N] [--oracle all|<name>] [--trace-len N]
 //               [--inject <name>] [--no-shrink] [--out DIR]
-//               [--jobs N] [--shards N] [--no-reuse]
+//               [--jobs N] [--shards N]
 //               [--mode blind|evolve] [--rounds N] [--max-corpus N]
 //               [--corpus-dir DIR]
 //   komodo-fuzz --replay FILE [--no-inject]
@@ -65,7 +65,7 @@ int Usage() {
                "usage: komodo-fuzz [--seed N] [--calls N] [--oracle all|refinement|"
                "invariants|noninterference|interp]\n"
                "                   [--trace-len N] [--inject NAME] [--no-shrink] [--out DIR]\n"
-               "                   [--jobs N] [--shards N] [--no-reuse]\n"
+               "                   [--jobs N] [--shards N]\n"
                "                   [--mode blind|evolve] [--rounds N] [--max-corpus N]\n"
                "                   [--corpus-dir DIR]\n"
                "       komodo-fuzz --replay FILE [--no-inject]\n");
@@ -170,8 +170,6 @@ int main(int argc, char** argv) {
       if (v == nullptr) return Usage();
       opts.corpus_dir = v;
       evolve_only_flag = "--corpus-dir";
-    } else if (arg == "--no-reuse") {
-      opts.reuse_worlds = false;
     } else if (arg == "--out") {
       const char* v = next();
       if (v == nullptr) return Usage();
